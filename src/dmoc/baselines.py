@@ -35,9 +35,8 @@ class KmeansResult:
 
 
 def _sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, M) squared Euclidean distances."""
-    diff = values[:, None, :] - centers[None, :, :]
-    return (diff**2).sum(axis=-1)
+    """(N, M) squared Euclidean distances, one centroid at a time (no (N, M, d) temporary)."""
+    return np.stack([((values - c) ** 2).sum(axis=1) for c in centers], axis=1)
 
 
 def _centroids(values: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -66,19 +65,20 @@ def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator
     return values[picks].copy()
 
 
-def _repair_empty_kmeans(values, centroids, assignment):
-    """Re-seed empty clusters to the worst-represented points, then reassign once."""
-    m = centroids.shape[0]
-    counts = np.bincount(assignment, minlength=m)
+def _repair_empty_kmeans(values, centroids, dist):
+    """Assign to the nearest centroid; re-seed empty clusters to the worst-represented
+    points, then reassign once. Returns the centroids, the assignment and their distances."""
+    assignment = np.argmin(dist, axis=1)
+    counts = np.bincount(assignment, minlength=centroids.shape[0])
     empties = np.nonzero(counts == 0)[0]
     if empties.size == 0:
-        return centroids, assignment
-    dist = _sq_distances(values, centroids)[np.arange(values.shape[0]), assignment]
-    farthest_first = np.argsort(-dist, kind="stable")
+        return centroids, assignment, dist
+    farthest_first = np.argsort(-dist[np.arange(values.shape[0]), assignment], kind="stable")
     centroids = centroids.copy()
     for k, j in enumerate(empties):
         centroids[j] = values[farthest_first[k]]
-    return centroids, np.argmin(_sq_distances(values, centroids), axis=1)
+    dist = _sq_distances(values, centroids)
+    return centroids, np.argmin(dist, axis=1), dist
 
 
 def kmeans(
@@ -107,19 +107,20 @@ def kmeans(
 
     assignment = None
     trace = []
+    rows = np.arange(data.n)
     for _ in range(max_iters):
-        dist = _sq_distances(values, centroids)
-        new_assignment = np.argmin(dist, axis=1)
-        centroids, new_assignment = _repair_empty_kmeans(values, centroids, new_assignment)
-        trace.append(
-            float(_sq_distances(values, centroids)[np.arange(data.n), new_assignment].sum())
+        centroids, new_assignment, dist = _repair_empty_kmeans(
+            values, centroids, _sq_distances(values, centroids)
         )
+        inertia = float(dist[rows, new_assignment].sum())
+        trace.append(inertia)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         centroids = _centroids(values, assignment, centroids)
-
-    inertia = float(_sq_distances(values, centroids)[np.arange(data.n), assignment].sum())
+    else:
+        # the cap ended the run after a centroid update: measure the moved centroids
+        inertia = float(_sq_distances(values, centroids)[rows, assignment].sum())
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
@@ -161,25 +162,20 @@ def squared_distance_ops(dim: int) -> MetricOps:
     Under this metric the engine's assignment step is nearest-neighbour and its
     representative step is the cluster centroid, i.e. one Lloyd iteration.
     """
-
-    def cluster_utility(x, values, members) -> float:
-        rows = np.atleast_2d(np.asarray(values, dtype=float))[np.asarray(members, dtype=int)]
-        return float(-((rows - np.asarray(x, dtype=float)) ** 2).sum())
-
     return MetricOps(
         decision_dim=dim,
         data_dim=dim,
-        evaluate=lambda x, g: float(
-            -((np.asarray(x, dtype=float) - np.asarray(g, dtype=float)) ** 2).sum()
-        ),
+        utilities=lambda x, values: -(
+            (np.atleast_2d(np.asarray(values, dtype=float)) - np.asarray(x, dtype=float)) ** 2
+        ).sum(axis=1),
         assign=lambda values, reps: np.argmin(
             _sq_distances(np.atleast_2d(values), np.atleast_2d(reps)), axis=1
         ),
-        cluster_utility=cluster_utility,
         best_representative=lambda values, members, warm_start=None: np.atleast_2d(
             np.asarray(values, dtype=float)
         )[np.asarray(members, dtype=int)].mean(axis=0),
         perfect_decision=lambda g: np.array(np.asarray(g, dtype=float)),
         feasible=lambda x: np.asarray(x).size == dim
         and bool(np.all(np.isfinite(np.asarray(x, dtype=float)))),
+        member_determined=True,
     )

@@ -246,14 +246,7 @@ def _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver):
         )
         return -1 if found is None else found
 
-    tasks = [(scheme, target) for scheme in schemes for target in targets]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(tasks, pool.map(one, tasks)))
-    else:
-        results = {task: one(task) for task in tasks}
+    results = evaluation.fan_out(one, [(s, t) for s in schemes for t in targets], jobs)
     rows = [
         [scheme, float(target), int(results[(scheme, target)])]
         for scheme in schemes
@@ -263,25 +256,26 @@ def _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver):
     return [out_dir / "peak_target.csv"]
 
 
+def _kmc_and_dmoc(config, spec, data, m, seed, solver):
+    """The k-means pipeline and a DMOC run at M clusters (a kmeans init starts from the former)."""
+    engine_cfg = config.get("engine") or {}
+    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed, solver=solver)
+    init = engine_cfg.get("init", "kmeans")
+    engine_config = EngineConfig(
+        n_clusters=m,
+        max_iters=int(engine_cfg.get("max_iters", 10)),
+        tol=float(engine_cfg.get("tol", 1e-3)),
+        seed=seed,
+        init=kmc.representatives if isinstance(init, str) and init == "kmeans" else init,
+    )
+    return kmc, run_dmoc(spec, data, engine_config, solver=solver)
+
+
 def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir, solver):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
-    section = config.get("geometry2d") or {}
-    m = int(section.get("clusters", 4))
-    engine_cfg = config.get("engine") or {}
-    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed, solver=solver)
-    dmoc_res = run_dmoc(
-        spec,
-        data,
-        EngineConfig(
-            n_clusters=m,
-            max_iters=int(engine_cfg.get("max_iters", 10)),
-            tol=float(engine_cfg.get("tol", 1e-3)),
-            seed=seed,
-            init=engine_cfg.get("init", "kmeans"),
-        ),
-        solver=solver,
-    )
+    m = int((config.get("geometry2d") or {}).get("clusters", 4))
+    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed, solver)
     rows = [
         [
             float(data.values[n, 0]),
@@ -296,22 +290,8 @@ def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir, solver):
 
 
 def _experiment_representatives(config, spec, data, seed, jobs, out_dir, solver):
-    section = config.get("representatives") or {}
-    m = int(section.get("clusters", 3))
-    engine_cfg = config.get("engine") or {}
-    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed, solver=solver)
-    dmoc_res = run_dmoc(
-        spec,
-        data,
-        EngineConfig(
-            n_clusters=m,
-            max_iters=int(engine_cfg.get("max_iters", 10)),
-            tol=float(engine_cfg.get("tol", 1e-3)),
-            seed=seed,
-            init=engine_cfg.get("init", "kmeans"),
-        ),
-        solver=solver,
-    )
+    m = int((config.get("representatives") or {}).get("clusters", 3))
+    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed, solver)
     rows = []
     for scheme, result in (("kmc", kmc), ("dmoc", dmoc_res)):
         for cluster in range(m):

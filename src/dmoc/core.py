@@ -320,29 +320,42 @@ class MetricOps:
     The engine is generic over this interface; the pricing and scheduling
     modules (and the test-only squared-distance metric) each provide one.
 
-    evaluate(x, g) -> float
-        Utility of decision ``x`` for sample ``g``.
+    utilities(x, values) -> (n,) array
+        Utility of decision ``x`` for every row of ``values``.
     assign(values, reps) -> (N,) int array
         Index of the best representative for every row of ``values``
-        (argmax of evaluate, ties to the lowest index).
-    cluster_utility(x, values, members) -> float
-        Sum of evaluate(x, g_n) over the member rows, in index order.
+        (argmax of the utility, ties to the lowest index).
     best_representative(values, members, warm_start=None) -> (T,) array
         Feasible decision maximizing cluster_utility over the members.
     perfect_decision(g) -> (T,) array
         Per-sample optimal decision x*(g).
     feasible(x) -> bool
         Constraint check for a decision vector.
+    member_determined: bool
+        Set by the metric, not the user: True when best_representative
+        depends on the members alone (analytic and LP routes, not iterative
+        ones that depend on the warm start), so the engine skips re-solving a
+        cluster whose members and representative are unchanged.
     """
 
     decision_dim: int
     data_dim: int
-    evaluate: Callable
+    utilities: Callable
     assign: Callable
-    cluster_utility: Callable
     best_representative: Callable
     perfect_decision: Callable
     feasible: Callable
+    member_determined: bool = False
+
+    def evaluate(self, x, g) -> float:
+        """Utility of decision ``x`` for the single sample ``g``."""
+        return float(self.utilities(x, np.atleast_2d(np.asarray(g, dtype=float)))[0])
+
+    def cluster_utility(self, x, values, members) -> float:
+        """Utility sum over the member rows, correctly rounded (``math.fsum``) so that it is
+        monotone in every term."""
+        rows = np.atleast_2d(np.asarray(values, dtype=float))[np.asarray(members, dtype=int)]
+        return math.fsum(self.utilities(x, rows))
 
 
 def metric_ops(spec: MetricSpec, solver=None, approx_assignment: bool = False) -> MetricOps:
@@ -373,15 +386,7 @@ def check_feasible(spec: MetricSpec, x) -> bool:
         raise DimensionError(
             f"decision has length {x.size}, expected {spec.decision_dim}"
         )
-    tol = FEASIBILITY_TOL
-    if spec.kind == "rtp":
-        return bool(np.all(x >= -tol))
-    p = spec.pcs
-    return bool(
-        np.all(x >= -tol)
-        and np.all(x <= p.x_max + tol)
-        and x.sum() >= p.energy - tol
-    )
+    return bool(metric_ops(spec).feasible(x))
 
 
 def evaluate_utility(spec: MetricSpec, x, g) -> float:

@@ -9,7 +9,8 @@ tolerance or the iteration cap is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,14 +71,23 @@ def _validated_reps(ops: MetricOps, reps) -> np.ndarray:
     return reps
 
 
+def _sample_utilities(ops: MetricOps, values, reps, assignment) -> np.ndarray:
+    """Utility of every sample at its assigned representative."""
+    out = np.empty(values.shape[0])
+    for m in np.unique(assignment):
+        members = assignment == m
+        out[members] = ops.utilities(reps[m], values[members])
+    return out
+
+
 def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray) -> float:
-    """Cluster-wise utility sum in fixed cluster order (empty clusters add 0)."""
-    total = 0.0
-    for m in range(reps.shape[0]):
-        members = np.nonzero(assignment == m)[0]
-        if members.size:
-            total += ops.cluster_utility(reps[m], values, members)
-    return total
+    """Correctly rounded sum (math.fsum) of the per-sample utilities.
+
+    The sum does not depend on how samples are grouped into clusters, and it
+    is monotone in every term, so exact ties between representatives can
+    never lower the objective by a rounding step.
+    """
+    return math.fsum(_sample_utilities(ops, values, reps, assignment))
 
 
 def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray):
@@ -86,10 +96,7 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
     empties = np.nonzero(counts == 0)[0]
     if empties.size == 0:
         return reps, assignment
-    per_sample = np.array(
-        [ops.evaluate(reps[assignment[n]], values[n]) for n in range(values.shape[0])]
-    )
-    worst_first = np.argsort(per_sample, kind="stable")
+    worst_first = np.argsort(_sample_utilities(ops, values, reps, assignment), kind="stable")
     reps = reps.copy()
     for k, m in enumerate(empties):
         reps[m] = ops.perfect_decision(values[worst_first[k]])
@@ -153,7 +160,9 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     The baseline objective of the starting decisions is measured after a
     first assignment; at least one full iteration always runs, and iteration
-    q stops the run when its improvement is at most ``config.tol``.
+    q stops the run when its improvement is at most ``config.tol``. With
+    ``ops.member_determined`` a cluster whose members and representative are
+    unchanged since its last solve is not solved again.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -168,6 +177,7 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     objectives = []
     converged = False
+    solved = {}  # cluster -> (members, representative) after its last solve
     for q in range(1, config.max_iters + 1):
         if q > 1:
             assignment = ops.assign(values, reps)
@@ -176,6 +186,9 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
         for m in range(config.n_clusters):
             members = np.nonzero(assignment == m)[0]
             if members.size == 0:
+                continue
+            last = solved.get(m)
+            if last and np.array_equal(last[0], members) and np.array_equal(last[1], reps[m]):
                 continue
             try:
                 candidate = ops.best_representative(values, members, warm_start=reps[m])
@@ -187,6 +200,8 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
                 reps[m], values, members
             ):
                 new_reps[m] = candidate
+            if ops.member_determined:
+                solved[m] = (members, new_reps[m].copy())
         reps = new_reps
         current = _objective(ops, values, reps, assignment)
         objectives.append(current)
@@ -221,18 +236,11 @@ def run_dmoc(
     surrogate (scheduling only); representatives keep the true metric.
     """
     ops = metric_ops(spec, solver=solver, approx_assignment=approx_assignment)
-    config_used = config
     if isinstance(config.init, str) and config.init == "kmeans":
         from . import baselines
 
         start = baselines.kmc_pipeline(
             spec, data, config.n_clusters, seed=config.seed, solver=solver
         )
-        config_used = EngineConfig(
-            n_clusters=config.n_clusters,
-            max_iters=config.max_iters,
-            tol=config.tol,
-            seed=config.seed,
-            init=start.representatives,
-        )
-    return run_dmoc_ops(ops, data, config_used)
+        config = replace(config, init=start.representatives)
+    return run_dmoc_ops(ops, data, config)

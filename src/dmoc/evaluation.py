@@ -8,6 +8,7 @@ for peak-power purposes.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .core import (
     MetricSpec,
     metric_ops,
 )
-from .engine import EngineConfig, run_dmoc
+from .engine import EngineConfig, _sample_utilities, run_dmoc
 from .baselines import kmc_pipeline
 
 SCHEMES = ("dmoc", "dmoc-approx", "kmc")
@@ -34,13 +35,9 @@ def perfect_decisions(spec: MetricSpec, data: DataSet, solver=None) -> np.ndarra
 
 
 def perfect_objective(spec: MetricSpec, data: DataSet, solver=None) -> float:
-    """Total utility when every sample gets its own optimal decision."""
+    """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
     ops = metric_ops(spec, solver=solver)
-    total = 0.0
-    for n in range(data.n):
-        g = data.values[n]
-        total += ops.evaluate(ops.perfect_decision(g), g)
-    return total
+    return math.fsum(ops.evaluate(ops.perfect_decision(g), g) for g in data.values)
 
 
 def relative_loss(f_perfect: float, f_c: float) -> float:
@@ -111,6 +108,14 @@ def _run_scheme(
     )
 
 
+def fan_out(fn, items, jobs: int) -> dict:
+    """``{item: fn(item)}``, on ``jobs`` threads when jobs > 1; keyed, so jobs never changes it."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return dict(zip(items, pool.map(fn, items)))
+    return {item: fn(item) for item in items}
+
+
 @dataclass(frozen=True)
 class LossCurve:
     """Relative optimality loss against the cluster count for one scheme."""
@@ -135,8 +140,9 @@ def loss_curve(
 ) -> list[LossCurve]:
     """Loss-vs-M sweep over clustering schemes.
 
-    Run (scheme, M) uses seed ``seed + M`` so the k-means start shared by the
-    kmc baseline and a kmeans-initialized run is identical at each M. With
+    Run (scheme, M) uses seed ``seed + M``. The k-means pipeline runs once
+    per M, before the fan-out: it is the kmc result, and its decisions are
+    the explicit start of every kmeans-initialized engine run at that M. With
     ``jobs > 1`` the independent runs execute in a thread pool; results are
     keyed, so the output is identical for any job count.
     """
@@ -145,21 +151,23 @@ def loss_curve(
             raise DmocError(f"unknown scheme {scheme!r}")
     m_values = [int(m) for m in m_values]
     f_perfect = perfect_objective(spec, data, solver=solver)
+    kmeans_init = isinstance(init, str) and init == "kmeans"
+    starts = {}
+    if kmeans_init or "kmc" in schemes:
+        starts = fan_out(
+            lambda m: kmc_pipeline(spec, data, m, seed=seed + m, solver=solver), m_values, jobs
+        )
 
     def one(task):
         scheme, m = task
-        res = _run_scheme(
-            scheme, spec, data, m, seed=seed + m, solver=solver,
-            max_iters=max_iters, tol=tol, init=init,
-        )
-        return res.objective
+        if scheme == "kmc":
+            return starts[m].objective
+        return _run_scheme(
+            scheme, spec, data, m, seed=seed + m, solver=solver, max_iters=max_iters, tol=tol,
+            init=starts[m].representatives if kmeans_init else init,
+        ).objective
 
-    tasks = [(scheme, m) for scheme in schemes for m in m_values]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(tasks, pool.map(one, tasks)))
-    else:
-        results = {task: one(task) for task in tasks}
+    results = fan_out(one, [(scheme, m) for scheme in schemes for m in m_values], jobs)
 
     curves = []
     for scheme in schemes:
@@ -192,38 +200,12 @@ def nested_dmoc_sweep(
         config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
         res = run_dmoc(spec, data, config, solver=solver)
         results.append(res)
-        per_sample = np.array(
-            [
-                ops.evaluate(res.representatives[res.partition.assignment[n]], data.values[n])
-                for n in range(data.n)
-            ]
+        per_sample = _sample_utilities(
+            ops, data.values, res.representatives, res.partition.assignment
         )
         worst = int(np.argsort(per_sample, kind="stable")[0])
         init = np.vstack([res.representatives, ops.perfect_decision(data.values[worst])])
     return results
-
-
-def worst_peak_by_m(
-    spec: MetricSpec,
-    data: DataSet,
-    scheme: str = "dmoc",
-    m_max: int = 20,
-    seed: int = 0,
-    solver=None,
-    max_iters: int = 10,
-    tol: float = 1e-3,
-) -> np.ndarray:
-    """Worst realized peak over all samples for each M in 1..m_max (seed + M schedule)."""
-    if spec.kind != "pcs" or spec.pcs.p != np.inf:
-        raise DmocError("the peak-target search requires a pcs spec with p = inf")
-    peaks = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        res = _run_scheme(
-            scheme, spec, data, m, seed=seed + m, solver=solver,
-            max_iters=max_iters, tol=tol,
-        )
-        peaks[m - 1] = realized_peaks(spec, res, data).max()
-    return peaks
 
 
 def clusters_for_target(

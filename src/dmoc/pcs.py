@@ -11,6 +11,11 @@ representative solves a convex program handled here by
   iterative route (projected gradient on a softmax-smoothed peak),
 * projected subgradient with Polyak-style adaptive level steps for finite
   p >= 2.
+
+A single sample's p = inf decision (perfect decisions, k-means centroid
+decisions, empty-cluster repair, random starts) needs no LP: it is the
+weighted water-filling optimum ``x = clip(lam / w - g, 0, x_max)``, computed
+exactly for a whole (N, T) batch by ``water_fill_decisions``.
 """
 
 from __future__ import annotations
@@ -245,11 +250,6 @@ def _value_and_subgradient(
     return float(norms.sum()), grad
 
 
-def _cluster_subgradient(x: np.ndarray, G: np.ndarray, params: PcsParams, mu: float) -> np.ndarray:
-    """A subgradient of sum_n ||W(x + g_n)||_p at x (x, g, w all nonnegative)."""
-    return _value_and_subgradient(x, G, params, mu)[1]
-
-
 def _smoothed_peak_value_grad(x, G, w, mu):
     """Softmax-smoothed peak objective and its gradient (upper bound on the max)."""
     v = w * (x + G)
@@ -422,28 +422,71 @@ def solve_representative(
     return x
 
 
-def valley_fill_decision(g, energy: float, x_max: float) -> np.ndarray:
-    """Analytic water-filling for one sample at p = inf with identity weights.
+#: Rows per block of water_fill_decisions: bounds its (rows, 2T, T) fill table
+#: to about 10 MB at T = 24.
+_FILL_ROWS = 1024
 
-    Fills the valleys of g up to a common level lam: x(t) = clip(lam - g(t),
-    0, x_max) with lam chosen by bisection so that sum(x) = E.
+
+def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
+    """Per-row p = inf optimum by weighted water-filling, exact and batched.
+
+    Row g gets x = clip(lam / w - g, 0, x_max) with lam the lowest level whose
+    fill meets the energy need (Boyd & Vandenberghe, Convex Optimization,
+    sec. 5.5.3); its peak max_t w_t (x_t + g_t) is the single-sample optimum.
+    The fill is piecewise linear in lam, with breakpoints w_t g_t (slot t
+    starts filling) and w_t (g_t + x_max) (slot t is full), so lam is
+    interpolated exactly between sorted breakpoints, as in project_feasible.
+    Zero-weight slots cost nothing and are filled to x_max first.
     """
+    G = np.atleast_2d(np.asarray(values, dtype=float))
+    if G.shape[1] != params.n_slots:
+        raise DimensionError(f"profiles must have length {params.n_slots}, got {G.shape[1]}")
+    w = params.weights / max(params.weights.max(), np.finfo(float).tiny)  # x is scale-free
+    pos = w > 0
+    x = np.full(G.shape, params.x_max)
+    need = params.energy - params.x_max * np.count_nonzero(~pos)
+    if need <= 0 or not pos.any():
+        x[:, pos] = 0.0
+        return x
+    wp, gp = w[pos], G[:, pos]
+    points = np.sort(np.concatenate([wp * gp, wp * (gp + params.x_max)], axis=1), axis=1)
+    lam = np.empty(G.shape[0])
+    # lam / w may overflow for tiny weights; the clip to x_max absorbs it
+    with np.errstate(over="ignore"):
+        for s in range(0, G.shape[0], _FILL_ROWS):
+            pts, g = points[s : s + _FILL_ROWS], gp[s : s + _FILL_ROWS]
+            fills = np.clip(pts[:, :, None] / wp - g[:, None, :], 0.0, params.x_max).sum(axis=2)
+            # first breakpoint whose (monotone) fill meets the need; the last one when
+            # rounding leaves even the full box a hair short
+            i = np.clip((fills < need).sum(axis=1), 1, pts.shape[1] - 1)
+            r = np.arange(pts.shape[0])
+            lo, hi, flo, fhi = pts[r, i - 1], pts[r, i], fills[r, i - 1], fills[r, i]
+            rise = fhi > flo
+            lam[s : s + _FILL_ROWS] = np.where(
+                rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi
+            )
+        x[:, pos] = np.clip(lam[:, None] / wp - gp, 0.0, params.x_max)
+    return x
+
+
+def valley_fill_decision(g, energy: float, x_max: float) -> np.ndarray:
+    """Water-filling for one sample at p = inf with unit weights."""
     g = as_vector(g, name="profile")
-    lo, hi = float(g.min()), float(g.max()) + x_max
     if g.size * x_max < energy - FEASIBILITY_TOL:
         raise SolverError(f"energy {energy} exceeds capacity {g.size * x_max}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(mid - g, 0.0, x_max).sum() >= energy:
-            hi = mid
-        else:
-            lo = mid
-    return np.clip(hi - g, 0.0, x_max)
+    params = PcsParams(n_slots=g.size, p=math.inf, energy=energy, x_max=x_max)
+    return water_fill_decisions(g, params)[0]
 
 
 def perfect_decision_pcs(g, params: PcsParams, solver: PcsSolverConfig | None = None) -> np.ndarray:
-    """Per-sample optimal profile x*(g): a singleton-cluster representative."""
+    """Per-sample optimal profile x*(g).
+
+    At p = inf this is the water-filling optimum unless the subgradient route
+    is forced; otherwise it is a singleton-cluster representative.
+    """
     g = as_vector(g, name="profile")
+    if params.p == math.inf and (solver or PcsSolverConfig()).method != "subgradient":
+        return water_fill_decisions(g, params)[0]
     return solve_representative(g[None, :], [0], params, solver=solver)
 
 
@@ -469,23 +512,18 @@ def metric_ops(
             and x.sum() >= params.energy - FEASIBILITY_TOL
         )
 
-    def cluster_utility(x, values, members) -> float:
-        members_values = np.atleast_2d(np.asarray(values, dtype=float))[
-            np.asarray(members, dtype=int)
-        ]
-        return -_cluster_objective(np.asarray(x, dtype=float), members_values, params)
-
     return MetricOps(
         decision_dim=params.decision_dim,
         data_dim=params.data_dim,
-        evaluate=lambda x, g: f2(x, g, params),
+        utilities=lambda x, values: -weighted_norms(values, x, params)[:, 0],
         assign=lambda values, reps: np.argmin(
             weighted_norms(values, reps, params, p=assign_p), axis=1
         ),
-        cluster_utility=cluster_utility,
         best_representative=lambda values, members, warm_start=None: solve_representative(
             values, members, params, solver=cfg, warm_start=warm_start
         ),
         perfect_decision=lambda g: perfect_decision_pcs(g, params, solver=cfg),
         feasible=feasible,
+        # the cheapest-slot fill and the epigraph LP see only the members
+        member_determined=params.p == 1 or (params.p == math.inf and cfg.method != "subgradient"),
     )

@@ -89,10 +89,6 @@ class RtpDerivedConstants:
     beta: float
     n_slots: int
 
-    @property
-    def beta_vec(self) -> np.ndarray:
-        return np.full(self.n_slots, self.beta)
-
 
 def derived_constants(params: RtpParams) -> RtpDerivedConstants:
     """a_tilde = K^2/alpha^2 * (a + alpha/(2K)), kappa = a*K/(alpha^2*a_tilde), beta = b*K/(2*alpha*a_tilde)."""
@@ -105,10 +101,8 @@ def derived_constants(params: RtpParams) -> RtpDerivedConstants:
 
 def affine_transform(g, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
     """Map a stacked sample into price space: entry t is kappa * sum_k g_k(t) + beta."""
-    c = derived_constants(params) if constants is None else constants
     g = as_vector(np.asarray(g, dtype=float), name="sample")
-    slot_sums = _stack_to_slots(g, params).sum(axis=-1)
-    return c.kappa * slot_sums + c.beta
+    return transform_dataset(g, params, constants)[0]
 
 
 def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
@@ -178,15 +172,11 @@ def metric_ops(params: RtpParams) -> MetricOps:
         x = as_vector(x, name="price profile")
         return x.size == params.n_slots and bool(np.all(x >= -FEASIBILITY_TOL))
 
-    def cluster_utility(x, values, members) -> float:
-        return float(f1_batch(x, values[np.asarray(members, dtype=int)], params).sum())
-
     return MetricOps(
         decision_dim=params.decision_dim,
         data_dim=params.data_dim,
-        evaluate=lambda x, g: f1(x, g, params),
+        utilities=lambda x, values: f1_batch(x, values, params),
         assign=lambda values, reps: assign_batch(values, reps, params),
-        cluster_utility=cluster_utility,
         best_representative=lambda values, members, warm_start=None: closed_form_representative(
             values, members, params
         ),
@@ -194,4 +184,5 @@ def metric_ops(params: RtpParams) -> MetricOps:
             np.atleast_2d(np.asarray(g, dtype=float)), [0], params
         ),
         feasible=feasible,
+        member_determined=True,
     )

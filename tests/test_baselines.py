@@ -51,6 +51,22 @@ class TestKmeans:
         with pytest.raises(DmocError):
             baselines.kmeans(DataSet([[1.0, 2.0]]), 2, seed=0)
 
+    def test_distances_match_broadcast_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0.0, 3.0, size=(50, 120))
+        centers = rng.uniform(0.0, 3.0, size=(7, 120))
+        broadcast = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(baselines._sq_distances(values, centers), broadcast)
+
+    def test_inertia_measures_final_centroids(self):
+        data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=50, seed=6)
+        for max_iters in (1, 2, 100):
+            km = baselines.kmeans(data, 4, seed=2, max_iters=max_iters)
+            labels = km.assignment.assignment
+            direct = ((data.values - km.centroids[labels]) ** 2).sum()
+            assert km.inertia == pytest.approx(direct, rel=1e-12)
+            assert len(km.inertia_trace) <= max_iters
+
 
 class TestKmcPipeline:
     def test_m_equals_n_matches_perfect(self):

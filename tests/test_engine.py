@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from dmoc import (
     MetricSpec,
     Partition,
     assign_clusters,
+    metric_ops,
     run_dmoc,
     run_dmoc_ops,
     total_utility,
@@ -232,3 +234,60 @@ class TestConventionalEmbedding:
         )
         km = baselines.kmeans(data, 3, seed=0, max_iters=50, init=init)
         assert engine_res.objective == pytest.approx(-km.inertia, abs=1e-9)
+
+
+class TestSkipUnchangedClusters:
+    def test_single_cluster_run_solves_one_lp(self, monkeypatch):
+        calls = []
+        linprog = pcs.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(pcs, "linprog", counting_linprog)
+        spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
+        res = run_dmoc(spec, data, EngineConfig(n_clusters=1, seed=0, tol=0.0))
+        # the second iteration finds the same members and does not solve again
+        assert res.trace.iterations_run >= 2
+        assert len(calls) == 1
+
+    def test_member_determined_follows_the_solver_route(self):
+        spec = MetricSpec.for_pcs(n_slots=4, p=2, energy=4.0, x_max=3.0)
+        assert not metric_ops(spec).member_determined
+        assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=1, energy=4.0)).member_determined
+        assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)).member_determined
+        subgradient = pcs.PcsSolverConfig(method="subgradient")
+        inf_spec = MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)
+        assert not metric_ops(inf_spec, solver=subgradient).member_determined
+
+    def test_skipping_matches_resolving(self):
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=11)
+        spec = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0)
+        ops = metric_ops(spec)
+        config = EngineConfig(n_clusters=3, seed=4, tol=0.0)
+        skipped = run_dmoc_ops(ops, data, config)
+        resolved = run_dmoc_ops(dataclasses.replace(ops, member_determined=False), data, config)
+        np.testing.assert_array_equal(skipped.representatives, resolved.representatives)
+        np.testing.assert_array_equal(skipped.partition.assignment, resolved.partition.assignment)
+        assert skipped.trace == resolved.trace
+
+
+class TestExactSums:
+    def test_tied_start_dominance_is_exact(self):
+        # Every sample has one tall peak in slot 0 or 1 and the energy fits in the
+        # valleys of slots 2 and 3, so every representative gives a sample the same
+        # utility: the k-means start is already optimal and the engine regroups the
+        # tied samples. The objective must not drop by a rounding step.
+        spec = MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=1.0, x_max=1.0)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            values = rng.uniform(0.0, 0.5, size=(40, 4))
+            values[np.arange(40), rng.integers(0, 2, size=40)] = rng.uniform(3.0, 9.0, size=40)
+            data = DataSet(values)
+            for m in (2, 3, 4, 5):
+                kmc = baselines.kmc_pipeline(spec, data, m, seed=seed)
+                res = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=seed, init="kmeans"))
+                assert res.objective >= kmc.objective
+                assert res.objective == math.fsum(-values[:, :2].max(axis=1))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DmocError, MetricSpec
-from dmoc import evaluation, pcs
+from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, run_dmoc
+from dmoc import baselines, evaluation, pcs
 from dmoc.core import ClusteringResult, Partition, RunTrace
 from dmoc.data import gen_synthetic_pcs
 
@@ -177,6 +177,25 @@ class TestSweeps:
         results = evaluation.nested_dmoc_sweep(PCS6, data, 5, seed=2)
         objectives = [r.objective for r in results]
         assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
+
+    def test_one_kmeans_start_per_m(self, monkeypatch):
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=17)
+        starts = []
+        kmc_pipeline = baselines.kmc_pipeline
+
+        def counting_kmc_pipeline(spec, data, n_clusters, seed, **kwargs):
+            starts.append((n_clusters, seed))
+            return kmc_pipeline(spec, data, n_clusters, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evaluation, "kmc_pipeline", counting_kmc_pipeline)
+        monkeypatch.setattr(baselines, "kmc_pipeline", counting_kmc_pipeline)
+        curves = {c.scheme: c for c in evaluation.loss_curve(PCS6, data, [1, 2, 3], seed=4)}
+        assert sorted(starts) == [(1, 5), (2, 6), (3, 7)]
+
+        # the shared start reproduces a kmeans-initialized run at seed + M exactly
+        for m, objective in zip([1, 2, 3], curves["dmoc"].objectives):
+            run = run_dmoc(PCS6, data, EngineConfig(n_clusters=m, seed=4 + m, init="kmeans"))
+            assert objective == run.objective
 
     def test_unknown_scheme_rejected(self):
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=10, seed=16)

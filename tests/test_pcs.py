@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmoc.core import EmptyClusterError, PcsParams, SolverError
+from dmoc.core import DimensionError, EmptyClusterError, PcsParams, SolverError
 from dmoc import pcs
 
 from oracles import finite_difference_gradient, grid_min_pcs, pcs_cluster_objective
@@ -292,3 +292,85 @@ class TestPerfectDecision:
     def test_energy_exceeding_capacity_raises(self):
         with pytest.raises(SolverError):
             pcs.valley_fill_decision([1.0, 1.0], 5.0, 2.0)
+
+
+class TestWaterFill:
+    """The batched water-filling against the epigraph LP, in peak value."""
+
+    @staticmethod
+    def assert_matches_lp(values, p):
+        x = pcs.water_fill_decisions(values, p)
+        assert x.shape == values.shape
+        for g, row in zip(values, x):
+            lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
+            f_wf = pcs_cluster_objective(row, g[None, :], p.weights, math.inf)
+            f_lp = pcs_cluster_objective(lp, g[None, :], p.weights, math.inf)
+            assert abs(f_wf - f_lp) <= 1e-9
+
+    def test_random_weights(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            t = int(rng.integers(1, 9))
+            x_max = float(rng.uniform(0.5, 3.0))
+            p = params(
+                n_slots=t, energy=float(rng.uniform(0.05, 0.95) * t * x_max), x_max=x_max,
+                weights=rng.uniform(0.1, 3.0, size=t),
+            )
+            self.assert_matches_lp(rng.uniform(0.0, 3.0, size=(6, t)), p)
+
+    def test_weights_with_zeros(self):
+        rng = np.random.default_rng(62)
+        for energy in (1.0, 4.0, 9.0, 11.5):
+            w = rng.uniform(0.2, 2.0, size=6)
+            w[[1, 4]] = 0.0
+            p = params(n_slots=6, energy=energy, x_max=2.0, weights=w)
+            x = pcs.water_fill_decisions(rng.uniform(0.0, 3.0, size=(5, 6)), p)
+            # zero-weight slots cost nothing: they fill to the cap first
+            np.testing.assert_array_equal(x[:, [1, 4]], 2.0)
+            self.assert_matches_lp(rng.uniform(0.0, 3.0, size=(5, 6)), p)
+
+    def test_energy_close_to_capacity(self):
+        rng = np.random.default_rng(63)
+        for energy in (12.0, 12.0 * (1 - 1e-9), 12.0 - 1e-3):
+            p = params(n_slots=6, energy=energy, x_max=2.0, weights=rng.uniform(0.5, 1.5, size=6))
+            values = rng.uniform(0.0, 3.0, size=(5, 6))
+            x = pcs.water_fill_decisions(values, p)
+            assert np.all(x.sum(axis=1) >= energy - 1e-9)
+            self.assert_matches_lp(values, p)
+
+    def test_flat_profiles(self):
+        p = params(n_slots=5, energy=4.0, x_max=2.0)
+        values = np.repeat([[0.0], [1.0], [2.5]], 5, axis=1)
+        np.testing.assert_allclose(pcs.water_fill_decisions(values, p), 0.8, atol=1e-12)
+        self.assert_matches_lp(values, p)
+
+    def test_perfect_decision_uses_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a single-sample decision must not solve an LP")
+
+        monkeypatch.setattr(pcs, "linprog", no_lp)
+        x = pcs.perfect_decision_pcs([3.0, 0.0], params())
+        np.testing.assert_allclose(x, [0.0, 2.0], atol=1e-12)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionError):
+            pcs.water_fill_decisions(np.ones((2, 3)), params())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.floats(0.0, 3.0), min_size=t, max_size=t),
+                st.lists(st.floats(0.0, 5.0), min_size=t, max_size=t),
+                st.floats(0.01, 1.0),
+                st.floats(0.1, 4.0),
+            )
+        )
+    )
+    def test_energy_and_box_constraints(self, case):
+        weights, g, fill, x_max = case
+        t = len(g)
+        p = params(n_slots=t, energy=fill * t * x_max, x_max=x_max, weights=weights)
+        x = pcs.water_fill_decisions(np.array([g]), p)[0]
+        assert np.all(x >= 0.0) and np.all(x <= x_max)
+        assert x.sum() >= p.energy - 1e-9
