@@ -326,7 +326,7 @@ class MetricOps:
         Index of the best representative for every row of ``values``
         (argmax of the utility, ties to the lowest index).
     best_representative(values, members, warm_start=None) -> (T,) array
-        Feasible decision maximizing cluster_utility over the members.
+        Feasible decision maximizing the summed utility over the member rows.
     perfect_decision(g) -> (T,) array
         Per-sample optimal decision x*(g).
     feasible(x) -> bool
@@ -350,12 +350,6 @@ class MetricOps:
     def evaluate(self, x, g) -> float:
         """Utility of decision ``x`` for the single sample ``g``."""
         return float(self.utilities(x, np.atleast_2d(np.asarray(g, dtype=float)))[0])
-
-    def cluster_utility(self, x, values, members) -> float:
-        """Utility sum over the member rows, correctly rounded (``math.fsum``) so that it is
-        monotone in every term."""
-        rows = np.atleast_2d(np.asarray(values, dtype=float))[np.asarray(members, dtype=int)]
-        return math.fsum(self.utilities(x, rows))
 
 
 def metric_ops(spec: MetricSpec, solver=None, approx_assignment: bool = False) -> MetricOps:

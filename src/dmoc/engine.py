@@ -177,18 +177,20 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     objectives = []
     converged = False
-    solved = {}  # cluster -> (members, representative) after its last solve
+    solved = {}  # cluster -> (members, representative, member utilities) after its last solve
     for q in range(1, config.max_iters + 1):
         if q > 1:
             assignment = ops.assign(values, reps)
             reps, assignment = _repair_empty(ops, values, reps, assignment)
         new_reps = reps.copy()
+        utilities = np.empty(values.shape[0])  # of every sample at its cluster's new representative
         for m in range(config.n_clusters):
             members = np.nonzero(assignment == m)[0]
             if members.size == 0:
                 continue
             last = solved.get(m)
             if last and np.array_equal(last[0], members) and np.array_equal(last[1], reps[m]):
+                utilities[members] = last[2]
                 continue
             try:
                 candidate = ops.best_representative(values, members, warm_start=reps[m])
@@ -196,14 +198,15 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
                 raise SolverError(f"cluster {m}: {err}", cluster=m) from err
             # keep the previous representative unless the solve strictly improved
             # the cluster utility; solver tolerance must never lower the objective
-            if ops.cluster_utility(candidate, values, members) > ops.cluster_utility(
-                reps[m], values, members
-            ):
-                new_reps[m] = candidate
+            kept = ops.utilities(reps[m], values[members])
+            solved_utilities = ops.utilities(candidate, values[members])
+            if math.fsum(solved_utilities) > math.fsum(kept):
+                new_reps[m], kept = candidate, solved_utilities
+            utilities[members] = kept
             if ops.member_determined:
-                solved[m] = (members, new_reps[m].copy())
+                solved[m] = (members, new_reps[m].copy(), kept)
         reps = new_reps
-        current = _objective(ops, values, reps, assignment)
+        current = math.fsum(utilities)
         objectives.append(current)
         if current - previous <= config.tol:
             converged = True

@@ -22,6 +22,7 @@ from .core import (
     MetricSpec,
     metric_ops,
 )
+from . import pcs
 from .engine import EngineConfig, _sample_utilities, run_dmoc
 from .baselines import kmc_pipeline
 
@@ -30,14 +31,19 @@ SCHEMES = ("dmoc", "dmoc-approx", "kmc")
 
 def perfect_decisions(spec: MetricSpec, data: DataSet, solver=None) -> np.ndarray:
     """Per-sample optimal decisions x*(g_n), stacked as an (N, T) array."""
+    if spec.kind == "pcs":
+        return pcs.perfect_decisions_pcs(data.values, spec.pcs, solver=solver)
     ops = metric_ops(spec, solver=solver)
-    return np.stack([ops.perfect_decision(data.values[n]) for n in range(data.n)])
+    return np.stack([ops.perfect_decision(g) for g in data.values])
 
 
 def perfect_objective(spec: MetricSpec, data: DataSet, solver=None) -> float:
     """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
+    decisions = perfect_decisions(spec, data, solver=solver)
+    if spec.kind == "pcs":
+        return math.fsum(-pcs.paired_norms(data.values, decisions, spec.pcs))
     ops = metric_ops(spec, solver=solver)
-    return math.fsum(ops.evaluate(ops.perfect_decision(g), g) for g in data.values)
+    return math.fsum(ops.evaluate(x, g) for x, g in zip(decisions, data.values))
 
 
 def relative_loss(f_perfect: float, f_c: float) -> float:

@@ -7,8 +7,11 @@ cluster rule is the generalized Voronoi rule in this norm; the best
 representative solves a convex program handled here by
 
 * an analytic cheapest-slot fill for p = 1,
-* an epigraph LP (scipy HiGHS) for p = inf, cross-checked by an independent
-  iterative route (projected gradient on a softmax-smoothed peak),
+* the epigraph LP for p = inf, solved by a primal-dual interior-point method
+  written for its structure (``interior_point_representative``: each Newton
+  step is a T x T Cholesky solve) with HiGHS (scipy) as the reference solver
+  and the fallback, and cross-checked by an independent iterative route
+  (projected gradient on a softmax-smoothed peak),
 * projected subgradient with Polyak-style adaptive level steps for finite
   p >= 2.
 
@@ -36,6 +39,7 @@ from .core import (
     PcsParams,
     SolverError,
     as_vector,
+    logger,
 )
 
 
@@ -45,6 +49,8 @@ class PcsSolverConfig:
 
     method: "auto" picks the epigraph LP at p = inf and the projected
     subgradient at finite p; "epigraph_lp" and "subgradient" force a route.
+    The epigraph LP is solved by the interior-point method, and by HiGHS
+    when that does not converge.
     step_c0 scales the initial level gap of the subgradient method and
     objective_tol is the relative level gap below which it declares
     convergence. At p = inf the max subgradient is replaced by a softmax
@@ -87,7 +93,16 @@ def weighted_norms(values, reps, params: PcsParams, p: float | None = None) -> n
             f"profiles must have length {params.n_slots}, "
             f"got {v.shape[1]} and {r.shape[1]}"
         )
-    levels = np.abs(params.weights * (v[:, None, :] + r[None, :, :]))
+    return _norms(v[:, None, :] + r[None, :, :], params, p)
+
+
+def paired_norms(values, decisions, params: PcsParams) -> np.ndarray:
+    """(N,) vector of ||W(x_n + g_n)||_p for paired sample and decision rows."""
+    return _norms(np.asarray(values, dtype=float) + np.asarray(decisions, dtype=float), params, params.p)
+
+
+def _norms(loads: np.ndarray, params: PcsParams, p: float) -> np.ndarray:
+    levels = np.abs(params.weights * loads)
     if p == math.inf:
         return levels.max(axis=-1)
     return (levels**p).sum(axis=-1) ** (1.0 / p)
@@ -133,7 +148,8 @@ def project_feasible(y, params: PcsParams) -> np.ndarray:
     # breakpoints where clip(y + lam) changes slope: entry enters at -y_t, caps at x_max - y_t
     points = np.unique(np.concatenate([np.maximum(-y, 0.0), np.maximum(params.x_max - y, 0.0)]))
     sums = np.clip(y[None, :] + points[:, None], 0.0, params.x_max).sum(axis=1)
-    i = int(np.searchsorted(sums, params.energy, side="left"))
+    # the last breakpoint when rounding leaves even the full box a hair short
+    i = min(int(np.searchsorted(sums, params.energy, side="left")), points.size - 1)
     if i == 0:
         lam = points[0]
     else:
@@ -216,6 +232,207 @@ def epigraph_lp_representative(data, member_indices, params: PcsParams) -> np.nd
     if res.status != 0:
         raise SolverError(f"epigraph LP failed: {res.message}")
     return np.clip(res.x[:T], 0.0, params.x_max)
+
+
+#: The interior-point method returns once the certified relative duality gap of
+#: its iterate is at most _IPM_TOL. Near the optimum the Newton matrix can lose
+#: definiteness to rounding first; the best iterate is then kept if its gap is at
+#: most _IPM_FLOOR, and otherwise the method reports non-convergence, as it does
+#: after _IPM_MAX_ITERS iterations.
+_IPM_TOL = 1e-9
+_IPM_FLOOR = 1e-8
+#: Gaps are relative to the objective, or to this fraction of its largest possible
+#: value, n * max_t w_t (max_n g_nt + x_max), when the objective is smaller.
+_IPM_ZERO = 1e-6
+_IPM_MAX_ITERS = 100
+#: Fraction of the distance to the boundary of the positive orthant taken per step.
+_IPM_STEP = 0.9
+#: Centrality correctors (Gondzio, Comput. Optim. Appl. 6, 1996) tried per iteration,
+#: only while the primal or the dual step length is below _IPM_SHORT_STEP.
+_IPM_CORRECTORS = 2
+_IPM_SHORT_STEP = 0.5
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha * dv >= 0 for v > 0 (inf when no entry decreases)."""
+    fall = -float((dv / v).min())
+    return 1.0 / fall if fall > 0 else math.inf
+
+
+class _EpigraphLP:
+    """The p = inf cluster LP ``min 1's  s.t.  A (x, s) >= b``, kept in its structure.
+
+    The rows are, in this order: the n*T epigraph rows ``s_n - w_t x_t >= w_t g_nt``,
+    the energy row ``1'x >= E``, the lower bounds ``x >= 0`` and the upper bounds
+    ``-x >= -x_max``. Row vectors (right-hand side, slacks r = A z - b, duals y) are
+    flat arrays; ``split`` views one as (epigraph (n, T), energy, lower (T), upper (T)).
+    """
+
+    def __init__(self, G: np.ndarray, params: PcsParams):
+        self.n, self.T = G.shape
+        top = params.weights.max()
+        self.w = params.weights / top if top > 0 else params.weights  # x is scale-free
+        self.b = np.concatenate(
+            [(self.w * G).ravel(), [params.energy], np.zeros(self.T), np.full(self.T, -params.x_max)]
+        )
+        self.wg = self.split(self.b)[0]
+        # energy put in the k-th cheapest slot by the cheapest feasible schedule
+        self.fills = np.clip(params.energy - params.x_max * np.arange(self.T), 0.0, params.x_max)
+        self.zero = _IPM_ZERO * self.n * (self.wg.max() + self.w.max() * params.x_max)
+
+    def split(self, v: np.ndarray):
+        nt, T = self.n * self.T, self.T
+        return v[:nt].reshape(self.n, T), v[nt], v[nt + 1 : nt + 1 + T], v[nt + 1 + T :]
+
+    def rows(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The product A (x, s)."""
+        out = np.empty(self.b.size)
+        epi, _, lower, upper = self.split(out)
+        np.subtract(s[:, None], self.w * x, out=epi)
+        out[self.n * self.T] = x.sum()
+        lower[:] = x
+        np.negative(x, out=upper)
+        return out
+
+    def cols(self, y: np.ndarray):
+        """The product A'y, as its x part and its s part."""
+        epi, energy, lower, upper = self.split(y)
+        return energy + lower - upper - self.w * epi.sum(axis=0), epi.sum(axis=1)
+
+    def factor(self, d: np.ndarray):
+        """Factor the normal matrix A'DA, D = diag(d) > 0, by eliminating s.
+
+        A'DA has the diagonal s-block sigma_n = sum_t d_nt and the coupling block
+        -w_t d_nt, so its Schur complement on x is the T x T matrix
+        ``S = W L W + diag(d_lo + d_hi) + d_E 11'`` with L = sum_n (diag(d_n) sigma_n
+        - d_n d_n') / sigma_n, a sum of graph Laplacians. L's diagonal is summed from
+        its off-diagonal entries, which avoids the cancellation in
+        ``sum_n d_nt - d_nt^2 / sigma_n`` when one slot holds a member's peak.
+        Raises numpy.linalg.LinAlgError when S is not numerically positive definite.
+        """
+        epi, d_energy, d_lower, d_upper = self.split(d)
+        sigma = epi.sum(axis=1)
+        scaled = epi / np.sqrt(sigma)[:, None]
+        coupling = scaled.T @ scaled
+        np.fill_diagonal(coupling, 0.0)
+        schur = -(self.w[:, None] * coupling * self.w)
+        np.fill_diagonal(schur, self.w**2 * coupling.sum(axis=1) + d_lower + d_upper)
+        schur += d_energy
+        inverse = np.linalg.inv(np.linalg.cholesky(schur))  # S^-1 = inverse' inverse
+        return epi, sigma, inverse
+
+    def solve(self, factored, rx: np.ndarray, rs: np.ndarray):
+        """Solve A'DA (dx, ds) = (rx, rs) with a factor from ``factor``."""
+        epi, sigma, inverse = factored
+        u = rs / sigma
+        dx = (inverse @ (rx + self.w * (u @ epi))) @ inverse
+        return dx, (rs + epi @ (self.w * dx)) / sigma
+
+    def start(self):
+        """Mehrotra's starting point: least-squares primal, least-norm dual, shifted inside."""
+        unit = self.factor(np.ones(self.b.size))
+        x, s = self.solve(unit, *self.cols(self.b))
+        y = self.rows(*self.solve(unit, np.zeros(self.T), np.ones(self.n)))
+        r = self.rows(x, s) - self.b
+        r += max(-1.5 * r.min(), 0.0)
+        y += max(-1.5 * y.min(), 0.0)
+        ry = r @ y
+        return x, s, r + 0.5 * ry / y.sum(), y + 0.5 * ry / r.sum()
+
+    def gap(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Certified relative duality gap of a feasible x and the epigraph duals in y.
+
+        Scaled to sum 1, each member's duals are slot weights under which its peak
+        is at least the weighted mean level; the cheapest feasible schedule at the
+        summed slot prices then bounds the optimum from below. The objective is
+        never negative, and counts as zero (see _IPM_ZERO) when tiny.
+        """
+        peaks = (self.w * x + self.wg).max(axis=1).sum()
+        epi = self.split(y)[0]
+        scale = 1.0 / epi.sum(axis=1)
+        bound = scale @ (epi * self.wg).sum(axis=1) + np.sort(self.w * (scale @ epi)) @ self.fills
+        excess = peaks - bound
+        if excess <= 0:
+            return 0.0
+        return excess / max(peaks, self.zero)
+
+    def step(self, x, s, r, y):
+        """One predictor-corrector step (Mehrotra) with centrality correctors (Gondzio)."""
+        rp = self.rows(x, s) - r - self.b  # primal residual A z - r - b
+        rdx, rds = self.cols(y)  # dual residual A'y - c, with c = (0, 1)
+        rds -= 1.0
+        d = y / r
+        factored = self.factor(d)
+
+        def newton(rc, rp=0.0, rdx=0.0, rds=0.0):
+            # move the residuals to zero and the products r*y by rc:
+            # A'DA dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr
+            qx, qs = self.cols(rc / r - d * rp)
+            dx, ds = self.solve(factored, rdx + qx, rds + qs)
+            dr = self.rows(dx, ds) + rp
+            return dx, ds, dr, rc / r - d * dr
+
+        def reach(v):
+            return min(1.0, _IPM_STEP * _max_step(r, v[2])), min(1.0, _IPM_STEP * _max_step(y, v[3]))
+
+        ry = r * y
+        mu = ry.mean()
+        dx, ds, dr, dy = newton(-ry, rp, rdx, rds)
+        ap, ad = min(1.0, _max_step(r, dr)), min(1.0, _max_step(y, dy))
+        target = mu * ((r + ap * dr) @ (y + ad * dy) / ry.size / mu) ** 3
+        v = newton(target - ry - dr * dy, rp, rdx, rds)
+        ap, ad = reach(v)
+        for _ in range(_IPM_CORRECTORS):
+            if min(ap, ad) >= _IPM_SHORT_STEP:
+                break
+            # pull the products r*y of a step 0.3 longer into [0.1, 10] x target
+            trial = (r + min(1.0, ap + 0.3) * v[2]) * (y + min(1.0, ad + 0.3) * v[3])
+            fix = np.maximum(np.clip(trial, 0.1 * target, 10.0 * target) - trial, -10.0 * target)
+            corrected = [a + c for a, c in zip(v, newton(fix))]
+            cap, cad = reach(corrected)
+            if cap + cad < ap + ad + 0.03:
+                break  # kept only if it lengthens the steps by a tenth of the trial
+            v, ap, ad = corrected, cap, cad
+        dx, ds, dr, dy = v
+        return x + ap * dx, s + ap * ds, r + ap * dr, y + ad * dy
+
+
+def interior_point_representative(data, member_indices, params: PcsParams) -> np.ndarray:
+    """p = inf representative by a primal-dual interior-point method on the epigraph LP.
+
+    Solves the LP of ``epigraph_lp_representative`` with Mehrotra's predictor-corrector
+    method (Mehrotra, SIAM J. Optim. 2(4), 1992) from his starting point, adding
+    Gondzio's centrality correctors, which keep the iteration count nearly flat in
+    the member count. Each Newton system reduces to a T x T Cholesky solve (see
+    ``_EpigraphLP.factor``), so an iteration costs a few passes over the (n, T)
+    member array. Every iterate's projection onto the feasible set is checked
+    against a dual lower bound, so the returned profile is feasible and its
+    objective is within a relative _IPM_TOL (at worst _IPM_FLOOR) of the optimum.
+    Raises SolverError otherwise.
+    """
+    if params.p != math.inf:
+        raise ValueError("the epigraph LP applies only at p = inf")
+    G = _member_values(data, member_indices)
+    T = G.shape[1]
+    if params.energy >= T * params.x_max:
+        return np.full(T, params.x_max)  # the only feasible point; the LP has no interior
+    lp = _EpigraphLP(G, params)
+    best_gap, best_x = math.inf, None
+    try:
+        x, s, r, y = lp.start()
+        for _ in range(_IPM_MAX_ITERS):
+            feasible = project_feasible(x, params)
+            gap = lp.gap(feasible, y)
+            if gap < best_gap:
+                best_gap, best_x = gap, feasible
+            if gap <= _IPM_TOL or not np.isfinite(gap):
+                break
+            x, s, r, y = lp.step(x, s, r, y)
+    except np.linalg.LinAlgError:
+        pass  # rounding ended the progress; judge the best iterate
+    if best_gap <= _IPM_FLOOR:
+        return best_x
+    raise SolverError(f"interior-point method stopped at relative duality gap {best_gap:.2e}")
 
 
 def _value_and_subgradient(
@@ -410,7 +627,11 @@ def solve_representative(
     elif cfg.method == "epigraph_lp" or (cfg.method == "auto" and params.p == math.inf):
         if params.p != math.inf:
             raise ValueError("the epigraph LP applies only at p = inf")
-        x = epigraph_lp_representative(G, range(G.shape[0]), params)
+        try:
+            x = interior_point_representative(G, range(G.shape[0]), params)
+        except SolverError as err:
+            logger.warning("%s; solving the epigraph LP with HiGHS instead", err)
+            x = epigraph_lp_representative(G, range(G.shape[0]), params)
     else:
         x = projected_subgradient_representative(
             G, range(G.shape[0]), params, solver=cfg, warm_start=warm_start
@@ -479,15 +700,21 @@ def valley_fill_decision(g, energy: float, x_max: float) -> np.ndarray:
 
 
 def perfect_decision_pcs(g, params: PcsParams, solver: PcsSolverConfig | None = None) -> np.ndarray:
-    """Per-sample optimal profile x*(g).
+    """Per-sample optimal profile x*(g) (see ``perfect_decisions_pcs``)."""
+    return perfect_decisions_pcs(as_vector(g, name="profile")[None, :], params, solver=solver)[0]
 
-    At p = inf this is the water-filling optimum unless the subgradient route
-    is forced; otherwise it is a singleton-cluster representative.
+
+def perfect_decisions_pcs(values, params: PcsParams, solver: PcsSolverConfig | None = None) -> np.ndarray:
+    """Per-row optimal profiles x*(g_n), as an (N, T) array.
+
+    At p = inf these are the water-filling optima, computed in one batch, unless
+    the subgradient route is forced; otherwise each is a singleton-cluster
+    representative.
     """
-    g = as_vector(g, name="profile")
+    G = np.atleast_2d(np.asarray(values, dtype=float))
     if params.p == math.inf and (solver or PcsSolverConfig()).method != "subgradient":
-        return water_fill_decisions(g, params)[0]
-    return solve_representative(g[None, :], [0], params, solver=solver)
+        return water_fill_decisions(G, params)
+    return np.stack([solve_representative(g[None, :], [0], params, solver=solver) for g in G])
 
 
 # ---------------------------------------------------------------------------

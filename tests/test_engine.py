@@ -238,20 +238,27 @@ class TestConventionalEmbedding:
 
 class TestSkipUnchangedClusters:
     def test_single_cluster_run_solves_one_lp(self, monkeypatch):
-        calls = []
+        solves, highs = [], []
+        solve = pcs.interior_point_representative
         linprog = pcs.linprog
 
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
         def counting_linprog(*args, **kwargs):
-            calls.append(1)
+            highs.append(1)
             return linprog(*args, **kwargs)
 
+        monkeypatch.setattr(pcs, "interior_point_representative", counting_solve)
         monkeypatch.setattr(pcs, "linprog", counting_linprog)
         spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
         res = run_dmoc(spec, data, EngineConfig(n_clusters=1, seed=0, tol=0.0))
         # the second iteration finds the same members and does not solve again
         assert res.trace.iterations_run >= 2
-        assert len(calls) == 1
+        assert len(solves) == 1
+        assert len(highs) == 0
 
     def test_member_determined_follows_the_solver_route(self):
         spec = MetricSpec.for_pcs(n_slots=4, p=2, energy=4.0, x_max=3.0)
@@ -272,6 +279,45 @@ class TestSkipUnchangedClusters:
         np.testing.assert_array_equal(skipped.representatives, resolved.representatives)
         np.testing.assert_array_equal(skipped.partition.assignment, resolved.partition.assignment)
         assert skipped.trace == resolved.trace
+
+
+class TestUtilityReuse:
+    @staticmethod
+    def counting(ops, calls):
+        def utilities(x, values):
+            calls.append(1)
+            return ops.utilities(x, values)
+
+        return dataclasses.replace(ops, utilities=utilities)
+
+    def test_solved_clusters_are_evaluated_once_per_iteration(self):
+        spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
+        calls = []
+        res = run_dmoc_ops(
+            self.counting(metric_ops(spec), calls), data, EngineConfig(n_clusters=1, seed=0, tol=0.0)
+        )
+        # the starting objective, then the guard's pair in iteration 1; iteration 2
+        # skips the unchanged cluster and reuses its utilities
+        assert res.trace.iterations_run == 2
+        assert len(calls) == 3
+
+    def test_objectives_equal_a_fresh_evaluation(self):
+        pcs_data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=60, seed=5)
+        rtp_spec = MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.2, b=0.1)
+        rtp_data = rtp.generate_rtp_scenario(3, 2, 60, seed=5)
+        for spec, data in ((MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0), pcs_data),
+                           (MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0), pcs_data),
+                           (rtp_spec, rtp_data)):
+            ops = metric_ops(spec)
+            for m in (1, 3, 5):
+                config = EngineConfig(n_clusters=m, seed=m, tol=0.0, max_iters=6)
+                res = run_dmoc_ops(ops, data, config)
+                fresh = np.concatenate([
+                    ops.utilities(res.representatives[k], data.values[res.partition.members(k)])
+                    for k in range(m)
+                ])
+                assert res.objective == math.fsum(fresh)
 
 
 class TestExactSums:

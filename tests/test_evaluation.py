@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, run_dmoc
+from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
 from dmoc import baselines, evaluation, pcs
 from dmoc.core import ClusteringResult, Partition, RunTrace
 from dmoc.data import gen_synthetic_pcs
@@ -27,6 +27,25 @@ class TestPerfectBaseline:
         one = evaluation.perfect_objective(spec, DataSet([row]))
         five = evaluation.perfect_objective(spec, DataSet([row] * 5))
         assert five == pytest.approx(5 * one, rel=1e-12)
+
+    def test_batched_perfect_objective_is_bit_identical_to_per_sample_loop(self):
+        rng = np.random.default_rng(31)
+        weights = rng.uniform(0.2, 3.0, size=6)
+        weights[2] = 0.0
+        specs = [
+            PCS6,
+            MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=14.0, x_max=3.0, weights=weights),
+            MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0),
+        ]
+        for spec in specs:
+            data = DataSet(rng.uniform(0.0, 5.0, size=(2500 if spec.pcs.p == math.inf else 6, 6)))
+            ops = metric_ops(spec)
+            loop = math.fsum(ops.evaluate(ops.perfect_decision(g), g) for g in data.values)
+            assert evaluation.perfect_objective(spec, data) == loop
+            np.testing.assert_array_equal(
+                evaluation.perfect_decisions(spec, data),
+                np.stack([ops.perfect_decision(g) for g in data.values]),
+            )
 
     def test_full_resolution_run_is_near_perfect(self):
         from dmoc import EngineConfig, run_dmoc

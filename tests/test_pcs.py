@@ -141,6 +141,141 @@ class TestEpigraphLP:
             pcs.epigraph_lp_representative(np.ones((1, 2)), [], params())
 
 
+class TestInteriorPoint:
+    """The interior-point solver against HiGHS and the naive objective oracle."""
+
+    @staticmethod
+    def assert_matches_highs(members, p):
+        n = members.shape[0]
+        x = pcs.interior_point_representative(members, range(n), p)
+        assert pcs.metric_ops(p).feasible(x)
+        f = pcs_cluster_objective(x, members, p.weights, math.inf)
+        f_lp = pcs_cluster_objective(
+            pcs.epigraph_lp_representative(members, range(n), p), members, p.weights, math.inf
+        )
+        # a feasible x is never better than the optimum; HiGHS may miss it by its tolerance
+        assert f - f_lp <= 1e-8 * abs(f_lp) + 1e-12
+        return x
+
+    def test_random_domain(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            t, n = int(rng.integers(1, 25)), int(rng.integers(1, 301))
+            x_max = float(rng.uniform(0.5, 4.0))
+            p = params(
+                n_slots=t, energy=float(rng.uniform(0.02, 0.98) * t * x_max), x_max=x_max,
+                weights=rng.uniform(0.2, 3.0, size=t),
+            )
+            scale = 10.0 ** rng.uniform(-3, 3)
+            self.assert_matches_highs(scale * rng.uniform(0.0, 5.0, size=(n, t)), p)
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            t = int(rng.integers(2, 25))
+            w = rng.uniform(0.2, 3.0, size=t)
+            w[rng.random(t) < 0.4] = 0.0
+            p = params(n_slots=t, energy=float(rng.uniform(0.1, 0.9) * t * 2.0), x_max=2.0, weights=w)
+            self.assert_matches_highs(rng.uniform(0.0, 5.0, size=(int(rng.integers(2, 200)), t)), p)
+        p = params(n_slots=4, energy=3.0, x_max=2.0, weights=np.zeros(4))
+        self.assert_matches_highs(rng.uniform(0.0, 5.0, size=(30, 4)), p)
+
+    def test_energy_at_capacity(self):
+        rng = np.random.default_rng(73)
+        members = rng.uniform(0.0, 5.0, size=(50, 6))
+        x = self.assert_matches_highs(members, params(n_slots=6, energy=12.0, x_max=2.0))
+        np.testing.assert_array_equal(x, np.full(6, 2.0))
+        for energy in (12.0 * (1 - 1e-9), 12.0 - 1e-3):
+            p = params(n_slots=6, energy=energy, x_max=2.0, weights=rng.uniform(0.5, 1.5, size=6))
+            self.assert_matches_highs(members, p)
+
+    def test_identical_members(self):
+        rng = np.random.default_rng(74)
+        for t in (1, 5, 24):
+            p = params(n_slots=t, energy=0.4 * t * 3.0, x_max=3.0, weights=rng.uniform(0.5, 2.0, size=t))
+            g = rng.uniform(0.0, 5.0, size=t)
+            x = self.assert_matches_highs(np.repeat(g[None, :], 120, axis=0), p)
+            # the cluster of identical members has the member's own optimum
+            single = pcs.water_fill_decisions(g, p)[0]
+            assert pcs_cluster_objective(x, g[None, :], p.weights, math.inf) == pytest.approx(
+                pcs_cluster_objective(single, g[None, :], p.weights, math.inf), rel=1e-8
+            )
+
+    def test_single_member(self):
+        rng = np.random.default_rng(75)
+        for t in (1, 2, 24):
+            p = params(n_slots=t, energy=0.5 * t * 2.0, x_max=2.0, weights=rng.uniform(0.5, 2.0, size=t))
+            self.assert_matches_highs(rng.uniform(0.0, 5.0, size=(1, t)), p)
+
+    def test_t2_instances_match_grid(self):
+        rng = np.random.default_rng(76)
+        for _ in range(8):
+            n = int(rng.integers(1, 6))
+            members = rng.uniform(0.0, 3.0, size=(n, 2))
+            w = rng.uniform(0.5, 1.5, size=2)
+            p = params(weights=w)
+            x = pcs.interior_point_representative(members, range(n), p)
+            obj = pcs_cluster_objective(x, members, w, math.inf)
+            grid_obj, _ = grid_min_pcs(members, w, math.inf, p.energy, p.x_max)
+            assert obj <= grid_obj * (1 + 1e-8)
+            assert grid_obj - obj <= 0.01 * n * w.max() + 1e-9
+
+    def test_finite_p_rejected(self):
+        with pytest.raises(ValueError):
+            pcs.interior_point_representative(np.ones((2, 2)), [0, 1], params(p=2))
+
+    def test_empty_members(self):
+        with pytest.raises(EmptyClusterError):
+            pcs.interior_point_representative(np.ones((1, 2)), [], params())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.floats(0.0, 3.0), min_size=t, max_size=t),
+                st.lists(
+                    st.lists(st.floats(0.0, 5.0), min_size=t, max_size=t), min_size=1, max_size=6
+                ),
+                st.floats(0.01, 1.0),
+                st.floats(0.1, 4.0),
+            )
+        )
+    )
+    def test_result_is_feasible(self, case):
+        weights, members, fill, x_max = case
+        t = len(weights)
+        p = params(n_slots=t, energy=fill * t * x_max, x_max=x_max, weights=weights)
+        members = np.array(members)
+        x = pcs.interior_point_representative(members, range(members.shape[0]), p)
+        assert pcs.metric_ops(p).feasible(x)
+
+    def test_routes(self, monkeypatch):
+        calls = []
+        solve = pcs.interior_point_representative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pcs, "interior_point_representative", counting)
+        members = np.random.default_rng(77).uniform(0.0, 3.0, size=(5, 2))
+        for method in ("auto", "epigraph_lp"):
+            pcs.solve_representative(members, range(5), params(), pcs.PcsSolverConfig(method=method))
+        assert len(calls) == 2
+
+    def test_falls_back_to_highs(self, monkeypatch, caplog):
+        def not_converged(*args, **kwargs):
+            raise SolverError("interior-point method stopped at relative duality gap 1e-03")
+
+        monkeypatch.setattr(pcs, "interior_point_representative", not_converged)
+        p = params(n_slots=4, energy=4.0, x_max=2.0)
+        members = np.random.default_rng(78).uniform(0.0, 3.0, size=(7, 4))
+        with caplog.at_level("WARNING", logger="dmoc"):
+            x = pcs.solve_representative(members, range(7), p)
+        np.testing.assert_array_equal(x, pcs.epigraph_lp_representative(members, range(7), p))
+        assert "HiGHS" in caplog.text
+
+
 class TestProjection:
     @given(st.lists(st.floats(-4.0, 6.0), min_size=4, max_size=4))
     @settings(max_examples=200)
