@@ -29,7 +29,6 @@ from .core import (
     total_utility,
 )
 from .engine import EngineConfig, assign_clusters, run_dmoc, run_dmoc_ops, update_representatives
-from .pcs import PcsSolverConfig
 from .data import gen_synthetic_pcs, load_profiles, save_profiles
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "MetricSpec",
     "Partition",
     "PcsParams",
-    "PcsSolverConfig",
     "RtpParams",
     "RunTrace",
     "SolverError",

@@ -134,7 +134,6 @@ def kmc_pipeline(
     data: DataSet,
     n_clusters: int,
     seed: int,
-    solver=None,
     max_iters: int = 100,
 ) -> ClusteringResult:
     """Conventional pipeline: k-means partition + per-centroid optimal decisions.
@@ -144,7 +143,7 @@ def kmc_pipeline(
     true utility of those decisions on the actual samples.
     """
     km = kmeans(data, n_clusters, seed=seed, max_iters=max_iters)
-    ops = metric_ops(spec, solver=solver)
+    ops = metric_ops(spec)
     reps = np.stack([ops.perfect_decision(c) for c in km.centroids])
     assignment = km.assignment.assignment
     objective = _objective(ops, data.values, reps, assignment)

@@ -23,7 +23,6 @@ from . import baselines, evaluation, rtp
 from .core import DataFormatError, DataSet, DmocError, MetricSpec, SolverError
 from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles
 from .engine import EngineConfig, run_dmoc
-from .pcs import PcsSolverConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,10 +68,6 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
     if kind == "rtp":
         return MetricSpec.for_rtp(**cfg)
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
-
-
-def _solver_from_mapping(cfg: dict | None) -> PcsSolverConfig:
-    return PcsSolverConfig(**(cfg or {}))
 
 
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
@@ -199,7 +194,7 @@ def _cmd_eval(args) -> int:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, solver, key="loss_curve"):
+def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, key="loss_curve"):
     section = config.get(key) or {}
     m_values = list(range(int(section.get("m_min", 1)), int(section.get("m_max", 20)) + 1))
     schemes = tuple(section.get("schemes", evaluation.SCHEMES))
@@ -210,7 +205,6 @@ def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, solver, key=
         m_values,
         schemes=schemes,
         seed=seed,
-        solver=solver,
         max_iters=int(engine_cfg.get("max_iters", 10)),
         tol=float(engine_cfg.get("tol", 1e-3)),
         init=engine_cfg.get("init", "kmeans"),
@@ -228,7 +222,7 @@ def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, solver, key=
     return [out_dir / f"{key}.csv"]
 
 
-def _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver):
+def _experiment_peak_target(config, spec, data, seed, jobs, out_dir):
     section = config.get("peak_target") or {}
     targets = [float(t) for t in section.get("targets", [])]
     if not targets:
@@ -240,7 +234,7 @@ def _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver):
     def one(task):
         scheme, target = task
         found = evaluation.clusters_for_target(
-            spec, data, target, scheme=scheme, m_max=m_max, seed=seed, solver=solver,
+            spec, data, target, scheme=scheme, m_max=m_max, seed=seed,
             max_iters=int(engine_cfg.get("max_iters", 10)),
             tol=float(engine_cfg.get("tol", 1e-3)),
         )
@@ -256,10 +250,10 @@ def _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver):
     return [out_dir / "peak_target.csv"]
 
 
-def _kmc_and_dmoc(config, spec, data, m, seed, solver):
+def _kmc_and_dmoc(config, spec, data, m, seed):
     """The k-means pipeline and a DMOC run at M clusters (a kmeans init starts from the former)."""
     engine_cfg = config.get("engine") or {}
-    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed, solver=solver)
+    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed)
     init = engine_cfg.get("init", "kmeans")
     engine_config = EngineConfig(
         n_clusters=m,
@@ -268,14 +262,14 @@ def _kmc_and_dmoc(config, spec, data, m, seed, solver):
         seed=seed,
         init=kmc.representatives if isinstance(init, str) and init == "kmeans" else init,
     )
-    return kmc, run_dmoc(spec, data, engine_config, solver=solver)
+    return kmc, run_dmoc(spec, data, engine_config)
 
 
-def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir, solver):
+def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
     m = int((config.get("geometry2d") or {}).get("clusters", 4))
-    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed, solver)
+    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed)
     rows = [
         [
             float(data.values[n, 0]),
@@ -289,9 +283,9 @@ def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir, solver):
     return [out_dir / "geometry2d.csv"]
 
 
-def _experiment_representatives(config, spec, data, seed, jobs, out_dir, solver):
+def _experiment_representatives(config, spec, data, seed, jobs, out_dir):
     m = int((config.get("representatives") or {}).get("clusters", 3))
-    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed, solver)
+    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed)
     rows = []
     for scheme, result in (("kmc", kmc), ("dmoc", dmoc_res)):
         for cluster in range(m):
@@ -320,22 +314,23 @@ def _run_experiment(config: dict, seed: int, jobs: int, out_dir: Path) -> list[P
     name = config.get("experiment")
     if name not in EXPERIMENTS:
         raise CliUsageError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
+    if "solver" in config:
+        raise CliUsageError(
+            "the 'solver' section is not supported: the metric's p fixes the solver route"
+        )
     spec = _metric_from_mapping(config.get("metric") or {})
-    solver = _solver_from_mapping(config.get("solver"))
     data = _dataset_from_config(config, seed)
     if name == "loss_curve":
-        return _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, solver)
+        return _experiment_loss_curve(config, spec, data, seed, jobs, out_dir)
     if name == "rtp_loss_curve":
         if spec.kind != "rtp":
             raise CliUsageError("rtp_loss_curve requires an rtp metric")
-        return _experiment_loss_curve(
-            config, spec, data, seed, jobs, out_dir, solver, key="rtp_loss_curve"
-        )
+        return _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, key="rtp_loss_curve")
     if name == "peak_target":
-        return _experiment_peak_target(config, spec, data, seed, jobs, out_dir, solver)
+        return _experiment_peak_target(config, spec, data, seed, jobs, out_dir)
     if name == "geometry2d":
-        return _experiment_geometry2d(config, spec, data, seed, jobs, out_dir, solver)
-    return _experiment_representatives(config, spec, data, seed, jobs, out_dir, solver)
+        return _experiment_geometry2d(config, spec, data, seed, jobs, out_dir)
+    return _experiment_representatives(config, spec, data, seed, jobs, out_dir)
 
 
 def _cmd_experiment(args) -> int:

@@ -352,7 +352,7 @@ class MetricOps:
         return float(self.utilities(x, np.atleast_2d(np.asarray(g, dtype=float)))[0])
 
 
-def metric_ops(spec: MetricSpec, solver=None, approx_assignment: bool = False) -> MetricOps:
+def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
     """Resolve a MetricSpec into the callable bundle for the engine."""
     if spec.kind == "rtp":
         if approx_assignment:
@@ -362,7 +362,7 @@ def metric_ops(spec: MetricSpec, solver=None, approx_assignment: bool = False) -
         return rtp.metric_ops(spec.rtp)
     from . import pcs
 
-    return pcs.metric_ops(spec.pcs, solver=solver, approx_assignment=approx_assignment)
+    return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment)
 
 
 # ---------------------------------------------------------------------------

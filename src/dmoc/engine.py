@@ -107,11 +107,10 @@ def assign_clusters(
     spec: MetricSpec,
     data: DataSet,
     reps,
-    solver=None,
     approx_assignment: bool = False,
 ) -> Partition:
     """Assign every sample to its best representative (ties to the lowest index)."""
-    ops = metric_ops(spec, solver=solver, approx_assignment=approx_assignment)
+    ops = metric_ops(spec, approx_assignment=approx_assignment)
     reps = _validated_reps(ops, reps)
     return Partition(ops.assign(data.values, reps), reps.shape[0])
 
@@ -120,7 +119,6 @@ def update_representatives(
     spec: MetricSpec,
     data: DataSet,
     partition: Partition,
-    solver=None,
     warm_starts=None,
 ) -> np.ndarray:
     """Best representative decision for every cluster of the partition.
@@ -128,7 +126,7 @@ def update_representatives(
     Raises EmptyClusterError if a cluster has no members and SolverError
     (carrying the cluster index) on solver failure.
     """
-    ops = metric_ops(spec, solver=solver)
+    ops = metric_ops(spec)
     reps = np.empty((partition.n_clusters, ops.decision_dim))
     for m in range(partition.n_clusters):
         members = partition.members(m)
@@ -230,7 +228,6 @@ def run_dmoc(
     spec: MetricSpec,
     data: DataSet,
     config: EngineConfig,
-    solver=None,
     approx_assignment: bool = False,
 ) -> ClusteringResult:
     """Run decision-oriented clustering for a pricing or scheduling metric.
@@ -238,12 +235,10 @@ def run_dmoc(
     ``approx_assignment`` replaces the assignment rule with its p = 2
     surrogate (scheduling only); representatives keep the true metric.
     """
-    ops = metric_ops(spec, solver=solver, approx_assignment=approx_assignment)
+    ops = metric_ops(spec, approx_assignment=approx_assignment)
     if isinstance(config.init, str) and config.init == "kmeans":
         from . import baselines
 
-        start = baselines.kmc_pipeline(
-            spec, data, config.n_clusters, seed=config.seed, solver=solver
-        )
+        start = baselines.kmc_pipeline(spec, data, config.n_clusters, seed=config.seed)
         config = replace(config, init=start.representatives)
     return run_dmoc_ops(ops, data, config)

@@ -29,20 +29,20 @@ from .baselines import kmc_pipeline
 SCHEMES = ("dmoc", "dmoc-approx", "kmc")
 
 
-def perfect_decisions(spec: MetricSpec, data: DataSet, solver=None) -> np.ndarray:
+def perfect_decisions(spec: MetricSpec, data: DataSet) -> np.ndarray:
     """Per-sample optimal decisions x*(g_n), stacked as an (N, T) array."""
     if spec.kind == "pcs":
-        return pcs.perfect_decisions_pcs(data.values, spec.pcs, solver=solver)
-    ops = metric_ops(spec, solver=solver)
+        return pcs.perfect_decisions_pcs(data.values, spec.pcs)
+    ops = metric_ops(spec)
     return np.stack([ops.perfect_decision(g) for g in data.values])
 
 
-def perfect_objective(spec: MetricSpec, data: DataSet, solver=None) -> float:
+def perfect_objective(spec: MetricSpec, data: DataSet) -> float:
     """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
-    decisions = perfect_decisions(spec, data, solver=solver)
+    decisions = perfect_decisions(spec, data)
     if spec.kind == "pcs":
         return math.fsum(-pcs.paired_norms(data.values, decisions, spec.pcs))
-    ops = metric_ops(spec, solver=solver)
+    ops = metric_ops(spec)
     return math.fsum(ops.evaluate(x, g) for x, g in zip(decisions, data.values))
 
 
@@ -99,7 +99,6 @@ def _run_scheme(
     data: DataSet,
     m: int,
     seed: int,
-    solver=None,
     max_iters: int = 10,
     tol: float = 1e-3,
     init="kmeans",
@@ -107,11 +106,9 @@ def _run_scheme(
     if scheme not in SCHEMES:
         raise DmocError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme == "kmc":
-        return kmc_pipeline(spec, data, m, seed=seed, solver=solver)
+        return kmc_pipeline(spec, data, m, seed=seed)
     config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
-    return run_dmoc(
-        spec, data, config, solver=solver, approx_assignment=(scheme == "dmoc-approx")
-    )
+    return run_dmoc(spec, data, config, approx_assignment=(scheme == "dmoc-approx"))
 
 
 def fan_out(fn, items, jobs: int) -> dict:
@@ -138,7 +135,6 @@ def loss_curve(
     m_values,
     schemes=SCHEMES,
     seed: int = 0,
-    solver=None,
     max_iters: int = 10,
     tol: float = 1e-3,
     init="kmeans",
@@ -156,20 +152,18 @@ def loss_curve(
         if scheme not in SCHEMES:
             raise DmocError(f"unknown scheme {scheme!r}")
     m_values = [int(m) for m in m_values]
-    f_perfect = perfect_objective(spec, data, solver=solver)
+    f_perfect = perfect_objective(spec, data)
     kmeans_init = isinstance(init, str) and init == "kmeans"
     starts = {}
     if kmeans_init or "kmc" in schemes:
-        starts = fan_out(
-            lambda m: kmc_pipeline(spec, data, m, seed=seed + m, solver=solver), m_values, jobs
-        )
+        starts = fan_out(lambda m: kmc_pipeline(spec, data, m, seed=seed + m), m_values, jobs)
 
     def one(task):
         scheme, m = task
         if scheme == "kmc":
             return starts[m].objective
         return _run_scheme(
-            scheme, spec, data, m, seed=seed + m, solver=solver, max_iters=max_iters, tol=tol,
+            scheme, spec, data, m, seed=seed + m, max_iters=max_iters, tol=tol,
             init=starts[m].representatives if kmeans_init else init,
         ).objective
 
@@ -190,7 +184,6 @@ def nested_dmoc_sweep(
     data: DataSet,
     m_max: int,
     seed: int = 0,
-    solver=None,
     max_iters: int = 10,
     tol: float = 1e-3,
 ) -> list[ClusteringResult]:
@@ -199,12 +192,12 @@ def nested_dmoc_sweep(
 
     Under this protocol the objective is nondecreasing in M.
     """
-    ops = metric_ops(spec, solver=solver)
+    ops = metric_ops(spec)
     results = []
     init = "random"
     for m in range(1, m_max + 1):
         config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
-        res = run_dmoc(spec, data, config, solver=solver)
+        res = run_dmoc(spec, data, config)
         results.append(res)
         per_sample = _sample_utilities(
             ops, data.values, res.representatives, res.partition.assignment
@@ -221,7 +214,6 @@ def clusters_for_target(
     scheme: str = "dmoc",
     m_max: int = 20,
     seed: int = 0,
-    solver=None,
     max_iters: int = 10,
     tol: float = 1e-3,
 ) -> int | None:
@@ -229,10 +221,7 @@ def clusters_for_target(
     if spec.kind != "pcs" or spec.pcs.p != np.inf:
         raise DmocError("the peak-target search requires a pcs spec with p = inf")
     for m in range(1, m_max + 1):
-        res = _run_scheme(
-            scheme, spec, data, m, seed=seed + m, solver=solver,
-            max_iters=max_iters, tol=tol,
-        )
+        res = _run_scheme(scheme, spec, data, m, seed=seed + m, max_iters=max_iters, tol=tol)
         if realized_peaks(spec, res, data).max() <= target_peak_kw:
             return m
     return None

@@ -10,10 +10,12 @@ representative solves a convex program handled here by
 * the epigraph LP for p = inf, solved by a primal-dual interior-point method
   written for its structure (``interior_point_representative``: each Newton
   step is a T x T Cholesky solve) with HiGHS (scipy) as the reference solver
-  and the fallback, and cross-checked by an independent iterative route
-  (projected gradient on a softmax-smoothed peak),
+  and the fallback (the test suite cross-checks both against an independent
+  projected gradient descent on a softmax-smoothed peak, in ``tests/oracles.py``),
 * projected subgradient with Polyak-style adaptive level steps for finite
   p >= 2.
+
+p alone picks the route; each route's tolerances are module constants.
 
 A single sample's p = inf decision (perfect decisions, k-means centroid
 decisions, empty-cluster repair, random starts) needs no LP: it is the
@@ -24,7 +26,6 @@ exactly for a whole (N, T) batch by ``water_fill_decisions``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -41,42 +42,6 @@ from .core import (
     as_vector,
     logger,
 )
-
-
-@dataclass(frozen=True)
-class PcsSolverConfig:
-    """Configuration for the representative solvers.
-
-    method: "auto" picks the epigraph LP at p = inf and the projected
-    subgradient at finite p; "epigraph_lp" and "subgradient" force a route.
-    The epigraph LP is solved by the interior-point method, and by HiGHS
-    when that does not converge.
-    step_c0 scales the initial level gap of the subgradient method and
-    objective_tol is the relative level gap below which it declares
-    convergence. At p = inf the max subgradient is replaced by a softmax
-    gradient: smoothing_mu > 0 fixes its temperature, smoothing_mu = 0 ties
-    the temperature to the current level gap (recommended; unsmoothed
-    subgradients zigzag between tied peak slots and stall near constrained
-    optima).
-    """
-
-    method: str = "auto"
-    max_iters: int = 100000
-    step_c0: float = 0.1
-    objective_tol: float = 1e-5
-    smoothing_mu: float = 0.0
-
-    def __post_init__(self):
-        if self.method not in ("auto", "epigraph_lp", "subgradient"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.objective_tol > 0:
-            raise ValueError("objective_tol must be positive")
-        if not self.step_c0 > 0:
-            raise ValueError("step_c0 must be positive")
-        if self.smoothing_mu < 0:
-            raise ValueError("smoothing_mu must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +76,6 @@ def _norms(loads: np.ndarray, params: PcsParams, p: float) -> np.ndarray:
 def f2(x, g, params: PcsParams) -> float:
     """Scheduling utility: minus the weighted Lp norm of the total load x + g."""
     return float(-weighted_norms(g, x, params)[0, 0])
-
-
-def assign_cluster_pcs(g, reps, params: PcsParams) -> int:
-    """Index of the representative minimizing ||W(x_m + g)||_p (ties to lowest)."""
-    return int(np.argmin(weighted_norms(g, reps, params)[0]))
-
-
-def assign_cluster_approx(g, reps, params: PcsParams) -> int:
-    """Approximate rule: force p = 2 so the clusters are plain Voronoi regions."""
-    return int(np.argmin(weighted_norms(g, reps, params, p=2)[0]))
 
 
 def _cluster_objective(x: np.ndarray, members_values: np.ndarray, params: PcsParams) -> float:
@@ -435,29 +390,24 @@ def interior_point_representative(data, member_indices, params: PcsParams) -> np
     raise SolverError(f"interior-point method stopped at relative duality gap {best_gap:.2e}")
 
 
+#: The level subgradient method stops once its relative level gap is at most
+#: _SUBGRADIENT_TOL; _SUBGRADIENT_C0 scales its initial level gap. It raises
+#: SolverError after _SUBGRADIENT_MAX_ITERS iterations.
+_SUBGRADIENT_TOL = 1e-5
+_SUBGRADIENT_C0 = 0.1
+_SUBGRADIENT_MAX_ITERS = 100000
+
+
 def _value_and_subgradient(
-    x: np.ndarray, G: np.ndarray, params: PcsParams, mu: float
+    x: np.ndarray, G: np.ndarray, params: PcsParams
 ) -> tuple[float, np.ndarray]:
-    """Cluster objective sum_n ||W(x + g_n)||_p and one subgradient at x.
+    """Cluster objective sum_n ||W(x + g_n)||_p and one subgradient at x, for finite p.
 
     Inputs are nonnegative so the absolute values inside the norm drop out.
-    With mu > 0 at p = inf the subgradient of the max is replaced by a softmax
-    gradient of temperature mu (the reported value stays exact).
     """
     w = params.weights
-    levels = w * (x + G)
-    if params.p == math.inf:
-        value = float(levels.max(axis=1).sum())
-        if mu > 0:
-            z = (levels - levels.max(axis=1, keepdims=True)) / mu
-            soft = np.exp(z)
-            soft /= soft.sum(axis=1, keepdims=True)
-            return value, (soft * w).sum(axis=0)
-        grad = np.zeros_like(x)
-        top = levels.argmax(axis=1)
-        np.add.at(grad, top, w[top])
-        return value, grad
     p = params.p
+    levels = w * (x + G)
     norms = (levels**p).sum(axis=1) ** (1.0 / p)
     safe = norms > 0
     grad = np.zeros_like(x)
@@ -467,91 +417,35 @@ def _value_and_subgradient(
     return float(norms.sum()), grad
 
 
-def _smoothed_peak_value_grad(x, G, w, mu):
-    """Softmax-smoothed peak objective and its gradient (upper bound on the max)."""
-    v = w * (x + G)
-    m = v.max(axis=1, keepdims=True)
-    z = np.exp((v - m) / mu)
-    s = z.sum(axis=1, keepdims=True)
-    return float((m + mu * np.log(s)).sum()), ((z / s) * w).sum(axis=0)
-
-
-def _peak_descent(G, params: PcsParams, cfg: PcsSolverConfig, warm_start) -> np.ndarray:
-    """p = inf iterative route: projected gradient on a softmax-smoothed peak.
-
-    Continuation shrinks the smoothing temperature geometrically until the
-    smoothing error is below the requested relative tolerance; each stage runs
-    backtracking projected-gradient steps. Unsmoothed subgradients of the max
-    zigzag between tied peak slots and stall near constrained optima, so the
-    smoothed surrogate is the default (a fixed smoothing_mu > 0 caps the
-    continuation instead).
-    """
-    w = params.weights
-    T = params.n_slots
-    n = G.shape[0]
-    ln_t = math.log(max(2, T))
-    x0 = np.full(T, params.energy / T) if warm_start is None else np.asarray(warm_start, dtype=float)
-    x = project_feasible(x0, params)
-    f_best = _cluster_objective(x, G, params)
-    x_best = x.copy()
-
-    eps = cfg.objective_tol * (1.0 + abs(f_best))
-    mu_final = cfg.smoothing_mu if cfg.smoothing_mu > 0 else eps / (2.0 * n * ln_t)
-    mu = max(mu_final, cfg.step_c0 * 0.2 * (1.0 + abs(f_best)) / (n * ln_t))
-    step = 1.0
-    iters = 0
-    while True:
-        f_mu, grad = _smoothed_peak_value_grad(x, G, w, mu)
-        for _ in range(200 * T):
-            if iters >= cfg.max_iters:
-                raise SolverError(
-                    f"projected subgradient exhausted {cfg.max_iters} iterations "
-                    f"at smoothing {mu:.3e}"
-                )
-            iters += 1
-            while True:
-                y = project_feasible(x - step * grad, params)
-                d = y - x
-                dn2 = float(d @ d)
-                f_y, grad_y = _smoothed_peak_value_grad(y, G, w, mu)
-                if f_y <= f_mu + float(grad @ d) + dn2 / (2.0 * step) + 1e-12 or dn2 <= 1e-24:
-                    break
-                step *= 0.5
-            x, f_mu, grad = y, f_y, grad_y
-            f_true = _cluster_objective(x, G, params)
-            if f_true < f_best:
-                f_best, x_best = f_true, x.copy()
-            step *= 1.3
-            if dn2 <= (1e-10 * (1.0 + float(np.linalg.norm(x)))) ** 2:
-                break
-        if mu <= mu_final * (1.0 + 1e-9):
-            return x_best
-        mu = max(mu_final, mu / 5.0)
-
-
-def _level_subgradient(G, params: PcsParams, cfg: PcsSolverConfig, warm_start) -> np.ndarray:
-    """Finite-p iterative route: projected subgradient with adaptive level steps.
+def projected_subgradient_representative(
+    data, member_indices, params: PcsParams, warm_start=None
+) -> np.ndarray:
+    """Finite-p representative: projected subgradient with adaptive level steps.
 
     Rounds keep a fixed reference value f_ref and step toward the level
     f_ref - delta; a descent of delta/2 doubles delta (escapes crawling
     descents), while an exhausted path or iteration budget halves it (the
     level is unreachable or the iterates oscillate). Stops when the relative
-    level gap reaches objective_tol.
+    level gap reaches _SUBGRADIENT_TOL; raises SolverError when the iteration
+    budget runs out first.
     """
+    if params.p == math.inf:
+        raise ValueError("the level subgradient method applies only at finite p")
+    G = _member_values(data, member_indices)
     T = params.n_slots
     x0 = np.full(T, params.energy / T) if warm_start is None else np.asarray(warm_start, dtype=float)
     x = project_feasible(x0, params)
-    f_x, grad = _value_and_subgradient(x, G, params, 0.0)
+    f_x, grad = _value_and_subgradient(x, G, params)
     x_best, f_best = x.copy(), f_x
 
     f_ref = f_best
-    delta = max(cfg.objective_tol, cfg.step_c0 * max(1.0, abs(f_best)))
+    delta = max(_SUBGRADIENT_TOL, _SUBGRADIENT_C0 * max(1.0, abs(f_best)))
     path = 0.0
     round_iters = 0
     budget = 0.25 * params.x_max * math.sqrt(T)
     round_cap = 150 + 25 * T
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(_SUBGRADIENT_MAX_ITERS):
         gn2 = float(grad @ grad)
         if gn2 <= 1e-30:
             converged = True
@@ -562,7 +456,7 @@ def _level_subgradient(G, params: PcsParams, cfg: PcsSolverConfig, warm_start) -
         path += move
         round_iters += 1
         x = x_new
-        f_x, grad = _value_and_subgradient(x, G, params, 0.0)
+        f_x, grad = _value_and_subgradient(x, G, params)
         if f_x < f_best:
             f_best, x_best = f_x, x.copy()
         if f_x <= f_ref - 0.5 * delta:
@@ -576,66 +470,36 @@ def _level_subgradient(G, params: PcsParams, cfg: PcsSolverConfig, warm_start) -
             delta *= 0.5
             f_ref = f_best
             path, round_iters = 0.0, 0
-            if delta <= cfg.objective_tol * (1.0 + abs(f_best)):
+            if delta <= _SUBGRADIENT_TOL * (1.0 + abs(f_best)):
                 converged = True
                 break
     if not converged:
         raise SolverError(
-            f"projected subgradient exhausted {cfg.max_iters} iterations "
+            f"projected subgradient exhausted {_SUBGRADIENT_MAX_ITERS} iterations "
             f"with level gap {delta:.3e} above tolerance"
         )
     return x_best
 
 
-def projected_subgradient_representative(
-    data,
-    member_indices,
-    params: PcsParams,
-    solver: PcsSolverConfig | None = None,
-    warm_start=None,
-) -> np.ndarray:
-    """Iterative route for the convex representative program (p >= 2 or inf).
-
-    Dispatches to the smoothed projected-gradient continuation at p = inf and
-    to adaptive-level projected subgradient steps at finite p. Raises
-    SolverError when the iteration budget runs out first.
-    """
-    cfg = solver or PcsSolverConfig()
-    G = _member_values(data, member_indices)
-    if params.p == math.inf:
-        return _peak_descent(G, params, cfg, warm_start)
-    return _level_subgradient(G, params, cfg, warm_start)
-
-
-def solve_representative(
-    data,
-    member_indices,
-    params: PcsParams,
-    solver: PcsSolverConfig | None = None,
-    warm_start=None,
-) -> np.ndarray:
+def solve_representative(data, member_indices, params: PcsParams, warm_start=None) -> np.ndarray:
     """Best representative consumption profile for a cluster.
 
-    Dispatches on p and the configured method; when a feasible warm start is
-    supplied the returned profile is never worse than it (the better of the
-    two is kept), which keeps alternating optimization monotone.
+    Dispatches on p: the cheapest-slot fill at p = 1, the epigraph LP at
+    p = inf, the level subgradient method otherwise. When a feasible warm
+    start is supplied the returned profile is never worse than it (the better
+    of the two is kept), which keeps alternating optimization monotone.
     """
-    cfg = solver or PcsSolverConfig()
     G = _member_values(data, member_indices)
     if params.p == 1:
         x = cheapest_slot_schedule(params)
-    elif cfg.method == "epigraph_lp" or (cfg.method == "auto" and params.p == math.inf):
-        if params.p != math.inf:
-            raise ValueError("the epigraph LP applies only at p = inf")
+    elif params.p == math.inf:
         try:
             x = interior_point_representative(G, range(G.shape[0]), params)
         except SolverError as err:
             logger.warning("%s; solving the epigraph LP with HiGHS instead", err)
             x = epigraph_lp_representative(G, range(G.shape[0]), params)
     else:
-        x = projected_subgradient_representative(
-            G, range(G.shape[0]), params, solver=cfg, warm_start=warm_start
-        )
+        x = projected_subgradient_representative(G, range(G.shape[0]), params, warm_start=warm_start)
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
         if _cluster_objective(warm, G, params) <= _cluster_objective(x, G, params):
@@ -657,13 +521,15 @@ def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
     The fill is piecewise linear in lam, with breakpoints w_t g_t (slot t
     starts filling) and w_t (g_t + x_max) (slot t is full), so lam is
     interpolated exactly between sorted breakpoints, as in project_feasible.
-    Zero-weight slots cost nothing and are filled to x_max first.
+    Zero-weight slots cost nothing and are filled to x_max first, and so are
+    slots whose scaled weight is subnormal: lam / w cannot resolve their fill,
+    and a full one adds at most w_t (g_t + x_max) to the peak.
     """
     G = np.atleast_2d(np.asarray(values, dtype=float))
     if G.shape[1] != params.n_slots:
         raise DimensionError(f"profiles must have length {params.n_slots}, got {G.shape[1]}")
     w = params.weights / max(params.weights.max(), np.finfo(float).tiny)  # x is scale-free
-    pos = w > 0
+    pos = w >= np.finfo(float).tiny
     x = np.full(G.shape, params.x_max)
     need = params.energy - params.x_max * np.count_nonzero(~pos)
     if need <= 0 or not pos.any():
@@ -699,35 +565,29 @@ def valley_fill_decision(g, energy: float, x_max: float) -> np.ndarray:
     return water_fill_decisions(g, params)[0]
 
 
-def perfect_decision_pcs(g, params: PcsParams, solver: PcsSolverConfig | None = None) -> np.ndarray:
+def perfect_decision_pcs(g, params: PcsParams) -> np.ndarray:
     """Per-sample optimal profile x*(g) (see ``perfect_decisions_pcs``)."""
-    return perfect_decisions_pcs(as_vector(g, name="profile")[None, :], params, solver=solver)[0]
+    return perfect_decisions_pcs(as_vector(g, name="profile")[None, :], params)[0]
 
 
-def perfect_decisions_pcs(values, params: PcsParams, solver: PcsSolverConfig | None = None) -> np.ndarray:
+def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
     """Per-row optimal profiles x*(g_n), as an (N, T) array.
 
-    At p = inf these are the water-filling optima, computed in one batch, unless
-    the subgradient route is forced; otherwise each is a singleton-cluster
-    representative.
+    At p = inf these are the water-filling optima, computed in one batch;
+    otherwise each is a singleton-cluster representative.
     """
     G = np.atleast_2d(np.asarray(values, dtype=float))
-    if params.p == math.inf and (solver or PcsSolverConfig()).method != "subgradient":
+    if params.p == math.inf:
         return water_fill_decisions(G, params)
-    return np.stack([solve_representative(g[None, :], [0], params, solver=solver) for g in G])
+    return np.stack([solve_representative(g[None, :], [0], params) for g in G])
 
 
 # ---------------------------------------------------------------------------
 # Engine interface
 # ---------------------------------------------------------------------------
 
-def metric_ops(
-    params: PcsParams,
-    solver: PcsSolverConfig | None = None,
-    approx_assignment: bool = False,
-) -> MetricOps:
+def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     """Callable bundle for the engine; approx_assignment forces p = 2 clusters."""
-    cfg = solver or PcsSolverConfig()
     assign_p = 2 if approx_assignment else None
 
     def feasible(x) -> bool:
@@ -747,10 +607,10 @@ def metric_ops(
             weighted_norms(values, reps, params, p=assign_p), axis=1
         ),
         best_representative=lambda values, members, warm_start=None: solve_representative(
-            values, members, params, solver=cfg, warm_start=warm_start
+            values, members, params, warm_start=warm_start
         ),
-        perfect_decision=lambda g: perfect_decision_pcs(g, params, solver=cfg),
+        perfect_decision=lambda g: perfect_decision_pcs(g, params),
         feasible=feasible,
         # the cheapest-slot fill and the epigraph LP see only the members
-        member_determined=params.p == 1 or (params.p == math.inf and cfg.method != "subgradient"),
+        member_determined=params.p in (1, math.inf),
     )

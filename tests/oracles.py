@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected values.
 
-These stay deliberately naive (grids, enumeration, finite differences) and
-never call the solver paths they are used to check.
+These stay deliberately naive (grids, enumeration, finite differences,
+smoothed gradient descent) and never call the solver paths they are used to
+check.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from dmoc.pcs import project_feasible
 
 
 def pcs_cluster_objective(x, members_values, weights, p) -> float:
@@ -19,6 +22,65 @@ def pcs_cluster_objective(x, members_values, weights, p) -> float:
         levels = np.abs(np.asarray(weights) * (x + g))
         total += levels.max() if p == math.inf else (levels**p).sum() ** (1.0 / p)
     return total
+
+
+def peak_descent_representative(members_values, params):
+    """p = inf cluster representative by projected gradient on a softmax-smoothed peak.
+
+    An iterative route independent of the epigraph LP: it minimizes the upper
+    bound ``sum_n m_n + mu log sum_t exp((w_t (x_t + g_nt) - m_n) / mu)`` of the
+    summed peaks by backtracking projected-gradient steps, shrinking the
+    temperature mu geometrically until the smoothing error is below a relative
+    1e-5. Unsmoothed subgradients of the max zigzag between tied peak slots and
+    stall near constrained optima. Returns the best iterate in the true
+    objective.
+    """
+    G = np.atleast_2d(np.asarray(members_values, dtype=float))
+    w = params.weights
+    n, T = G.shape
+    ln_t = math.log(max(2, T))
+
+    def peaks(x):
+        return float((w * (x + G)).max(axis=1).sum())
+
+    def smoothed(x, mu):
+        v = w * (x + G)
+        m = v.max(axis=1, keepdims=True)
+        z = np.exp((v - m) / mu)
+        s = z.sum(axis=1, keepdims=True)
+        return float((m + mu * np.log(s)).sum()), ((z / s) * w).sum(axis=0)
+
+    x = project_feasible(np.full(T, params.energy / T), params)
+    f_best = peaks(x)
+    x_best = x.copy()
+    mu_final = 1e-5 * (1.0 + abs(f_best)) / (2.0 * n * ln_t)
+    mu = max(mu_final, 0.02 * (1.0 + abs(f_best)) / (n * ln_t))
+    step = 1.0
+    iters = 0
+    while True:
+        f_mu, grad = smoothed(x, mu)
+        for _ in range(200 * T):
+            iters += 1
+            if iters > 100000:
+                raise RuntimeError("peak descent exhausted 100000 iterations")
+            while True:
+                y = project_feasible(x - step * grad, params)
+                d = y - x
+                dn2 = float(d @ d)
+                f_y, grad_y = smoothed(y, mu)
+                if f_y <= f_mu + float(grad @ d) + dn2 / (2.0 * step) + 1e-12 or dn2 <= 1e-24:
+                    break
+                step *= 0.5
+            x, f_mu, grad = y, f_y, grad_y
+            f_true = peaks(x)
+            if f_true < f_best:
+                f_best, x_best = f_true, x.copy()
+            step *= 1.3
+            if dn2 <= (1e-10 * (1.0 + float(np.linalg.norm(x)))) ** 2:
+                break
+        if mu <= mu_final * (1.0 + 1e-9):
+            return x_best
+        mu = max(mu_final, mu / 5.0)
 
 
 def grid_min_pcs(members_values, weights, p, energy, x_max, step=0.01):

@@ -20,7 +20,12 @@ from dmoc import (
 from dmoc import baselines, cli, evaluation, pcs, rtp
 from dmoc.data import gen_synthetic_pcs
 
-from oracles import grid_min_pcs, pcs_cluster_objective, rtp_numeric_representative
+from oracles import (
+    grid_min_pcs,
+    pcs_cluster_objective,
+    peak_descent_representative,
+    rtp_numeric_representative,
+)
 
 PAPER_SCALE_SPEC = MetricSpec.for_pcs(n_slots=24, p=math.inf, energy=30.0, x_max=3.0)
 
@@ -55,17 +60,10 @@ def test_c01_monotone_objective_traces():
             check(run_dmoc(spec_inf, data, EngineConfig(n_clusters=m, seed=seed, tol=0.0)))
 
     spec_p2 = MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0)
-    solver = pcs.PcsSolverConfig(objective_tol=1e-4)
     for seed in range(6):
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=24, seed=100 + seed)
         for m in (2, 5, 10):
-            check(
-                run_dmoc(
-                    spec_p2, data,
-                    EngineConfig(n_clusters=m, seed=seed, tol=0.0),
-                    solver=solver,
-                )
-            )
+            check(run_dmoc(spec_p2, data, EngineConfig(n_clusters=m, seed=seed, tol=0.0)))
 
     spec_rtp = MetricSpec.for_rtp(n_consumers=3, n_slots=4, alpha=0.5, a=0.1, b=0.0, c=10.0)
     for seed in range(16):
@@ -126,8 +124,9 @@ def test_c03_decomposition_identity():
 
 
 def test_c04_pcs_solver_agreement():
-    """LP vs subgradient within 1e-4 relative (100 clusters); LP vs grid within
-    grid resolution (T=2); LP vs valley-filling within 1e-6 (200 profiles)."""
+    """LP vs the smoothed peak descent oracle within 1e-4 relative (100 clusters);
+    LP vs grid within grid resolution (T=2); LP vs valley-filling within 1e-6
+    (200 profiles)."""
     rng = np.random.default_rng(33)
     for _ in range(100):
         t = int(rng.integers(2, 7))
@@ -139,7 +138,7 @@ def test_c04_pcs_solver_agreement():
         ).pcs
         members = rng.uniform(0.0, 3.0, size=(n, t))
         x_lp = pcs.epigraph_lp_representative(members, range(n), params)
-        x_sg = pcs.projected_subgradient_representative(members, range(n), params)
+        x_sg = peak_descent_representative(members, params)
         f_lp = pcs_cluster_objective(x_lp, members, params.weights, math.inf)
         f_sg = pcs_cluster_objective(x_sg, members, params.weights, math.inf)
         assert abs(f_sg - f_lp) / abs(f_lp) <= 1e-4

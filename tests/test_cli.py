@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dmoc import cli, load_profiles
+from dmoc import cli, load_profiles, pcs
 
 
 def run_cli(*argv):
@@ -229,13 +229,29 @@ class TestExperiment:
     def test_missing_config_is_data_error(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "absent.yaml")) == cli.EXIT_DATA
 
-    def test_solver_failure_is_solver_error(self, tmp_path):
+    def test_solver_section_is_usage_error(self, tmp_path, capsys):
         config = {
             "experiment": "loss_curve",
             "seed": 2,
             "out_dir": str(tmp_path / "o"),
             "metric": {"kind": "pcs", "n_slots": 6, "p": "inf", "energy": 6.0, "x_max": 3.0},
-            "solver": {"method": "subgradient", "max_iters": 2, "objective_tol": 1e-12},
+            "solver": {"method": "subgradient"},
+            "data": {"synthetic": {"kind": "pcs", "archetypes": 2, "n_slots": 6,
+                                     "n_samples": 12, "seed": 3}},
+        }
+        path = tmp_path / "solver_section.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert "'solver' section" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_solver_failure_is_solver_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 2)
+        config = {
+            "experiment": "loss_curve",
+            "seed": 2,
+            "out_dir": str(tmp_path / "o"),
+            "metric": {"kind": "pcs", "n_slots": 6, "p": 2, "energy": 6.0, "x_max": 3.0},
             "data": {"synthetic": {"kind": "pcs", "archetypes": 2, "n_slots": 6,
                                      "n_samples": 12, "seed": 3}},
             "loss_curve": {"m_min": 1, "m_max": 1, "schemes": ["dmoc"]},

@@ -265,9 +265,6 @@ class TestSkipUnchangedClusters:
         assert not metric_ops(spec).member_determined
         assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=1, energy=4.0)).member_determined
         assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)).member_determined
-        subgradient = pcs.PcsSolverConfig(method="subgradient")
-        inf_spec = MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)
-        assert not metric_ops(inf_spec, solver=subgradient).member_determined
 
     def test_skipping_matches_resolving(self):
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=11)

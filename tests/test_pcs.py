@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from dmoc.core import DimensionError, EmptyClusterError, PcsParams, SolverError
 from dmoc import pcs
 
-from oracles import finite_difference_gradient, grid_min_pcs, pcs_cluster_objective
+from oracles import (
+    finite_difference_gradient,
+    grid_min_pcs,
+    pcs_cluster_objective,
+    peak_descent_representative,
+)
 
 
 def params(**kwargs):
@@ -34,14 +39,19 @@ class TestF2:
         assert pcs.f2(x, g, scaled) == pytest.approx(gamma * pcs.f2(x, g, base))
 
 
+def assign(g, reps, p, approx=False):
+    """The engine's assignment rule (approx: the p = 2 surrogate) for one sample."""
+    return int(pcs.metric_ops(p, approx_assignment=approx).assign(np.atleast_2d(g), reps)[0])
+
+
 class TestAssignment:
     def test_peaks_complement(self):
         reps = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert pcs.assign_cluster_pcs([0.0, 3.0], reps, params()) == 0
+        assert assign([0.0, 3.0], reps, params()) == 0
 
     def test_identical_reps_tie_break(self):
         reps = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert pcs.assign_cluster_pcs([0.5, 0.5], reps, params()) == 0
+        assert assign([0.5, 0.5], reps, params()) == 0
 
     def test_p2_is_nearest_in_levels(self):
         p2 = params(p=2)
@@ -50,12 +60,12 @@ class TestAssignment:
             reps = rng.uniform(0, 2, size=(3, 2))
             g = rng.uniform(0, 3, size=2)
             by_norm = int(np.argmin([np.linalg.norm(x + g) for x in reps]))
-            assert pcs.assign_cluster_pcs(g, reps, p2) == by_norm
+            assert assign(g, reps, p2) == by_norm
 
     def test_approx_example(self):
         reps = np.array([[2.0, 0.0], [0.0, 2.0]])
         # ||(2,3)||_2 = sqrt(13) < ||(0,5)||_2 = 5
-        assert pcs.assign_cluster_approx([0.0, 3.0], reps, params()) == 0
+        assert assign([0.0, 3.0], reps, params(), approx=True) == 0
 
     def test_approx_coincides_at_p2(self):
         p2 = params(p=2)
@@ -63,10 +73,10 @@ class TestAssignment:
         for _ in range(1000):
             reps = rng.uniform(0, 2, size=(4, 2))
             g = rng.uniform(0, 3, size=2)
-            assert pcs.assign_cluster_approx(g, reps, p2) == pcs.assign_cluster_pcs(g, reps, p2)
+            assert assign(g, reps, p2, approx=True) == assign(g, reps, p2)
 
     def test_single_rep(self):
-        assert pcs.assign_cluster_approx([1.0, 1.0], np.ones((1, 2)), params()) == 0
+        assert assign([1.0, 1.0], np.ones((1, 2)), params(), approx=True) == 0
 
     def test_weight_scaling_keeps_argmin(self):
         rng = np.random.default_rng(2)
@@ -75,8 +85,8 @@ class TestAssignment:
             gamma = float(rng.uniform(0.2, 4.0))
             reps = rng.uniform(0, 2, size=(3, 2))
             g = rng.uniform(0, 3, size=2)
-            a = pcs.assign_cluster_pcs(g, reps, params(weights=w))
-            b = pcs.assign_cluster_pcs(g, reps, params(weights=gamma * w))
+            a = assign(g, reps, params(weights=w))
+            b = assign(g, reps, params(weights=gamma * w))
             assert a == b
 
 
@@ -259,9 +269,8 @@ class TestInteriorPoint:
 
         monkeypatch.setattr(pcs, "interior_point_representative", counting)
         members = np.random.default_rng(77).uniform(0.0, 3.0, size=(5, 2))
-        for method in ("auto", "epigraph_lp"):
-            pcs.solve_representative(members, range(5), params(), pcs.PcsSolverConfig(method=method))
-        assert len(calls) == 2
+        pcs.solve_representative(members, range(5), params())
+        assert len(calls) == 1
 
     def test_falls_back_to_highs(self, monkeypatch, caplog):
         def not_converged(*args, **kwargs):
@@ -315,28 +324,21 @@ class TestSubgradientSolver:
             )
             members = rng.uniform(0.0, 3.0, size=(n, T))
             x_lp = pcs.epigraph_lp_representative(members, range(n), p)
-            x_sg = pcs.projected_subgradient_representative(members, range(n), p)
+            x_sg = peak_descent_representative(members, p)
             f_lp = pcs_cluster_objective(x_lp, members, w, math.inf)
             f_sg = pcs_cluster_objective(x_sg, members, w, math.inf)
             assert abs(f_sg - f_lp) / abs(f_lp) < 1e-4
 
-    def test_smoothed_route_also_agrees(self):
-        rng = np.random.default_rng(12)
-        members = rng.uniform(0.0, 3.0, size=(4, 5))
-        p = params(n_slots=5, energy=4.0, x_max=2.0)
-        cfg = pcs.PcsSolverConfig(method="subgradient", smoothing_mu=1e-4)
-        x_mu = pcs.projected_subgradient_representative(members, range(4), p, solver=cfg)
-        x_lp = pcs.epigraph_lp_representative(members, range(4), p)
-        f_mu = pcs_cluster_objective(x_mu, members, p.weights, math.inf)
-        f_lp = pcs_cluster_objective(x_lp, members, p.weights, math.inf)
-        assert abs(f_mu - f_lp) / abs(f_lp) < 1e-3
-
-    def test_budget_exhaustion_raises(self):
-        p = params(n_slots=4, energy=3.0, x_max=2.0)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 3)
+        p = params(n_slots=4, p=2, energy=3.0, x_max=2.0)
         members = np.random.default_rng(1).uniform(0, 3, size=(3, 4))
-        cfg = pcs.PcsSolverConfig(method="subgradient", max_iters=3, objective_tol=1e-12)
         with pytest.raises(SolverError):
-            pcs.projected_subgradient_representative(members, range(3), p, solver=cfg)
+            pcs.projected_subgradient_representative(members, range(3), p)
+
+    def test_inf_rejected(self):
+        with pytest.raises(ValueError):
+            pcs.projected_subgradient_representative(np.ones((2, 2)), [0, 1], params())
 
     def test_finite_p_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -344,7 +346,7 @@ class TestSubgradientSolver:
             p = params(n_slots=4, p=p_exp, energy=2.0, x_max=3.0, weights=[1.0, 0.7, 1.3, 0.4])
             members = rng.uniform(0.5, 3.0, size=(3, 4))
             x = rng.uniform(0.2, 2.5, size=4)
-            _, grad = pcs._value_and_subgradient(x, members, p, 0.0)
+            _, grad = pcs._value_and_subgradient(x, members, p)
             fd = finite_difference_gradient(
                 lambda z: pcs_cluster_objective(z, members, p.weights, p_exp), x
             )
@@ -374,21 +376,6 @@ class TestSolveRepresentative:
         f_out = pcs_cluster_objective(out, members, p.weights, math.inf)
         f_warm = pcs_cluster_objective(warm, members, p.weights, math.inf)
         assert f_out <= f_warm
-
-    def test_method_epigraph_requires_inf(self):
-        cfg = pcs.PcsSolverConfig(method="epigraph_lp")
-        with pytest.raises(ValueError):
-            pcs.solve_representative(np.ones((1, 2)), [0], params(p=2), solver=cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            pcs.PcsSolverConfig(method="nope")
-        with pytest.raises(ValueError):
-            pcs.PcsSolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            pcs.PcsSolverConfig(objective_tol=0.0)
-        with pytest.raises(ValueError):
-            pcs.PcsSolverConfig(smoothing_mu=-1.0)
 
 
 class TestPerfectDecision:
@@ -478,6 +465,27 @@ class TestWaterFill:
         values = np.repeat([[0.0], [1.0], [2.5]], 5, axis=1)
         np.testing.assert_allclose(pcs.water_fill_decisions(values, p), 0.8, atol=1e-12)
         self.assert_matches_lp(values, p)
+
+    def test_subnormal_weight(self):
+        # a subnormal weight beside normal ones once made the fill infeasible
+        # (w = (5e-324, 1, ..., 1), E = 0.5 gave sum(x) = 0.089)
+        rng = np.random.default_rng(64)
+        for tiny in (5e-324, 1e-320, 1e-310, 2.2e-308):
+            for energy in (0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0):
+                for _ in range(5):
+                    w = np.ones(8)
+                    slot = int(rng.integers(8))
+                    w[slot] = tiny
+                    g = rng.uniform(0.0, 3.0, size=8)
+                    p = params(n_slots=8, energy=energy, x_max=3.0, weights=w)
+                    x = pcs.water_fill_decisions(g, p)[0]
+                    assert pcs.metric_ops(p).feasible(x)
+                    w[slot] = 0.0
+                    zero = params(n_slots=8, energy=energy, x_max=3.0, weights=w)
+                    x0 = pcs.water_fill_decisions(g, zero)[0]
+                    peak = pcs_cluster_objective(x, g[None, :], p.weights, math.inf)
+                    peak0 = pcs_cluster_objective(x0, g[None, :], zero.weights, math.inf)
+                    assert abs(peak - peak0) <= tiny * (g.max() + p.x_max)
 
     def test_perfect_decision_uses_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
