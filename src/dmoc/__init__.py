@@ -30,6 +30,7 @@ from .core import (
 )
 from .engine import EngineConfig, assign_clusters, run_dmoc, run_dmoc_ops, update_representatives
 from .data import gen_synthetic_pcs, load_profiles, save_profiles
+from . import pcs, rtp
 
 __version__ = "0.1.0"
 

@@ -95,6 +95,8 @@ def kmeans(
     """
     if n_clusters > data.n:
         raise DmocError(f"n_clusters = {n_clusters} exceeds N = {data.n}")
+    if max_iters < 1:
+        raise DmocError("max_iters must be >= 1")
     values = data.values
     rng = np.random.default_rng(seed)
     centroids = (
@@ -144,7 +146,7 @@ def kmc_pipeline(
     """
     km = kmeans(data, n_clusters, seed=seed, max_iters=max_iters)
     ops = metric_ops(spec)
-    reps = np.stack([ops.perfect_decision(c) for c in km.centroids])
+    reps = ops.perfect_decisions(km.centroids)
     assignment = km.assignment.assignment
     objective = _objective(ops, data.values, reps, assignment)
     return ClusteringResult(
@@ -173,7 +175,7 @@ def squared_distance_ops(dim: int) -> MetricOps:
         best_representative=lambda values, members, warm_start=None: np.atleast_2d(
             np.asarray(values, dtype=float)
         )[np.asarray(members, dtype=int)].mean(axis=0),
-        perfect_decision=lambda g: np.array(np.asarray(g, dtype=float)),
+        perfect_decisions=lambda values: np.atleast_2d(np.array(values, dtype=float)),
         feasible=lambda x: np.asarray(x).size == dim
         and bool(np.all(np.isfinite(np.asarray(x, dtype=float)))),
         member_determined=True,

@@ -319,16 +319,19 @@ class MetricOps:
 
     The engine is generic over this interface; the pricing and scheduling
     modules (and the test-only squared-distance metric) each provide one.
+    Every callable works on a whole batch, so each engine step is one call.
 
-    utilities(x, values) -> (n,) array
-        Utility of decision ``x`` for every row of ``values``.
+    utilities(decisions, values) -> (n,) array
+        Utility of each row of ``values`` under ``decisions``: one (T,)
+        decision for every row, or an (n, T) array pairing row i with
+        decision i.
     assign(values, reps) -> (N,) int array
         Index of the best representative for every row of ``values``
         (argmax of the utility, ties to the lowest index).
     best_representative(values, members, warm_start=None) -> (T,) array
         Feasible decision maximizing the summed utility over the member rows.
-    perfect_decision(g) -> (T,) array
-        Per-sample optimal decision x*(g).
+    perfect_decisions(values) -> (n, T) array
+        Per-row optimal decisions x*(g_n).
     feasible(x) -> bool
         Constraint check for a decision vector.
     member_determined: bool
@@ -343,13 +346,9 @@ class MetricOps:
     utilities: Callable
     assign: Callable
     best_representative: Callable
-    perfect_decision: Callable
+    perfect_decisions: Callable
     feasible: Callable
     member_determined: bool = False
-
-    def evaluate(self, x, g) -> float:
-        """Utility of decision ``x`` for the single sample ``g``."""
-        return float(self.utilities(x, np.atleast_2d(np.asarray(g, dtype=float)))[0])
 
 
 def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
@@ -383,6 +382,11 @@ def check_feasible(spec: MetricSpec, x) -> bool:
     return bool(metric_ops(spec).feasible(x))
 
 
+def _require_feasible(spec: MetricSpec, x) -> None:
+    if not check_feasible(spec, x):
+        raise InfeasibleDecisionError(f"decision violates the {spec.kind} constraint set: {x}")
+
+
 def evaluate_utility(spec: MetricSpec, x, g) -> float:
     """Utility f(x; g) of decision ``x`` for sample ``g`` under ``spec``.
 
@@ -391,31 +395,19 @@ def evaluate_utility(spec: MetricSpec, x, g) -> float:
     """
     x = as_vector(x, name="decision")
     g = as_sample(g, dim=spec.data_dim)
-    if not check_feasible(spec, x):
-        raise InfeasibleDecisionError(
-            f"decision violates the {spec.kind} constraint set: {x}"
-        )
-    if spec.kind == "rtp":
-        from . import rtp
-
-        return rtp.f1(x, g, spec.rtp)
-    from . import pcs
-
-    return pcs.f2(x, g, spec.pcs)
+    _require_feasible(spec, x)
+    return float(metric_ops(spec).utilities(x, g[None, :])[0])
 
 
 def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> float:
-    """Sum of per-sample utilities at each sample's assigned representative.
-
-    Samples are traversed in index order so the reduction is deterministic.
-    """
+    """Correctly rounded sum (math.fsum) of per-sample utilities at each
+    sample's assigned representative; every used representative must be feasible."""
     if result.partition.n != data.n:
         raise DimensionError(
             f"partition covers {result.partition.n} samples, dataset has {data.n}"
         )
     reps = result.representatives
     assignment = result.partition.assignment
-    total = 0.0
-    for n in range(data.n):
-        total += evaluate_utility(spec, reps[assignment[n]], data.values[n])
-    return total
+    for m in np.unique(assignment):
+        _require_feasible(spec, reps[m])
+    return math.fsum(metric_ops(spec).utilities(reps[assignment], data.values))

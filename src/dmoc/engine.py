@@ -71,15 +71,6 @@ def _validated_reps(ops: MetricOps, reps) -> np.ndarray:
     return reps
 
 
-def _sample_utilities(ops: MetricOps, values, reps, assignment) -> np.ndarray:
-    """Utility of every sample at its assigned representative."""
-    out = np.empty(values.shape[0])
-    for m in np.unique(assignment):
-        members = assignment == m
-        out[members] = ops.utilities(reps[m], values[members])
-    return out
-
-
 def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray) -> float:
     """Correctly rounded sum (math.fsum) of the per-sample utilities.
 
@@ -87,7 +78,7 @@ def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment:
     is monotone in every term, so exact ties between representatives can
     never lower the objective by a rounding step.
     """
-    return math.fsum(_sample_utilities(ops, values, reps, assignment))
+    return math.fsum(ops.utilities(reps[assignment], values))
 
 
 def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray):
@@ -96,10 +87,9 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
     empties = np.nonzero(counts == 0)[0]
     if empties.size == 0:
         return reps, assignment
-    worst_first = np.argsort(_sample_utilities(ops, values, reps, assignment), kind="stable")
+    worst_first = np.argsort(ops.utilities(reps[assignment], values), kind="stable")
     reps = reps.copy()
-    for k, m in enumerate(empties):
-        reps[m] = ops.perfect_decision(values[worst_first[k]])
+    reps[empties] = ops.perfect_decisions(values[worst_first[: empties.size]])
     return reps, ops.assign(values, reps)
 
 
@@ -150,7 +140,7 @@ def _initial_reps(ops: MetricOps, data: DataSet, config: EngineConfig) -> np.nda
         return reps
     rng = np.random.default_rng(config.seed)
     picks = rng.choice(data.n, size=config.n_clusters, replace=False)
-    return np.stack([ops.perfect_decision(data.values[i]) for i in picks])
+    return ops.perfect_decisions(data.values[picks])
 
 
 def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> ClusteringResult:
@@ -175,35 +165,41 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     objectives = []
     converged = False
-    solved = {}  # cluster -> (members, representative, member utilities) after its last solve
+    solved = {}  # cluster -> (members, representative) after its last solve
     for q in range(1, config.max_iters + 1):
         if q > 1:
             assignment = ops.assign(values, reps)
             reps, assignment = _repair_empty(ops, values, reps, assignment)
-        new_reps = reps.copy()
-        utilities = np.empty(values.shape[0])  # of every sample at its cluster's new representative
+        candidates = reps.copy()
+        clusters = {}  # cluster -> members, for the clusters solved this iteration
         for m in range(config.n_clusters):
             members = np.nonzero(assignment == m)[0]
-            if members.size == 0:
-                continue
             last = solved.get(m)
-            if last and np.array_equal(last[0], members) and np.array_equal(last[1], reps[m]):
-                utilities[members] = last[2]
+            if members.size == 0 or (
+                last and np.array_equal(last[0], members) and np.array_equal(last[1], reps[m])
+            ):
                 continue
             try:
-                candidate = ops.best_representative(values, members, warm_start=reps[m])
+                candidates[m] = ops.best_representative(values, members, warm_start=reps[m])
             except SolverError as err:
                 raise SolverError(f"cluster {m}: {err}", cluster=m) from err
+            clusters[m] = members
+        # every sample at its current representative; the solved clusters' members at the candidate
+        utilities = ops.utilities(reps[assignment], values)
+        rows = np.nonzero(np.isin(assignment, list(clusters)))[0]
+        solved_utilities = np.empty_like(utilities)
+        if rows.size:
+            solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
+        for m, members in clusters.items():
             # keep the previous representative unless the solve strictly improved
             # the cluster utility; solver tolerance must never lower the objective
-            kept = ops.utilities(reps[m], values[members])
-            solved_utilities = ops.utilities(candidate, values[members])
-            if math.fsum(solved_utilities) > math.fsum(kept):
-                new_reps[m], kept = candidate, solved_utilities
-            utilities[members] = kept
+            if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
+                utilities[members] = solved_utilities[members]
+            else:
+                candidates[m] = reps[m]
             if ops.member_determined:
-                solved[m] = (members, new_reps[m].copy(), kept)
-        reps = new_reps
+                solved[m] = (members, candidates[m].copy())
+        reps = candidates
         current = math.fsum(utilities)
         objectives.append(current)
         if current - previous <= config.tol:

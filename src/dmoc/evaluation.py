@@ -22,8 +22,7 @@ from .core import (
     MetricSpec,
     metric_ops,
 )
-from . import pcs
-from .engine import EngineConfig, _sample_utilities, run_dmoc
+from .engine import EngineConfig, run_dmoc
 from .baselines import kmc_pipeline
 
 SCHEMES = ("dmoc", "dmoc-approx", "kmc")
@@ -31,19 +30,12 @@ SCHEMES = ("dmoc", "dmoc-approx", "kmc")
 
 def perfect_decisions(spec: MetricSpec, data: DataSet) -> np.ndarray:
     """Per-sample optimal decisions x*(g_n), stacked as an (N, T) array."""
-    if spec.kind == "pcs":
-        return pcs.perfect_decisions_pcs(data.values, spec.pcs)
-    ops = metric_ops(spec)
-    return np.stack([ops.perfect_decision(g) for g in data.values])
+    return metric_ops(spec).perfect_decisions(data.values)
 
 
 def perfect_objective(spec: MetricSpec, data: DataSet) -> float:
     """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
-    decisions = perfect_decisions(spec, data)
-    if spec.kind == "pcs":
-        return math.fsum(-pcs.paired_norms(data.values, decisions, spec.pcs))
-    ops = metric_ops(spec)
-    return math.fsum(ops.evaluate(x, g) for x, g in zip(decisions, data.values))
+    return math.fsum(metric_ops(spec).utilities(perfect_decisions(spec, data), data.values))
 
 
 def relative_loss(f_perfect: float, f_c: float) -> float:
@@ -199,11 +191,9 @@ def nested_dmoc_sweep(
         config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
         res = run_dmoc(spec, data, config)
         results.append(res)
-        per_sample = _sample_utilities(
-            ops, data.values, res.representatives, res.partition.assignment
-        )
+        per_sample = ops.utilities(res.representatives[res.partition.assignment], data.values)
         worst = int(np.argsort(per_sample, kind="stable")[0])
-        init = np.vstack([res.representatives, ops.perfect_decision(data.values[worst])])
+        init = np.vstack([res.representatives, ops.perfect_decisions(data.values[[worst]])])
     return results
 
 

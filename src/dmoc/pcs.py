@@ -48,22 +48,28 @@ from .core import (
 # Metric
 # ---------------------------------------------------------------------------
 
+def _profiles(values, decisions, params: PcsParams):
+    """Sample rows as an (N, T) array and decisions as given, both checked to have length T."""
+    v = np.atleast_2d(np.asarray(values, dtype=float))
+    x = np.asarray(decisions, dtype=float)
+    if v.shape[1] != params.n_slots or x.shape[-1] != params.n_slots:
+        raise DimensionError(
+            f"profiles must have length {params.n_slots}, got {v.shape[1]} and {x.shape[-1]}"
+        )
+    return v, x
+
+
 def weighted_norms(values, reps, params: PcsParams, p: float | None = None) -> np.ndarray:
     """(N, M) matrix of ||W(x_m + g_n)||_p for sample rows and representative rows."""
-    p = params.p if p is None else p
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    r = np.atleast_2d(np.asarray(reps, dtype=float))
-    if v.shape[1] != params.n_slots or r.shape[1] != params.n_slots:
-        raise DimensionError(
-            f"profiles must have length {params.n_slots}, "
-            f"got {v.shape[1]} and {r.shape[1]}"
-        )
-    return _norms(v[:, None, :] + r[None, :, :], params, p)
+    v, r = _profiles(values, np.atleast_2d(reps), params)
+    return _norms(v[:, None, :] + r[None, :, :], params, params.p if p is None else p)
 
 
 def paired_norms(values, decisions, params: PcsParams) -> np.ndarray:
-    """(N,) vector of ||W(x_n + g_n)||_p for paired sample and decision rows."""
-    return _norms(np.asarray(values, dtype=float) + np.asarray(decisions, dtype=float), params, params.p)
+    """(N,) vector of ||W(x_n + g_n)||_p for paired sample and decision rows
+    (one (T,) decision pairs with every row)."""
+    v, x = _profiles(values, decisions, params)
+    return _norms(v + x, params, params.p)
 
 
 def _norms(loads: np.ndarray, params: PcsParams, p: float) -> np.ndarray:
@@ -602,14 +608,14 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     return MetricOps(
         decision_dim=params.decision_dim,
         data_dim=params.data_dim,
-        utilities=lambda x, values: -weighted_norms(values, x, params)[:, 0],
+        utilities=lambda x, values: -paired_norms(values, x, params),
         assign=lambda values, reps: np.argmin(
             weighted_norms(values, reps, params, p=assign_p), axis=1
         ),
         best_representative=lambda values, members, warm_start=None: solve_representative(
             values, members, params, warm_start=warm_start
         ),
-        perfect_decision=lambda g: perfect_decision_pcs(g, params),
+        perfect_decisions=lambda values: perfect_decisions_pcs(values, params),
         feasible=feasible,
         # the cheapest-slot fill and the epigraph LP see only the members
         member_determined=params.p in (1, math.inf),

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     DataSet,
     DimensionError,
+    DmocError,
     EmptyClusterError,
     FEASIBILITY_TOL,
     MetricOps,
@@ -57,18 +58,21 @@ def _stack_to_slots(g: np.ndarray, params: RtpParams) -> np.ndarray:
     return g.reshape(*g.shape[:-1], params.n_slots, params.n_consumers)
 
 
-def f1_batch(x: np.ndarray, values: np.ndarray, params: RtpParams) -> np.ndarray:
-    """Welfare-minus-cost utility of price profile ``x`` for each sample row."""
-    x = as_vector(x, name="price profile")
-    if x.size != params.n_slots:
-        raise DimensionError(f"price profile has length {x.size}, expected {params.n_slots}")
+def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
+    """Welfare-minus-cost utility for each sample row: of the one price profile
+    ``x`` (T,), or of row i of an (n, T) ``x`` for sample row i."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != params.n_slots:
+        raise DimensionError(f"price profiles of shape {x.shape} need {params.n_slots} columns")
+    if not np.all(np.isfinite(x)):
+        raise DmocError("price profile contains non-finite entries")
     g = _stack_to_slots(np.atleast_2d(np.asarray(values, dtype=float)), params)
-    price = x[:, None]
+    price = x[..., None]
     if np.any(price > g):
         logger.warning(
             "over-pricing: price exceeds a satisfaction parameter; load clamped to 0"
         )
-    ell = np.where(price > g, 0.0, (g - price) / params.alpha)
+    ell = best_response_load(price, g, params.alpha)
     u = consumer_utility(ell, g, params.alpha)
     load = ell.sum(axis=-1)
     per_slot = u.sum(axis=-1) - params.a * load**2 - params.b * load - params.c
@@ -130,21 +134,30 @@ def _values_of(data) -> np.ndarray:
     return data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
 
 
+def _optimal_price(gbar: np.ndarray, params: RtpParams) -> np.ndarray:
+    """x*(t) = (a * gbar(t) + alpha*b/(2K)) / (a + alpha/(2K)), for any batch shape of gbar."""
+    if params.a == 0 and params.b == 0:
+        raise ValueError("representative price is undefined when a = 0 and b = 0")
+    half = params.alpha / (2.0 * params.n_consumers)
+    return (params.a * gbar + half * params.b) / (params.a + half)
+
+
 def closed_form_representative(data, member_indices, params: RtpParams) -> np.ndarray:
     """Best representative price profile for a cluster.
 
     x*(t) = (a * gbar(t) + alpha*b/(2K)) / (a + alpha/(2K)) where gbar(t) is the
     cluster-average satisfaction parameter at slot t. Requires a > 0 or b > 0.
     """
-    if params.a == 0 and params.b == 0:
-        raise ValueError("representative price is undefined when a = 0 and b = 0")
     members = np.asarray(list(member_indices), dtype=int)
     if members.size == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
-    values = _values_of(data)
-    gbar = _stack_to_slots(values[members], params).mean(axis=-1).mean(axis=0)
-    half = params.alpha / (2.0 * params.n_consumers)
-    return (params.a * gbar + half * params.b) / (params.a + half)
+    gbar = _stack_to_slots(_values_of(data)[members], params).mean(axis=-1).mean(axis=0)
+    return _optimal_price(gbar, params)
+
+
+def perfect_prices(values, params: RtpParams) -> np.ndarray:
+    """Per-row optimal price profiles, as an (N, T) array: each row is its own cluster."""
+    return _optimal_price(_stack_to_slots(_values_of(values), params).mean(axis=-1), params)
 
 
 def generate_rtp_scenario(
@@ -180,9 +193,7 @@ def metric_ops(params: RtpParams) -> MetricOps:
         best_representative=lambda values, members, warm_start=None: closed_form_representative(
             values, members, params
         ),
-        perfect_decision=lambda g: closed_form_representative(
-            np.atleast_2d(np.asarray(g, dtype=float)), [0], params
-        ),
+        perfect_decisions=lambda values: perfect_prices(values, params),
         feasible=feasible,
         member_determined=True,
     )

@@ -40,6 +40,11 @@ class TestKmeans:
         diffs = np.diff(km.inertia_trace)
         assert np.all(diffs <= 1e-9)
 
+    def test_max_iters_below_one_rejected(self):
+        data = DataSet(np.random.default_rng(0).uniform(0, 3, size=(6, 2)))
+        with pytest.raises(DmocError, match="max_iters"):
+            baselines.kmeans(data, 2, seed=0, max_iters=0)
+
     def test_seed_determinism(self):
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=2)
         a = baselines.kmeans(data, 3, seed=9)

@@ -15,8 +15,10 @@ from dmoc import (
     ClusteringResult,
     check_feasible,
     evaluate_utility,
+    metric_ops,
     total_utility,
 )
+from dmoc import baselines
 
 
 def pcs_spec(**kwargs):
@@ -150,6 +152,50 @@ class TestTotalUtility:
         ]
         assert total_utility(spec, result, data) == pytest.approx(
             sum(reversed(per_sample)), abs=1e-9
+        )
+
+
+def _weights(t):
+    w = np.random.default_rng(7).uniform(0.2, 3.0, size=t)
+    w[1] = 0.0
+    return w
+
+
+BATCH_CASES = [
+    pytest.param(spec, id=f"pcs-p{p}-{label}")
+    for p in (1, 2, 3, math.inf)
+    for label, spec in (
+        ("uniform", MetricSpec.for_pcs(n_slots=5, p=p, energy=5.0, x_max=3.0)),
+        ("weighted", MetricSpec.for_pcs(n_slots=5, p=p, energy=5.0, x_max=3.0, weights=_weights(5))),
+    )
+] + [
+    pytest.param(rtp_spec(n_consumers=3, n_slots=4, a=0.1, c=1.0), id="rtp-safe"),
+    pytest.param(rtp_spec(n_consumers=3, n_slots=4, a=1.0, b=0.2), id="rtp-over-priced"),
+    pytest.param(None, id="squared-distance"),
+]
+
+
+class TestBatchedMetricOps:
+    @pytest.mark.parametrize("spec", BATCH_CASES)
+    def test_batched_calls_equal_row_by_row_calls(self, spec):
+        rng = np.random.default_rng(3)
+        ops = baselines.squared_distance_ops(5) if spec is None else metric_ops(spec)
+        values = rng.uniform(0.0, 3.0, size=(12, ops.data_dim))
+        decisions = ops.perfect_decisions(values)
+        assert decisions.shape == (12, ops.decision_dim)
+        np.testing.assert_array_equal(
+            decisions, np.stack([ops.perfect_decisions(v[None, :])[0] for v in values])
+        )
+        # paired: a decision per row (a sample's decision often over-prices another's)
+        paired = decisions[rng.permutation(12)]
+        np.testing.assert_array_equal(
+            ops.utilities(paired, values),
+            [ops.utilities(x, v[None, :])[0] for x, v in zip(paired, values)],
+        )
+        # shared: one decision for every row
+        np.testing.assert_array_equal(
+            ops.utilities(decisions[0], values),
+            [ops.utilities(decisions[0], v[None, :])[0] for v in values],
         )
 
 

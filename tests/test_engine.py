@@ -19,7 +19,7 @@ from dmoc import (
     total_utility,
     update_representatives,
 )
-from dmoc import baselines, pcs, rtp
+from dmoc import baselines, evaluation, pcs, rtp
 from dmoc.data import gen_synthetic_pcs
 
 
@@ -87,6 +87,17 @@ class TestRunDmoc:
         from dmoc.evaluation import perfect_objective
 
         assert res.objective == pytest.approx(perfect_objective(spec, data), abs=1e-6)
+
+    def test_explicit_init_is_not_written(self):
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=7)
+        spec = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0)
+        # every start decision keeps members, so no repair copies the array first
+        init = evaluation.perfect_decisions(spec, data)[[0, 10, 20]]
+        assert np.all(np.bincount(metric_ops(spec).assign(data.values, init), minlength=3) > 0)
+        config = EngineConfig(n_clusters=3, seed=0, init=init.copy())
+        res = run_dmoc(spec, data, config)
+        assert not np.array_equal(res.representatives, init)
+        np.testing.assert_array_equal(config.init, init)
 
     def test_single_iteration_cap(self):
         data = gen_synthetic_pcs(archetypes=2, n_slots=4, n_samples=10, seed=2)
@@ -290,14 +301,15 @@ class TestUtilityReuse:
     def test_solved_clusters_are_evaluated_once_per_iteration(self):
         spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
-        calls = []
-        res = run_dmoc_ops(
-            self.counting(metric_ops(spec), calls), data, EngineConfig(n_clusters=1, seed=0, tol=0.0)
-        )
-        # the starting objective, then the guard's pair in iteration 1; iteration 2
-        # skips the unchanged cluster and reuses its utilities
-        assert res.trace.iterations_run == 2
-        assert len(calls) == 3
+        for m in (1, 5):
+            calls = []
+            res = run_dmoc_ops(
+                self.counting(metric_ops(spec), calls), data, EngineConfig(n_clusters=m, seed=0, tol=0.0)
+            )
+            # the starting objective, then one call for the kept and one for the
+            # solved representatives of every cluster in an iteration
+            assert res.trace.iterations_run >= 2
+            assert len(calls) <= 1 + 2 * res.trace.iterations_run
 
     def test_objectives_equal_a_fresh_evaluation(self):
         pcs_data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=60, seed=5)

@@ -32,20 +32,23 @@ class TestPerfectBaseline:
         rng = np.random.default_rng(31)
         weights = rng.uniform(0.2, 3.0, size=6)
         weights[2] = 0.0
-        specs = [
-            PCS6,
-            MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=14.0, x_max=3.0, weights=weights),
-            MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0),
+        rtp_safe = MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.1, c=1.0)
+        rtp_over = MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=1.0, b=0.2)
+        cases = [
+            (PCS6, rng.uniform(0.0, 5.0, size=(2500, 6))),
+            (MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=14.0, x_max=3.0, weights=weights),
+             rng.uniform(0.0, 5.0, size=(2500, 6))),
+            (MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0), rng.uniform(0.0, 5.0, size=(6, 6))),
+            (rtp_safe, rng.uniform(2.0, 3.0, size=(500, 6))),
+            (rtp_over, rng.uniform(0.0, 3.0, size=(500, 6))),
         ]
-        for spec in specs:
-            data = DataSet(rng.uniform(0.0, 5.0, size=(2500 if spec.pcs.p == math.inf else 6, 6)))
+        for spec, values in cases:
+            data = DataSet(values)
             ops = metric_ops(spec)
-            loop = math.fsum(ops.evaluate(ops.perfect_decision(g), g) for g in data.values)
+            singles = [ops.perfect_decisions(g[None, :])[0] for g in data.values]
+            loop = math.fsum(ops.utilities(x, g[None, :])[0] for x, g in zip(singles, data.values))
             assert evaluation.perfect_objective(spec, data) == loop
-            np.testing.assert_array_equal(
-                evaluation.perfect_decisions(spec, data),
-                np.stack([ops.perfect_decision(g) for g in data.values]),
-            )
+            np.testing.assert_array_equal(evaluation.perfect_decisions(spec, data), np.stack(singles))
 
     def test_full_resolution_run_is_near_perfect(self):
         from dmoc import EngineConfig, run_dmoc
