@@ -19,9 +19,10 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
+    cluster_means,
     metric_ops,
 )
-from .engine import _objective
+from .engine import _objective, _repair_empty
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,8 @@ def _sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _centroids(values: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Cluster means; a cluster left empty after repair keeps its previous centroid."""
     out = previous.copy()
-    for j in range(previous.shape[0]):
-        members = np.nonzero(assignment == j)[0]
-        if members.size:
-            out[j] = values[members].mean(axis=0)
+    used = np.unique(assignment)
+    out[used] = cluster_means(values, assignment, used)
     return out
 
 
@@ -63,22 +62,6 @@ def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator
         picks.append(pick)
         d2 = np.minimum(d2, ((values - values[pick]) ** 2).sum(axis=1))
     return values[picks].copy()
-
-
-def _repair_empty_kmeans(values, centroids, dist):
-    """Assign to the nearest centroid; re-seed empty clusters to the worst-represented
-    points, then reassign once. Returns the centroids, the assignment and their distances."""
-    assignment = np.argmin(dist, axis=1)
-    counts = np.bincount(assignment, minlength=centroids.shape[0])
-    empties = np.nonzero(counts == 0)[0]
-    if empties.size == 0:
-        return centroids, assignment, dist
-    farthest_first = np.argsort(-dist[np.arange(values.shape[0]), assignment], kind="stable")
-    centroids = centroids.copy()
-    for k, j in enumerate(empties):
-        centroids[j] = values[farthest_first[k]]
-    dist = _sq_distances(values, centroids)
-    return centroids, np.argmin(dist, axis=1), dist
 
 
 def kmeans(
@@ -107,13 +90,16 @@ def kmeans(
     if centroids.shape != (n_clusters, data.dim):
         raise DmocError(f"init centroids have shape {centroids.shape}")
 
+    # the engine's step under this metric is a Lloyd step, with the same empty-cluster repair
+    ops = squared_distance_ops(data.dim)
     assignment = None
     trace = []
     rows = np.arange(data.n)
     for _ in range(max_iters):
-        centroids, new_assignment, dist = _repair_empty_kmeans(
-            values, centroids, _sq_distances(values, centroids)
-        )
+        dist = _sq_distances(values, centroids)
+        repaired, new_assignment = _repair_empty(ops, values, centroids, np.argmin(dist, axis=1))
+        if repaired is not centroids:  # re-seeded: measure the new centroids
+            centroids, dist = repaired, _sq_distances(values, repaired)
         inertia = float(dist[rows, new_assignment].sum())
         trace.append(inertia)
         if assignment is not None and np.array_equal(new_assignment, assignment):
@@ -164,19 +150,17 @@ def squared_distance_ops(dim: int) -> MetricOps:
     representative step is the cluster centroid, i.e. one Lloyd iteration.
     """
     return MetricOps(
-        decision_dim=dim,
-        data_dim=dim,
         utilities=lambda x, values: -(
             (np.atleast_2d(np.asarray(values, dtype=float)) - np.asarray(x, dtype=float)) ** 2
         ).sum(axis=1),
         assign=lambda values, reps: np.argmin(
             _sq_distances(np.atleast_2d(values), np.atleast_2d(reps)), axis=1
         ),
-        best_representative=lambda values, members, warm_start=None: np.atleast_2d(
-            np.asarray(values, dtype=float)
-        )[np.asarray(members, dtype=int)].mean(axis=0),
+        best_representatives=lambda values, assignment, clusters, warm_starts: cluster_means(
+            np.atleast_2d(np.asarray(values, dtype=float)), assignment, clusters
+        ),
         perfect_decisions=lambda values: np.atleast_2d(np.array(values, dtype=float)),
-        feasible=lambda x: np.asarray(x).size == dim
-        and bool(np.all(np.isfinite(np.asarray(x, dtype=float)))),
+        feasible=lambda decisions: (np.atleast_2d(decisions).shape[1] == dim)
+        & np.all(np.isfinite(np.atleast_2d(np.asarray(decisions, dtype=float))), axis=1),
         member_determined=True,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import logging
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import baselines, evaluation, rtp
-from .core import DataFormatError, DataSet, DmocError, MetricSpec, SolverError
+from .core import DataFormatError, DataSet, DmocError, MetricSpec, PcsParams, RtpParams, SolverError
 from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles
 from .engine import EngineConfig, run_dmoc
 
@@ -56,6 +57,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # Config handling
 # ---------------------------------------------------------------------------
 
+def _from_section(fn, section: dict, name: str):
+    """``fn(**section)``; a section that does not fit fn's parameters is a usage error."""
+    try:
+        inspect.signature(fn).bind(**section)
+    except TypeError as err:
+        raise CliUsageError(f"{name}: {err}") from None
+    return fn(**section)
+
+
 def _metric_from_mapping(cfg: dict) -> MetricSpec:
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
@@ -64,9 +74,9 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
             cfg["p"] = math.inf
         else:
             cfg["p"] = float(cfg.get("p", math.inf))
-        return MetricSpec.for_pcs(**cfg)
+        return MetricSpec(kind="pcs", pcs=_from_section(PcsParams, cfg, "metric (pcs)"))
     if kind == "rtp":
-        return MetricSpec.for_rtp(**cfg)
+        return MetricSpec(kind="rtp", rtp=_from_section(RtpParams, cfg, "metric (rtp)"))
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
 
 
@@ -80,11 +90,10 @@ def _dataset_from_config(config: dict, seed: int) -> DataSet:
     synth = dict(synth)
     kind = synth.pop("kind", "pcs")
     synth.setdefault("seed", seed)
-    if kind == "pcs":
-        return gen_synthetic_pcs(**synth)
-    if kind == "rtp":
-        return rtp.generate_rtp_scenario(**synth)
-    raise CliUsageError(f"unknown synthetic data kind {kind!r}")
+    generate = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}.get(kind)
+    if generate is None:
+        raise CliUsageError(f"unknown synthetic data kind {kind!r}")
+    return _from_section(generate, synth, f"data.synthetic ({kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +128,12 @@ def _cmd_gen(args) -> int:
 
 def _metric_from_args(args) -> MetricSpec:
     if args.metric == "pcs":
-        p = math.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
-        return MetricSpec.for_pcs(
-            n_slots=args.slots, p=p, energy=args.energy, x_max=args.x_max
+        return _metric_from_mapping(
+            dict(kind="pcs", n_slots=args.slots, p=args.p, energy=args.energy, x_max=args.x_max)
         )
-    return MetricSpec.for_rtp(
-        n_consumers=args.consumers,
-        n_slots=args.slots,
-        alpha=args.alpha,
-        a=args.a,
-        b=args.b,
-        c=args.c,
+    return _metric_from_mapping(
+        dict(kind="rtp", n_consumers=args.consumers, n_slots=args.slots, alpha=args.alpha,
+             a=args.a, b=args.b, c=args.c)
     )
 
 

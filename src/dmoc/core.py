@@ -81,14 +81,26 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_sample(values, *, dim: int | None = None) -> np.ndarray:
-    """Coerce to a valid data sample: finite, nonnegative, optionally of length ``dim``."""
-    v = as_vector(values, name="sample")
-    if np.any(v < 0):
-        raise DmocError("sample contains negative entries")
-    if dim is not None and v.size != dim:
-        raise DimensionError(f"sample has length {v.size}, expected {dim}")
-    return v
+def as_decisions(decisions, *, name: str = "decision") -> np.ndarray:
+    """Coerce to a finite 2-D float array of decision rows (a 1-D decision is one row)."""
+    x = np.atleast_2d(np.asarray(decisions, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise DmocError(f"{name} contains non-finite entries")
+    return x
+
+
+def cluster_members(assignment: np.ndarray, clusters) -> list:
+    """Sorted member indices of each of ``clusters``, from one stable grouping of ``assignment``."""
+    order = np.argsort(assignment, kind="stable")
+    grouped = assignment[order]
+    starts = np.searchsorted(grouped, clusters, side="left")
+    ends = np.searchsorted(grouped, clusters, side="right")
+    return [order[s:e] for s, e in zip(starts, ends)]
+
+
+def cluster_means(values: np.ndarray, assignment: np.ndarray, clusters) -> np.ndarray:
+    """(k, d) means of the rows of ``values`` in each of ``clusters`` (each nonempty)."""
+    return np.stack([values[rows].mean(axis=0) for rows in cluster_members(assignment, clusters)])
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +132,6 @@ class DataSet:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def sample(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-    @classmethod
-    def from_rows(cls, rows) -> "DataSet":
-        return cls(np.asarray(rows, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -304,10 +309,6 @@ class ClusteringResult:
             )
         object.__setattr__(self, "representatives", _freeze(r))
 
-    @property
-    def n_clusters(self) -> int:
-        return self.partition.n_clusters
-
 
 # ---------------------------------------------------------------------------
 # Metric interface
@@ -328,24 +329,25 @@ class MetricOps:
     assign(values, reps) -> (N,) int array
         Index of the best representative for every row of ``values``
         (argmax of the utility, ties to the lowest index).
-    best_representative(values, members, warm_start=None) -> (T,) array
-        Feasible decision maximizing the summed utility over the member rows.
+    best_representatives(values, assignment, clusters, warm_starts) -> (k, T) array
+        Row i: the feasible decision maximizing the summed utility over the rows
+        with ``assignment == clusters[i]`` (at least one), never worse than
+        ``warm_starts[i]`` (``warm_starts`` may be None). A SolverError names the cluster.
     perfect_decisions(values) -> (n, T) array
         Per-row optimal decisions x*(g_n).
-    feasible(x) -> bool
-        Constraint check for a decision vector.
+    feasible(decisions) -> (k,) bool array
+        Constraint check per decision row (a (T,) decision is one row); a row
+        of the wrong length is infeasible, a non-finite entry raises DmocError.
     member_determined: bool
-        Set by the metric, not the user: True when best_representative
+        Set by the metric, not the user: True when best_representatives
         depends on the members alone (analytic and LP routes, not iterative
-        ones that depend on the warm start), so the engine skips re-solving a
-        cluster whose members and representative are unchanged.
+        ones that depend on the warm start), so the engine re-solves only the
+        clusters that a sample entered or left or whose representative changed.
     """
 
-    decision_dim: int
-    data_dim: int
     utilities: Callable
     assign: Callable
-    best_representative: Callable
+    best_representatives: Callable
     perfect_decisions: Callable
     feasible: Callable
     member_determined: bool = False
@@ -368,23 +370,29 @@ def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _feasible_rows(spec: MetricSpec, decisions):
+    """The decisions as finite rows of the metric's length, and a bool per row."""
+    x = as_decisions(decisions)
+    if x.shape[1] != spec.decision_dim:
+        raise DimensionError(f"decision has length {x.shape[1]}, expected {spec.decision_dim}")
+    return x, metric_ops(spec).feasible(x)
+
+
 def check_feasible(spec: MetricSpec, x) -> bool:
     """True iff ``x`` satisfies the metric's constraints within FEASIBILITY_TOL.
 
     Pricing requires positive prices (checked as ``x >= -tol``); scheduling
     requires ``0 <= x <= x_max`` per slot and total energy ``sum(x) >= E``.
     """
-    x = as_vector(x, name="decision")
-    if x.size != spec.decision_dim:
-        raise DimensionError(
-            f"decision has length {x.size}, expected {spec.decision_dim}"
+    return bool(_feasible_rows(spec, as_vector(x, name="decision"))[1][0])
+
+
+def _require_feasible(spec: MetricSpec, decisions) -> None:
+    x, ok = _feasible_rows(spec, decisions)
+    if not ok.all():
+        raise InfeasibleDecisionError(
+            f"decision violates the {spec.kind} constraint set: {x[np.argmin(ok)]}"
         )
-    return bool(metric_ops(spec).feasible(x))
-
-
-def _require_feasible(spec: MetricSpec, x) -> None:
-    if not check_feasible(spec, x):
-        raise InfeasibleDecisionError(f"decision violates the {spec.kind} constraint set: {x}")
 
 
 def evaluate_utility(spec: MetricSpec, x, g) -> float:
@@ -394,7 +402,11 @@ def evaluate_utility(spec: MetricSpec, x, g) -> float:
     ``x`` violates the constraint set.
     """
     x = as_vector(x, name="decision")
-    g = as_sample(g, dim=spec.data_dim)
+    g = as_vector(g, name="sample")
+    if np.any(g < 0):
+        raise DmocError("sample contains negative entries")
+    if g.size != spec.data_dim:
+        raise DimensionError(f"sample has length {g.size}, expected {spec.data_dim}")
     _require_feasible(spec, x)
     return float(metric_ops(spec).utilities(x, g[None, :])[0])
 
@@ -408,6 +420,5 @@ def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> 
         )
     reps = result.representatives
     assignment = result.partition.assignment
-    for m in np.unique(assignment):
-        _require_feasible(spec, reps[m])
+    _require_feasible(spec, reps[np.unique(assignment)])
     return math.fsum(metric_ops(spec).utilities(reps[assignment], data.values))

@@ -1,10 +1,10 @@
 """Alternating optimization between cluster assignment and representative decisions.
 
 Each iteration assigns every sample to the representative with the highest
-utility (ties to the lowest index), then re-solves each cluster's best
-representative given its members. The per-iteration objective can only
-increase or stay constant; the run stops when the improvement drops to the
-tolerance or the iteration cap is reached.
+utility (ties to the lowest index), then solves the clusters' best
+representatives given their members, in one call. The per-iteration
+objective can only increase or stay constant; the run stops when the
+improvement drops to the tolerance or the iteration cap is reached.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
-    SolverError,
+    cluster_members,
     metric_ops,
 )
 
@@ -65,9 +65,10 @@ def _validated_reps(ops: MetricOps, reps) -> np.ndarray:
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     if reps.shape[0] < 1:
         raise DmocError("at least one representative is required")
-    for m, r in enumerate(reps):
-        if not ops.feasible(r):
-            raise InfeasibleDecisionError(f"representative {m} is infeasible: {r}")
+    ok = ops.feasible(reps)
+    if not ok.all():
+        m = int(np.argmin(ok))
+        raise InfeasibleDecisionError(f"representative {m} is infeasible: {reps[m]}")
     return reps
 
 
@@ -82,7 +83,8 @@ def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment:
 
 
 def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray):
-    """Re-seed empty clusters from the worst-served samples, then reassign once."""
+    """Re-seed empty clusters from the worst-served samples, then reassign once.
+    Returns the given reps and assignment when no cluster is empty."""
     counts = np.bincount(assignment, minlength=reps.shape[0])
     empties = np.nonzero(counts == 0)[0]
     if empties.size == 0:
@@ -116,18 +118,12 @@ def update_representatives(
     Raises EmptyClusterError if a cluster has no members and SolverError
     (carrying the cluster index) on solver failure.
     """
-    ops = metric_ops(spec)
-    reps = np.empty((partition.n_clusters, ops.decision_dim))
-    for m in range(partition.n_clusters):
-        members = partition.members(m)
-        if members.size == 0:
-            raise EmptyClusterError(f"cluster {m} has no members", cluster=m)
-        warm = None if warm_starts is None else np.asarray(warm_starts)[m]
-        try:
-            reps[m] = ops.best_representative(data.values, members, warm_start=warm)
-        except SolverError as err:
-            raise SolverError(f"cluster {m}: {err}", cluster=m) from err
-    return reps
+    empty = np.nonzero(partition.counts() == 0)[0]
+    if empty.size:
+        raise EmptyClusterError(f"cluster {empty[0]} has no members", cluster=int(empty[0]))
+    return metric_ops(spec).best_representatives(
+        data.values, partition.assignment, np.arange(partition.n_clusters), warm_starts
+    )
 
 
 def _initial_reps(ops: MetricOps, data: DataSet, config: EngineConfig) -> np.ndarray:
@@ -148,9 +144,11 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     The baseline objective of the starting decisions is measured after a
     first assignment; at least one full iteration always runs, and iteration
-    q stops the run when its improvement is at most ``config.tol``. With
-    ``ops.member_determined`` a cluster whose members and representative are
-    unchanged since its last solve is not solved again.
+    q stops the run when its improvement is at most ``config.tol``. Each
+    iteration solves its clusters' representatives in one call: every
+    nonempty cluster, or with ``ops.member_determined`` after the first
+    iteration only those that a sample entered or left or whose
+    representative the empty-cluster repair replaced.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -165,40 +163,34 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     objectives = []
     converged = False
-    solved = {}  # cluster -> (members, representative) after its last solve
     for q in range(1, config.max_iters + 1):
         if q > 1:
+            last_assignment, last_reps = assignment, reps
             assignment = ops.assign(values, reps)
             reps, assignment = _repair_empty(ops, values, reps, assignment)
+        solve = np.bincount(assignment, minlength=config.n_clusters) > 0
+        if q > 1 and ops.member_determined:
+            moved = assignment != last_assignment
+            changed = np.any(reps != last_reps, axis=1)
+            changed[assignment[moved]] = True
+            changed[last_assignment[moved]] = True
+            solve &= changed
+        clusters = np.nonzero(solve)[0]
         candidates = reps.copy()
-        clusters = {}  # cluster -> members, for the clusters solved this iteration
-        for m in range(config.n_clusters):
-            members = np.nonzero(assignment == m)[0]
-            last = solved.get(m)
-            if members.size == 0 or (
-                last and np.array_equal(last[0], members) and np.array_equal(last[1], reps[m])
-            ):
-                continue
-            try:
-                candidates[m] = ops.best_representative(values, members, warm_start=reps[m])
-            except SolverError as err:
-                raise SolverError(f"cluster {m}: {err}", cluster=m) from err
-            clusters[m] = members
         # every sample at its current representative; the solved clusters' members at the candidate
         utilities = ops.utilities(reps[assignment], values)
-        rows = np.nonzero(np.isin(assignment, list(clusters)))[0]
-        solved_utilities = np.empty_like(utilities)
-        if rows.size:
+        if clusters.size:
+            candidates[clusters] = ops.best_representatives(values, assignment, clusters, reps[clusters])
+            rows = np.nonzero(solve[assignment])[0]
+            solved_utilities = np.empty_like(utilities)
             solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
-        for m, members in clusters.items():
-            # keep the previous representative unless the solve strictly improved
-            # the cluster utility; solver tolerance must never lower the objective
-            if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
-                utilities[members] = solved_utilities[members]
-            else:
-                candidates[m] = reps[m]
-            if ops.member_determined:
-                solved[m] = (members, candidates[m].copy())
+            for m, members in zip(clusters, cluster_members(assignment, clusters)):
+                # keep the previous representative unless the solve strictly improved
+                # the cluster utility; solver tolerance must never lower the objective
+                if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
+                    utilities[members] = solved_utilities[members]
+                else:
+                    candidates[m] = reps[m]
         reps = candidates
         current = math.fsum(utilities)
         objectives.append(current)

@@ -39,7 +39,9 @@ from .core import (
     MetricOps,
     PcsParams,
     SolverError,
+    as_decisions,
     as_vector,
+    cluster_members,
     logger,
 )
 
@@ -84,11 +86,6 @@ def f2(x, g, params: PcsParams) -> float:
     return float(-weighted_norms(g, x, params)[0, 0])
 
 
-def _cluster_objective(x: np.ndarray, members_values: np.ndarray, params: PcsParams) -> float:
-    """Sum over members of ||W(x + g_n)||_p (the quantity the solvers minimize)."""
-    return float(weighted_norms(members_values, x, params)[:, 0].sum())
-
-
 # ---------------------------------------------------------------------------
 # Feasible set
 # ---------------------------------------------------------------------------
@@ -125,16 +122,12 @@ def project_feasible(y, params: PcsParams) -> np.ndarray:
     return out
 
 
-def _check_members(member_indices) -> np.ndarray:
+def _member_values(data, member_indices) -> np.ndarray:
     members = np.asarray(sorted(member_indices), dtype=int)
     if members.size == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
-    return members
-
-
-def _member_values(data, member_indices) -> np.ndarray:
     values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
-    return values[_check_members(member_indices)]
+    return values[members]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +501,7 @@ def solve_representative(data, member_indices, params: PcsParams, warm_start=Non
         x = projected_subgradient_representative(G, range(G.shape[0]), params, warm_start=warm_start)
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
-        if _cluster_objective(warm, G, params) <= _cluster_objective(x, G, params):
+        if paired_norms(G, warm, params).sum() <= paired_norms(G, x, params).sum():
             return warm.copy()
     return x
 
@@ -596,25 +589,31 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     """Callable bundle for the engine; approx_assignment forces p = 2 clusters."""
     assign_p = 2 if approx_assignment else None
 
-    def feasible(x) -> bool:
-        x = as_vector(x, name="profile")
+    def feasible(decisions) -> np.ndarray:
+        x = as_decisions(decisions, name="profile")
         return (
-            x.size == params.n_slots
-            and bool(np.all(x >= -FEASIBILITY_TOL))
-            and bool(np.all(x <= params.x_max + FEASIBILITY_TOL))
-            and x.sum() >= params.energy - FEASIBILITY_TOL
+            (x.shape[1] == params.n_slots)
+            & np.all(x >= -FEASIBILITY_TOL, axis=1)
+            & np.all(x <= params.x_max + FEASIBILITY_TOL, axis=1)
+            & (x.sum(axis=1) >= params.energy - FEASIBILITY_TOL)
         )
 
+    def best_representatives(values, assignment, clusters, warm_starts) -> np.ndarray:
+        reps = np.empty((len(clusters), params.n_slots))
+        for i, (m, members) in enumerate(zip(clusters, cluster_members(assignment, clusters))):
+            warm = None if warm_starts is None else warm_starts[i]
+            try:
+                reps[i] = solve_representative(values, members, params, warm_start=warm)
+            except SolverError as err:
+                raise SolverError(f"cluster {m}: {err}", cluster=int(m)) from err
+        return reps
+
     return MetricOps(
-        decision_dim=params.decision_dim,
-        data_dim=params.data_dim,
         utilities=lambda x, values: -paired_norms(values, x, params),
         assign=lambda values, reps: np.argmin(
             weighted_norms(values, reps, params, p=assign_p), axis=1
         ),
-        best_representative=lambda values, members, warm_start=None: solve_representative(
-            values, members, params, warm_start=warm_start
-        ),
+        best_representatives=best_representatives,
         perfect_decisions=lambda values: perfect_decisions_pcs(values, params),
         feasible=feasible,
         # the cheapest-slot fill and the epigraph LP see only the members

@@ -22,7 +22,9 @@ from .core import (
     FEASIBILITY_TOL,
     MetricOps,
     RtpParams,
+    as_decisions,
     as_vector,
+    cluster_means,
     logger,
 )
 
@@ -155,6 +157,13 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
     return _optimal_price(gbar, params)
 
 
+def closed_form_representatives(data, assignment, clusters, params: RtpParams) -> np.ndarray:
+    """(k, T) array of ``closed_form_representative`` for each of ``clusters``, whose
+    members are the rows with ``assignment == clusters[i]``."""
+    slot_means = _stack_to_slots(_values_of(data), params).mean(axis=-1)
+    return _optimal_price(cluster_means(slot_means, assignment, clusters), params)
+
+
 def perfect_prices(values, params: RtpParams) -> np.ndarray:
     """Per-row optimal price profiles, as an (N, T) array: each row is its own cluster."""
     return _optimal_price(_stack_to_slots(_values_of(values), params).mean(axis=-1), params)
@@ -181,17 +190,15 @@ def generate_rtp_scenario(
 def metric_ops(params: RtpParams) -> MetricOps:
     """Callable bundle for the engine (closed-form assignment and representatives)."""
 
-    def feasible(x) -> bool:
-        x = as_vector(x, name="price profile")
-        return x.size == params.n_slots and bool(np.all(x >= -FEASIBILITY_TOL))
+    def feasible(decisions) -> np.ndarray:
+        x = as_decisions(decisions, name="price profile")
+        return (x.shape[1] == params.n_slots) & np.all(x >= -FEASIBILITY_TOL, axis=1)
 
     return MetricOps(
-        decision_dim=params.decision_dim,
-        data_dim=params.data_dim,
         utilities=lambda x, values: f1_batch(x, values, params),
         assign=lambda values, reps: assign_batch(values, reps, params),
-        best_representative=lambda values, members, warm_start=None: closed_form_representative(
-            values, members, params
+        best_representatives=lambda values, assignment, clusters, warm_starts: (
+            closed_form_representatives(values, assignment, clusters, params)
         ),
         perfect_decisions=lambda values: perfect_prices(values, params),
         feasible=feasible,

@@ -245,6 +245,31 @@ class TestExperiment:
         assert "'solver' section" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_section_not_matching_its_constructor_is_usage_error(self, tmp_path, capsys):
+        metric = {"kind": "pcs", "n_slots": 4, "p": "inf", "energy": 4.0}
+        synthetic = {"kind": "pcs", "archetypes": 2, "n_slots": 4, "n_samples": 10}
+        cases = (
+            # a pcs section without archetypes; an rtp section with them; a misspelt metric field
+            (metric, {"kind": "pcs", "n_slots": 4, "n_samples": 10}, "data.synthetic", "archetypes"),
+            (metric, {"kind": "rtp", "n_consumers": 2, "n_slots": 4, "n_samples": 10,
+                      "archetypes": 2}, "data.synthetic", "archetypes"),
+            ({**metric, "n_slot": 4}, synthetic, "metric", "n_slot"),
+        )
+        for metric_section, synthetic_section, section, named in cases:
+            config = {
+                "experiment": "loss_curve",
+                "seed": 1,
+                "out_dir": str(tmp_path / "o"),
+                "metric": metric_section,
+                "data": {"synthetic": synthetic_section},
+            }
+            path = tmp_path / "sections.yaml"
+            path.write_text(yaml.safe_dump(config))
+            assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: {section}") and named in err
+            assert not (tmp_path / "o").exists()
+
     def test_solver_failure_is_solver_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 2)
         config = {

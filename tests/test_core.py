@@ -175,14 +175,21 @@ BATCH_CASES = [
 ]
 
 
+def _batch_ops(spec):
+    """The metric's ops and its (data, decision) dimensions; None is the squared distance in 5-d."""
+    if spec is None:
+        return baselines.squared_distance_ops(5), 5, 5
+    return metric_ops(spec), spec.data_dim, spec.decision_dim
+
+
 class TestBatchedMetricOps:
     @pytest.mark.parametrize("spec", BATCH_CASES)
     def test_batched_calls_equal_row_by_row_calls(self, spec):
         rng = np.random.default_rng(3)
-        ops = baselines.squared_distance_ops(5) if spec is None else metric_ops(spec)
-        values = rng.uniform(0.0, 3.0, size=(12, ops.data_dim))
+        ops, data_dim, decision_dim = _batch_ops(spec)
+        values = rng.uniform(0.0, 3.0, size=(12, data_dim))
         decisions = ops.perfect_decisions(values)
-        assert decisions.shape == (12, ops.decision_dim)
+        assert decisions.shape == (12, decision_dim)
         np.testing.assert_array_equal(
             decisions, np.stack([ops.perfect_decisions(v[None, :])[0] for v in values])
         )
@@ -197,6 +204,44 @@ class TestBatchedMetricOps:
             ops.utilities(decisions[0], values),
             [ops.utilities(decisions[0], v[None, :])[0] for v in values],
         )
+
+    @pytest.mark.parametrize("spec", BATCH_CASES)
+    def test_batched_representatives_equal_per_cluster_calls(self, spec):
+        rng = np.random.default_rng(4)
+        ops, data_dim, decision_dim = _batch_ops(spec)
+        values = rng.uniform(0.0, 3.0, size=(12, data_dim))
+        assignment = np.array([2, 0, 4, 2, 2, 0, 4, 4, 0, 2, 4, 0])  # cluster 1 and 3 empty
+        clusters = np.array([4, 0, 2])
+        warm = ops.perfect_decisions(values[[5, 1, 9]])
+        batch = ops.best_representatives(values, assignment, clusters, warm)
+        assert batch.shape == (3, decision_dim)
+        for i, m in enumerate(clusters):
+            members = np.nonzero(assignment == m)[0]
+            one = ops.best_representatives(values, assignment, [m], warm[i : i + 1])
+            alone = ops.best_representatives(
+                values[members], np.zeros(members.size, int), [0], warm[i : i + 1]
+            )
+            np.testing.assert_array_equal(batch[i], one[0])
+            np.testing.assert_array_equal(batch[i], alone[0])
+
+    @pytest.mark.parametrize("spec", BATCH_CASES)
+    def test_batched_feasibility_equals_row_by_row_calls(self, spec):
+        ops, data_dim, decision_dim = _batch_ops(spec)
+        values = np.random.default_rng(5).uniform(0.0, 3.0, size=(6, data_dim))
+        decisions = ops.perfect_decisions(values)
+        # negative, empty and doubled decisions break the sign, energy and cap constraints
+        rows = np.vstack([decisions, -decisions, 0.0 * decisions, 2.0 * decisions])
+        ok = ops.feasible(rows)
+        assert ok.shape == (24,) and ok.dtype == bool
+        np.testing.assert_array_equal(ok, [ops.feasible(x)[0] for x in rows])
+        assert ok[:6].all() and (spec is None or not ok[6:12].any())
+        assert not ops.feasible(np.zeros((2, decision_dim + 1))).any()
+        nan = np.full(decision_dim, np.nan)
+        if spec is None:
+            assert not ops.feasible(nan)[0]
+        else:
+            with pytest.raises(DmocError, match="non-finite"):
+                ops.feasible(nan)
 
 
 class TestTypes:

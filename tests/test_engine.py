@@ -12,6 +12,7 @@ from dmoc import (
     InfeasibleDecisionError,
     MetricSpec,
     Partition,
+    SolverError,
     assign_clusters,
     metric_ops,
     run_dmoc,
@@ -277,16 +278,85 @@ class TestSkipUnchangedClusters:
         assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=1, energy=4.0)).member_determined
         assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)).member_determined
 
-    def test_skipping_matches_resolving(self):
-        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=11)
-        spec = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0)
+    @staticmethod
+    def recording(ops, events):
+        """The ops, logging each representative call, each solve the guard must
+        reject (no better than its warm start) and each perfect-decision call."""
+
+        def best_representatives(values, assignment, clusters, warm_starts):
+            reps = ops.best_representatives(values, assignment, clusters, warm_starts)
+            for m, warm, rep in zip(clusters, warm_starts, reps):
+                rows = values[assignment == m]
+                if math.fsum(ops.utilities(rep, rows)) <= math.fsum(ops.utilities(warm, rows)):
+                    events.append("rejected")
+            events.append("solve")
+            return reps
+
+        def perfect_decisions(values):
+            events.append("perfect")
+            return ops.perfect_decisions(values)
+
+        return dataclasses.replace(
+            ops, best_representatives=best_representatives, perfect_decisions=perfect_decisions
+        )
+
+    @pytest.mark.parametrize(
+        "spec, data, config, planted",
+        [
+            pytest.param(
+                MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0),
+                gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=11),
+                EngineConfig(n_clusters=3, seed=4, tol=0.0),
+                None,
+                id="pcs",
+            ),
+            # six clusters on twelve samples: a cluster empties after a solve and is re-seeded
+            pytest.param(
+                MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0),
+                gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=12, seed=1),
+                EngineConfig(n_clusters=6, seed=1, tol=0.0),
+                "repair",
+                id="pcs-repair",
+            ),
+            # outside the no-over-pricing regime the closed form can lose to the kept price
+            pytest.param(
+                MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=1.0, b=0.1),
+                rtp.generate_rtp_scenario(3, 2, 40, seed=5),
+                EngineConfig(n_clusters=4, seed=3, tol=0.0),
+                "rejected",
+                id="rtp-guard-rejects",
+            ),
+            pytest.param(
+                MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.2, b=0.1),
+                rtp.generate_rtp_scenario(3, 2, 40, seed=5),
+                EngineConfig(n_clusters=4, seed=3, tol=0.0),
+                None,
+                id="rtp",
+            ),
+        ],
+    )
+    def test_skipping_matches_resolving(self, spec, data, config, planted):
+        events = []  # of the skipping run
         ops = metric_ops(spec)
-        config = EngineConfig(n_clusters=3, seed=4, tol=0.0)
-        skipped = run_dmoc_ops(ops, data, config)
+        skipped = run_dmoc_ops(self.recording(ops, events), data, config)
         resolved = run_dmoc_ops(dataclasses.replace(ops, member_determined=False), data, config)
         np.testing.assert_array_equal(skipped.representatives, resolved.representatives)
         np.testing.assert_array_equal(skipped.partition.assignment, resolved.partition.assignment)
         assert skipped.trace == resolved.trace
+        if planted == "repair":
+            assert "perfect" in events[events.index("solve") :]
+        elif planted == "rejected":
+            assert "rejected" in events
+
+    def test_solver_failure_names_its_cluster(self, monkeypatch):
+        spec = MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=20, seed=2)
+        init = metric_ops(spec).perfect_decisions(data.values[[0, 7]])
+        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 0)
+        with pytest.raises(SolverError) as info:
+            run_dmoc_ops(metric_ops(spec), data, EngineConfig(n_clusters=2, init=init))
+        assert info.value.cluster in (0, 1)
+        assert str(info.value).startswith(f"cluster {info.value.cluster}: projected subgradient")
 
 
 class TestUtilityReuse:
