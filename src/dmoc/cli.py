@@ -73,7 +73,10 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
         if str(cfg.get("p", "")).lower() in ("inf", "infinity"):
             cfg["p"] = math.inf
         else:
-            cfg["p"] = float(cfg.get("p", math.inf))
+            try:
+                cfg["p"] = float(cfg.get("p", math.inf))
+            except (TypeError, ValueError):
+                raise CliUsageError(f"p must be a number or 'inf', got {cfg['p']!r}") from None
         return MetricSpec(kind="pcs", pcs=_from_section(PcsParams, cfg, "metric (pcs)"))
     if kind == "rtp":
         return MetricSpec(kind="rtp", rtp=_from_section(RtpParams, cfg, "metric (rtp)"))

@@ -115,13 +115,24 @@ def update_representatives(
 ) -> np.ndarray:
     """Best representative decision for every cluster of the partition.
 
-    Raises EmptyClusterError if a cluster has no members and SolverError
-    (carrying the cluster index) on solver failure.
+    ``warm_starts``, if given, holds one feasible decision per cluster, and
+    each returned decision is never worse than its warm start. Raises
+    EmptyClusterError if a cluster has no members, InfeasibleDecisionError
+    for an infeasible warm start, and SolverError (carrying the cluster
+    index) on solver failure.
     """
+    ops = metric_ops(spec)
+    if warm_starts is not None:
+        warm_starts = _validated_reps(ops, warm_starts)
+        if warm_starts.shape[0] != partition.n_clusters:
+            raise DmocError(
+                f"warm_starts provides {warm_starts.shape[0]} decisions "
+                f"for {partition.n_clusters} clusters"
+            )
     empty = np.nonzero(partition.counts() == 0)[0]
     if empty.size:
         raise EmptyClusterError(f"cluster {empty[0]} has no members", cluster=int(empty[0]))
-    return metric_ops(spec).best_representatives(
+    return ops.best_representatives(
         data.values, partition.assignment, np.arange(partition.n_clusters), warm_starts
     )
 

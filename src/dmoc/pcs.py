@@ -9,13 +9,17 @@ representative solves a convex program handled here by
 * an analytic cheapest-slot fill for p = 1,
 * the epigraph LP for p = inf, solved by a primal-dual interior-point method
   written for its structure (``interior_point_representative``: each Newton
-  step is a T x T Cholesky solve) with HiGHS (scipy) as the reference solver
-  and the fallback (the test suite cross-checks both against an independent
-  projected gradient descent on a softmax-smoothed peak, in ``tests/oracles.py``),
+  step is a T x T Cholesky solve); its failure is a SolverError,
 * projected subgradient with Polyak-style adaptive level steps for finite
   p >= 2.
 
 p alone picks the route; each route's tolerances are module constants.
+
+``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
+reference solver, imported on use: no route calls it, and scipy is needed only
+by it (the test suite cross-checks it and the interior point against an
+independent projected gradient descent on a softmax-smoothed peak, in
+``tests/oracles.py``).
 
 A single sample's p = inf decision (perfect decisions, k-means centroid
 decisions, empty-cluster repair, random starts) needs no LP: it is the
@@ -28,8 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import (
     DataSet,
@@ -42,7 +44,6 @@ from .core import (
     as_decisions,
     as_vector,
     cluster_members,
-    logger,
 )
 
 
@@ -151,12 +152,24 @@ def cheapest_slot_schedule(params: PcsParams) -> np.ndarray:
     return x
 
 
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
+    """``scipy.optimize.linprog``, imported on the first call so that importing
+    dmoc does not import scipy. A module-level name, so that tests and the
+    benchmark tracer (``perfbench/tracing.py``) can wrap it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
+
+
 def epigraph_lp_representative(data, member_indices, params: PcsParams) -> np.ndarray:
     """Reference solver at p = inf: minimize sum_n t_n with w_tau(x + g_n) <= t_n.
 
     Variables are (x, t_1..t_n). Nonnegative data lets the absolute values in
-    the norm be dropped from the epigraph constraints. Solved with HiGHS.
+    the norm be dropped from the epigraph constraints. Solved with HiGHS, so
+    it needs scipy; no solver route calls it.
     """
+    from scipy import sparse
+
     if params.p != math.inf:
         raise ValueError("the epigraph LP applies only at p = inf")
     G = _member_values(data, member_indices)
@@ -483,8 +496,9 @@ def projected_subgradient_representative(
 def solve_representative(data, member_indices, params: PcsParams, warm_start=None) -> np.ndarray:
     """Best representative consumption profile for a cluster.
 
-    Dispatches on p: the cheapest-slot fill at p = 1, the epigraph LP at
-    p = inf, the level subgradient method otherwise. When a feasible warm
+    Dispatches on p: the cheapest-slot fill at p = 1, the interior-point
+    method on the epigraph LP at p = inf, the level subgradient method
+    otherwise; a solver failure raises SolverError. When a feasible warm
     start is supplied the returned profile is never worse than it (the better
     of the two is kept), which keeps alternating optimization monotone.
     """
@@ -492,11 +506,7 @@ def solve_representative(data, member_indices, params: PcsParams, warm_start=Non
     if params.p == 1:
         x = cheapest_slot_schedule(params)
     elif params.p == math.inf:
-        try:
-            x = interior_point_representative(G, range(G.shape[0]), params)
-        except SolverError as err:
-            logger.warning("%s; solving the epigraph LP with HiGHS instead", err)
-            x = epigraph_lp_representative(G, range(G.shape[0]), params)
+        x = interior_point_representative(G, range(G.shape[0]), params)
     else:
         x = projected_subgradient_representative(G, range(G.shape[0]), params, warm_start=warm_start)
     if warm_start is not None:

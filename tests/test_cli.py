@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -110,6 +115,16 @@ class TestCluster:
             "--out-dir", str(tmp_path / "o"),
         )
         assert code == cli.EXIT_DATA
+
+    def test_unparsable_p_is_usage_error(self, pcs_data_file, tmp_path, capsys):
+        code = run_cli(
+            "cluster", "--data", str(pcs_data_file), "--clusters", "2", "--seed", "0",
+            "--slots", "6", "--energy", "6.0", "--p", "abc", "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: p ") and "'abc'" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEval:
@@ -270,6 +285,16 @@ class TestExperiment:
             assert err.startswith(f"usage error: {section}") and named in err
             assert not (tmp_path / "o").exists()
 
+    def test_unparsable_metric_p_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        config = yaml.safe_load(loss_curve_config(tmp_path, out_dir).read_text())
+        config["metric"]["p"] = "abc"
+        path = tmp_path / "bad_p.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: p ")
+        assert not out_dir.exists()
+
     def test_solver_failure_is_solver_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 2)
         config = {
@@ -284,3 +309,34 @@ class TestExperiment:
         path = tmp_path / "solver_fail.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run_cli("experiment", str(path)) == cli.EXIT_SOLVER
+
+
+class TestScipyFreeRuntime:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy set to None in sys.modules makes every scipy import fail
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+from dmoc import cli
+out = {str(tmp_path)!r}
+def run(*argv):
+    code = cli.main(list(argv))
+    assert code == cli.EXIT_OK, (argv, code)
+run("gen", "--out", out + "/pcs.csv", "--seed", "3", "--slots", "6", "--samples", "24")
+run("cluster", "--data", out + "/pcs.csv", "--clusters", "3", "--seed", "1", "--slots", "6",
+    "--energy", "6.0", "--p", "inf", "--out-dir", out + "/pcs")
+run("eval", "--data", out + "/pcs.csv", "--slots", "6", "--energy", "6.0")
+run("gen", "--kind", "rtp", "--out", out + "/rtp.csv", "--seed", "4", "--consumers", "3",
+    "--slots", "4", "--samples", "8")
+run("cluster", "--data", out + "/rtp.csv", "--metric", "rtp", "--consumers", "3",
+    "--slots", "4", "--clusters", "2", "--seed", "1", "--out-dir", out + "/rtp")
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pcs" / "representatives.csv").exists()
+        assert (tmp_path / "rtp" / "representatives.csv").exists()

@@ -79,6 +79,23 @@ class TestUpdateRepresentatives:
             update_representatives(PCS, data, Partition([1], 2))
         assert err.value.cluster == 0
 
+    def test_warm_starts_are_validated(self):
+        data = gen_synthetic_pcs(archetypes=2, n_slots=4, n_samples=10, seed=4)
+        partition = Partition([0, 1] * 5, 2)
+        for p in (math.inf, 2):
+            spec = MetricSpec.for_pcs(n_slots=4, p=p, energy=4.0, x_max=3.0)
+            # zero consumption misses the energy need; it would beat every feasible profile
+            with pytest.raises(InfeasibleDecisionError):
+                update_representatives(spec, data, partition, warm_starts=np.zeros((2, 4)))
+            with pytest.raises(DmocError, match="1 decisions for 2 clusters"):
+                update_representatives(spec, data, partition, warm_starts=np.ones((1, 4)))
+            ops, warm = metric_ops(spec), np.ones((2, 4))
+            reps = update_representatives(spec, data, partition, warm_starts=warm)
+            assert ops.feasible(reps).all()
+            for m in range(2):
+                values = data.values[partition.members(m)]
+                assert ops.utilities(reps[m], values).sum() >= ops.utilities(warm[m], values).sum()
+
 
 class TestRunDmoc:
     def test_m_equals_n_reaches_perfect(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmoc.core import DimensionError, EmptyClusterError, PcsParams, SolverError
-from dmoc import pcs
+from dmoc.core import DimensionError, EmptyClusterError, MetricSpec, PcsParams, SolverError
+from dmoc import EngineConfig, cli, pcs, run_dmoc
+from dmoc.data import gen_synthetic_pcs, save_profiles
 
 from oracles import (
     finite_difference_gradient,
@@ -272,17 +273,23 @@ class TestInteriorPoint:
         pcs.solve_representative(members, range(5), params())
         assert len(calls) == 1
 
-    def test_falls_back_to_highs(self, monkeypatch, caplog):
-        def not_converged(*args, **kwargs):
-            raise SolverError("interior-point method stopped at relative duality gap 1e-03")
+    def test_failure_is_a_solver_error(self, monkeypatch, tmp_path):
+        # no iteration runs, so no iterate certifies a gap; no other solver is tried
+        monkeypatch.setattr(pcs, "_IPM_MAX_ITERS", 0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=24, seed=3)
+        spec = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0)
+        with pytest.raises(SolverError) as err:
+            run_dmoc(spec, data, EngineConfig(n_clusters=3, seed=1))
+        assert err.value.cluster is not None
+        assert "duality gap" in str(err.value)
 
-        monkeypatch.setattr(pcs, "interior_point_representative", not_converged)
-        p = params(n_slots=4, energy=4.0, x_max=2.0)
-        members = np.random.default_rng(78).uniform(0.0, 3.0, size=(7, 4))
-        with caplog.at_level("WARNING", logger="dmoc"):
-            x = pcs.solve_representative(members, range(7), p)
-        np.testing.assert_array_equal(x, pcs.epigraph_lp_representative(members, range(7), p))
-        assert "HiGHS" in caplog.text
+        path = tmp_path / "profiles.csv"
+        save_profiles(data, path)
+        code = cli.main([
+            "cluster", "--data", str(path), "--clusters", "3", "--seed", "1",
+            "--slots", "6", "--energy", "6.0", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == cli.EXIT_SOLVER
 
 
 class TestProjection:
