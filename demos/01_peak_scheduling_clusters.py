@@ -12,10 +12,11 @@ clustering as the cluster budget grows.
 
 import math
 
-from dmoc import EngineConfig, MetricSpec, run_dmoc
-from dmoc.baselines import kmc_pipeline
+from dmoc import EngineConfig, MetricSpec
 from dmoc.data import gen_synthetic_pcs
-from dmoc.evaluation import peak_entropy, peak_histogram, perfect_objective, relative_loss
+from dmoc.evaluation import (
+    peak_entropy, peak_histogram, perfect_objective, relative_loss, run_schemes,
+)
 
 # a year of daily profiles, 24 slots, three planted peak-time archetypes
 data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=365, seed=7, jitter=1)
@@ -29,8 +30,8 @@ print(f"perfect baseline (one optimal schedule per day): {f_perfect:.2f}\n")
 
 print(f"{'M':>3} {'kmc loss %':>11} {'dmoc loss %':>12}")
 for m in (1, 2, 3, 4, 6, 10):
-    kmc = kmc_pipeline(spec, data, m, seed=m)
-    dmoc = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=m, init="kmeans"))
+    config = EngineConfig(n_clusters=m, seed=m, init="kmeans")
+    kmc, dmoc = run_schemes(("kmc", "dmoc"), spec, data, config).values()
     print(
         f"{m:>3} {relative_loss(f_perfect, kmc.objective):>11.2f} "
         f"{relative_loss(f_perfect, dmoc.objective):>12.2f}"

@@ -14,9 +14,8 @@ pipeline on a year of random days.
 
 import numpy as np
 
-from dmoc import EngineConfig, MetricSpec, run_dmoc
-from dmoc.baselines import kmc_pipeline
-from dmoc.evaluation import perfect_objective, relative_loss
+from dmoc import EngineConfig, MetricSpec
+from dmoc.evaluation import perfect_objective, relative_loss, run_schemes
 from dmoc import rtp
 
 spec = MetricSpec.for_rtp(n_consumers=5, n_slots=4, alpha=0.5, a=0.1, b=0.0, c=10.0)
@@ -49,8 +48,8 @@ print(f"cluster average:  {np.round(gbar, 4)}  (tariff = 2/3 of it at these cost
 f_perfect = perfect_objective(spec, data)
 print(f"{'M':>3} {'kmc loss %':>11} {'dmoc loss %':>12}")
 for m in (1, 2, 4, 8, 16):
-    kmc = kmc_pipeline(spec, data, m, seed=m)
-    dmoc = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=m, init="kmeans"))
+    config = EngineConfig(n_clusters=m, seed=m, init="kmeans")
+    kmc, dmoc = run_schemes(("kmc", "dmoc"), spec, data, config).values()
     print(
         f"{m:>3} {relative_loss(f_perfect, kmc.objective):>11.3f} "
         f"{relative_loss(f_perfect, dmoc.objective):>12.3f}"

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from dmoc import EngineConfig, MetricSpec, run_dmoc
-from dmoc.baselines import kmc_pipeline
+from dmoc import EngineConfig, MetricSpec
 from dmoc.core import DataSet
+from dmoc.evaluation import run_schemes
 
 rng = np.random.default_rng(5)
 values = rng.uniform(0.0, 3.0, size=(400, 2))
@@ -21,8 +21,8 @@ data = DataSet(values)
 spec = MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0)
 
 m = 4
-kmc = kmc_pipeline(spec, data, m, seed=2)
-dmoc = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=2, init="kmeans"))
+config = EngineConfig(n_clusters=m, seed=2, init="kmeans")
+kmc, dmoc = run_schemes(("kmc", "dmoc"), spec, data, config).values()
 
 
 def ascii_map(result, title):

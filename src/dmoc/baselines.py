@@ -2,7 +2,8 @@
 
 The pipeline clusters in data space, computes the per-centroid optimal
 decision, and scores those decisions with the true utility on the true
-samples. It is both the comparison baseline and a warm start for the engine.
+samples. It is both the comparison baseline and, through
+``evaluation.run_schemes``, the start of a kmeans-initialized engine run.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ def kmc_pipeline(
     data: DataSet,
     n_clusters: int,
     seed: int,
-    max_iters: int = 100,
 ) -> ClusteringResult:
     """Conventional pipeline: k-means partition + per-centroid optimal decisions.
 
@@ -130,7 +130,7 @@ def kmc_pipeline(
     and the decision problem is solved for it; the reported objective uses the
     true utility of those decisions on the actual samples.
     """
-    km = kmeans(data, n_clusters, seed=seed, max_iters=max_iters)
+    km = kmeans(data, n_clusters, seed=seed)
     ops = metric_ops(spec)
     reps = ops.perfect_decisions(km.centroids)
     assignment = km.assignment.assignment

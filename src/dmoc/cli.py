@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import baselines, evaluation, rtp
+from . import evaluation, rtp
 from .core import DataFormatError, DataSet, DmocError, MetricSpec, PcsParams, RtpParams, SolverError
 from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles
-from .engine import EngineConfig, run_dmoc
+from .engine import EngineConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,6 +81,16 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
     if kind == "rtp":
         return MetricSpec(kind="rtp", rtp=_from_section(RtpParams, cfg, "metric (rtp)"))
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
+
+
+def _engine_settings(config: dict) -> dict:
+    """The ``engine`` section as max_iters, tol and init keywords; another key is a usage error."""
+
+    def engine(max_iters=10, tol=1e-3, init="kmeans"):
+        # PyYAML reads a float such as 1e-3 as a string
+        return {"max_iters": int(max_iters), "tol": float(tol), "init": init}
+
+    return _from_section(engine, config.get("engine") or {}, "engine")
 
 
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
@@ -141,22 +151,17 @@ def _metric_from_args(args) -> MetricSpec:
 
 
 def _cmd_cluster(args) -> int:
-    data = load_profiles(args.data)
     spec = _metric_from_args(args)
+    config = EngineConfig(
+        n_clusters=args.clusters,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        seed=args.seed,
+        init=args.init,
+    )
+    data = load_profiles(args.data)
+    result = evaluation.run_schemes((args.scheme,), spec, data, config)[args.scheme]
     out_dir = Path(args.out_dir)
-    if args.scheme == "kmc":
-        result = baselines.kmc_pipeline(spec, data, args.clusters, seed=args.seed)
-    else:
-        config = EngineConfig(
-            n_clusters=args.clusters,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            seed=args.seed,
-            init=args.init,
-        )
-        result = run_dmoc(
-            spec, data, config, approx_assignment=(args.scheme == "dmoc-approx")
-        )
     t_cols = [f"t{t}" for t in range(spec.decision_dim)]
     _write_csv(
         out_dir / "representatives.csv",
@@ -182,8 +187,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    data = load_profiles(args.data)
     spec = _metric_from_args(args)
+    data = load_profiles(args.data)
     f_perfect = evaluation.perfect_objective(spec, data)
     rows = [["f_perfect", f_perfect]]
     print(f"perfect objective: {format_float(f_perfect)}")
@@ -201,21 +206,12 @@ def _cmd_eval(args) -> int:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, key="loss_curve"):
+def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key="loss_curve"):
     section = config.get(key) or {}
     m_values = list(range(int(section.get("m_min", 1)), int(section.get("m_max", 20)) + 1))
     schemes = tuple(section.get("schemes", evaluation.SCHEMES))
-    engine_cfg = config.get("engine") or {}
     curves = evaluation.loss_curve(
-        spec,
-        data,
-        m_values,
-        schemes=schemes,
-        seed=seed,
-        max_iters=int(engine_cfg.get("max_iters", 10)),
-        tol=float(engine_cfg.get("tol", 1e-3)),
-        init=engine_cfg.get("init", "kmeans"),
-        jobs=jobs,
+        spec, data, m_values, schemes=schemes, seed=seed, jobs=jobs, **engine
     )
     rows = []
     for curve in curves:
@@ -229,21 +225,19 @@ def _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, key="loss_cu
     return [out_dir / f"{key}.csv"]
 
 
-def _experiment_peak_target(config, spec, data, seed, jobs, out_dir):
+def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
     section = config.get("peak_target") or {}
     targets = [float(t) for t in section.get("targets", [])]
     if not targets:
         raise CliUsageError("peak_target experiment requires peak_target.targets")
     schemes = tuple(section.get("schemes", ("dmoc", "kmc")))
     m_max = int(section.get("m_max", 20))
-    engine_cfg = config.get("engine") or {}
 
     def one(task):
         scheme, target = task
         found = evaluation.clusters_for_target(
             spec, data, target, scheme=scheme, m_max=m_max, seed=seed,
-            max_iters=int(engine_cfg.get("max_iters", 10)),
-            tol=float(engine_cfg.get("tol", 1e-3)),
+            max_iters=engine["max_iters"], tol=engine["tol"],
         )
         return -1 if found is None else found
 
@@ -257,26 +251,12 @@ def _experiment_peak_target(config, spec, data, seed, jobs, out_dir):
     return [out_dir / "peak_target.csv"]
 
 
-def _kmc_and_dmoc(config, spec, data, m, seed):
-    """The k-means pipeline and a DMOC run at M clusters (a kmeans init starts from the former)."""
-    engine_cfg = config.get("engine") or {}
-    kmc = baselines.kmc_pipeline(spec, data, m, seed=seed)
-    init = engine_cfg.get("init", "kmeans")
-    engine_config = EngineConfig(
-        n_clusters=m,
-        max_iters=int(engine_cfg.get("max_iters", 10)),
-        tol=float(engine_cfg.get("tol", 1e-3)),
-        seed=seed,
-        init=kmc.representatives if isinstance(init, str) and init == "kmeans" else init,
-    )
-    return kmc, run_dmoc(spec, data, engine_config)
-
-
-def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir):
+def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
     m = int((config.get("geometry2d") or {}).get("clusters", 4))
-    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed)
+    run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
+    kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = [
         [
             float(data.values[n, 0]),
@@ -290,9 +270,10 @@ def _experiment_geometry2d(config, spec, data, seed, jobs, out_dir):
     return [out_dir / "geometry2d.csv"]
 
 
-def _experiment_representatives(config, spec, data, seed, jobs, out_dir):
+def _experiment_representatives(config, spec, data, engine, seed, jobs, out_dir):
     m = int((config.get("representatives") or {}).get("clusters", 3))
-    kmc, dmoc_res = _kmc_and_dmoc(config, spec, data, m, seed)
+    run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
+    kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = []
     for scheme, result in (("kmc", kmc), ("dmoc", dmoc_res)):
         for cluster in range(m):
@@ -326,18 +307,20 @@ def _run_experiment(config: dict, seed: int, jobs: int, out_dir: Path) -> list[P
             "the 'solver' section is not supported: the metric's p fixes the solver route"
         )
     spec = _metric_from_mapping(config.get("metric") or {})
+    engine = _engine_settings(config)
     data = _dataset_from_config(config, seed)
+    args = (config, spec, data, engine, seed, jobs, out_dir)
     if name == "loss_curve":
-        return _experiment_loss_curve(config, spec, data, seed, jobs, out_dir)
+        return _experiment_loss_curve(*args)
     if name == "rtp_loss_curve":
         if spec.kind != "rtp":
             raise CliUsageError("rtp_loss_curve requires an rtp metric")
-        return _experiment_loss_curve(config, spec, data, seed, jobs, out_dir, key="rtp_loss_curve")
+        return _experiment_loss_curve(*args, key="rtp_loss_curve")
     if name == "peak_target":
-        return _experiment_peak_target(config, spec, data, seed, jobs, out_dir)
+        return _experiment_peak_target(*args)
     if name == "geometry2d":
-        return _experiment_geometry2d(config, spec, data, seed, jobs, out_dir)
-    return _experiment_representatives(config, spec, data, seed, jobs, out_dir)
+        return _experiment_geometry2d(*args)
+    return _experiment_representatives(*args)
 
 
 def _cmd_experiment(args) -> int:

@@ -10,7 +10,7 @@ improvement drops to the tolerance or the iteration cap is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,9 @@ class EngineConfig:
 
     ``init`` is "random" (seeded draw of M distinct samples whose per-sample
     optimal decisions become the starting representatives), "kmeans" (start
-    from the conventional-pipeline decisions), or an explicit (M, T) array of
-    feasible starting decisions.
+    from the conventional-pipeline decisions; ``evaluation.run_schemes``
+    resolves it, the engine itself does not run k-means), or an explicit
+    (M, T) array of feasible starting decisions.
     """
 
     n_clusters: int
@@ -164,7 +165,10 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
     if isinstance(config.init, str) and config.init == "kmeans":
-        raise DmocError("init 'kmeans' requires run_dmoc with a MetricSpec")
+        raise DmocError(
+            "init 'kmeans' is resolved by evaluation.run_schemes; "
+            "the engine takes 'random' or explicit decisions"
+        )
     values = data.values
     reps = _initial_reps(ops, data, config)
 
@@ -234,10 +238,4 @@ def run_dmoc(
     ``approx_assignment`` replaces the assignment rule with its p = 2
     surrogate (scheduling only); representatives keep the true metric.
     """
-    ops = metric_ops(spec, approx_assignment=approx_assignment)
-    if isinstance(config.init, str) and config.init == "kmeans":
-        from . import baselines
-
-        start = baselines.kmc_pipeline(spec, data, config.n_clusters, seed=config.seed)
-        config = replace(config, init=start.representatives)
-    return run_dmoc_ops(ops, data, config)
+    return run_dmoc_ops(metric_ops(spec, approx_assignment=approx_assignment), data, config)

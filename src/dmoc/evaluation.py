@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,22 +85,26 @@ def realized_peaks(spec: MetricSpec, result: ClusteringResult, data: DataSet) ->
     return (spec.pcs.weights * (x + data.values)).max(axis=1)
 
 
-def _run_scheme(
-    scheme: str,
-    spec: MetricSpec,
-    data: DataSet,
-    m: int,
-    seed: int,
-    max_iters: int = 10,
-    tol: float = 1e-3,
-    init="kmeans",
-) -> ClusteringResult:
-    if scheme not in SCHEMES:
-        raise DmocError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme == "kmc":
-        return kmc_pipeline(spec, data, m, seed=seed)
-    config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
-    return run_dmoc(spec, data, config, approx_assignment=(scheme == "dmoc-approx"))
+def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig) -> dict:
+    """``{scheme: ClusteringResult}`` for each named scheme at ``config.n_clusters`` clusters.
+
+    The k-means pipeline runs at most once, with ``config.seed``: it is the
+    kmc result, and with ``config.init == "kmeans"`` its decisions are the
+    explicit start of every engine run.
+    """
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise DmocError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    kmeans_init = isinstance(config.init, str) and config.init == "kmeans"
+    kmc = None
+    if kmeans_init or "kmc" in schemes:
+        kmc = kmc_pipeline(spec, data, config.n_clusters, seed=config.seed)
+    if kmeans_init:
+        config = replace(config, init=kmc.representatives)
+    return {
+        s: kmc if s == "kmc" else run_dmoc(spec, data, config, approx_assignment=s == "dmoc-approx")
+        for s in schemes
+    }
 
 
 def fan_out(fn, items, jobs: int) -> dict:
@@ -134,36 +138,22 @@ def loss_curve(
 ) -> list[LossCurve]:
     """Loss-vs-M sweep over clustering schemes.
 
-    Run (scheme, M) uses seed ``seed + M``. The k-means pipeline runs once
-    per M, before the fan-out: it is the kmc result, and its decisions are
-    the explicit start of every kmeans-initialized engine run at that M. With
-    ``jobs > 1`` the independent runs execute in a thread pool; results are
-    keyed, so the output is identical for any job count.
+    The runs at M share seed ``seed + M`` and one ``run_schemes`` call, so
+    the k-means pipeline runs once per M. With ``jobs > 1`` the values of M
+    execute in a thread pool; results are keyed, so the output is identical
+    for any job count.
     """
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise DmocError(f"unknown scheme {scheme!r}")
     m_values = [int(m) for m in m_values]
     f_perfect = perfect_objective(spec, data)
-    kmeans_init = isinstance(init, str) and init == "kmeans"
-    starts = {}
-    if kmeans_init or "kmc" in schemes:
-        starts = fan_out(lambda m: kmc_pipeline(spec, data, m, seed=seed + m), m_values, jobs)
 
-    def one(task):
-        scheme, m = task
-        if scheme == "kmc":
-            return starts[m].objective
-        return _run_scheme(
-            scheme, spec, data, m, seed=seed + m, max_iters=max_iters, tol=tol,
-            init=starts[m].representatives if kmeans_init else init,
-        ).objective
+    def run_at(m):
+        config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init=init)
+        return {s: r.objective for s, r in run_schemes(schemes, spec, data, config).items()}
 
-    results = fan_out(one, [(scheme, m) for scheme in schemes for m in m_values], jobs)
-
+    results = fan_out(run_at, m_values, jobs)
     curves = []
     for scheme in schemes:
-        objectives = tuple(results[(scheme, m)] for m in m_values)
+        objectives = tuple(results[m][scheme] for m in m_values)
         points = tuple((m, relative_loss(f_perfect, f)) for m, f in zip(m_values, objectives))
         curves.append(
             LossCurve(scheme=scheme, points=points, objectives=objectives, f_perfect=f_perfect)
@@ -207,11 +197,17 @@ def clusters_for_target(
     max_iters: int = 10,
     tol: float = 1e-3,
 ) -> int | None:
-    """Smallest M whose worst realized peak is at most the target; None if none."""
+    """Smallest M whose worst realized peak is at most the target; None if none.
+
+    Run M uses seed ``seed + M``; the engine schemes start from k-means.
+    """
     if spec.kind != "pcs" or spec.pcs.p != np.inf:
         raise DmocError("the peak-target search requires a pcs spec with p = inf")
     for m in range(1, m_max + 1):
-        res = _run_scheme(scheme, spec, data, m, seed=seed + m, max_iters=max_iters, tol=tol)
+        config = EngineConfig(
+            n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init="kmeans"
+        )
+        res = run_schemes((scheme,), spec, data, config)[scheme]
         if realized_peaks(spec, res, data).max() <= target_peak_kw:
             return m
     return None

@@ -177,10 +177,9 @@ def test_c05_dominance_and_gap(paper_scale_sweep):
     f_perfect = curves["dmoc"].f_perfect
     ratios = []
     for seed in range(5):
-        kmc = baselines.kmc_pipeline(PAPER_SCALE_SPEC, data, 3, seed=seed)
-        dmoc_res = run_dmoc(
-            PAPER_SCALE_SPEC, data, EngineConfig(n_clusters=3, seed=seed, init="kmeans")
-        )
+        kmc, dmoc_res = evaluation.run_schemes(
+            ("kmc", "dmoc"), PAPER_SCALE_SPEC, data, EngineConfig(n_clusters=3, seed=seed, init="kmeans")
+        ).values()
         loss_dmoc = evaluation.relative_loss(f_perfect, dmoc_res.objective)
         loss_kmc = evaluation.relative_loss(f_perfect, kmc.objective)
         ratios.append(loss_dmoc / loss_kmc)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, check_feasible, run_dmoc
-from dmoc import baselines
+from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, check_feasible
+from dmoc import baselines, evaluation
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import best_two_partition_inertia
@@ -109,8 +109,7 @@ class TestKmcPipeline:
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=8)
         spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=10.0, x_max=3.0)
         for m in (1, 3, 5):
-            kmc = baselines.kmc_pipeline(spec, data, m, seed=3)
-            dmoc_res = run_dmoc(
-                spec, data, EngineConfig(n_clusters=m, seed=3, init="kmeans")
-            )
+            kmc, dmoc_res = evaluation.run_schemes(
+                ("kmc", "dmoc"), spec, data, EngineConfig(n_clusters=m, seed=3, init="kmeans")
+            ).values()
             assert dmoc_res.objective >= kmc.objective

@@ -126,6 +126,15 @@ class TestCluster:
         assert err.startswith("usage error: p ") and "'abc'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_metric_flags_parsed_before_the_data_is_read(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.csv")
+        for argv in (
+            ("cluster", "--data", absent, "--clusters", "2", "--seed", "1", "--p", "abc"),
+            ("eval", "--data", absent, "--p", "abc"),
+        ):
+            assert run_cli(*argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("usage error: p ")
+
 
 class TestEval:
     def test_prints_metrics(self, pcs_data_file, capsys):
@@ -264,18 +273,21 @@ class TestExperiment:
         metric = {"kind": "pcs", "n_slots": 4, "p": "inf", "energy": 4.0}
         synthetic = {"kind": "pcs", "archetypes": 2, "n_slots": 4, "n_samples": 10}
         cases = (
-            # a pcs section without archetypes; an rtp section with them; a misspelt metric field
-            (metric, {"kind": "pcs", "n_slots": 4, "n_samples": 10}, "data.synthetic", "archetypes"),
+            # a pcs section without archetypes; an rtp section with them; a misspelt metric
+            # field; a misspelt engine field beside a key the engine section does not take
+            (metric, {"kind": "pcs", "n_slots": 4, "n_samples": 10}, {}, "data.synthetic", "archetypes"),
             (metric, {"kind": "rtp", "n_consumers": 2, "n_slots": 4, "n_samples": 10,
-                      "archetypes": 2}, "data.synthetic", "archetypes"),
-            ({**metric, "n_slot": 4}, synthetic, "metric", "n_slot"),
+                      "archetypes": 2}, {}, "data.synthetic", "archetypes"),
+            ({**metric, "n_slot": 4}, synthetic, {}, "metric", "n_slot"),
+            (metric, synthetic, {"max_iter": 1, "seed": 99}, "engine", "max_iter"),
         )
-        for metric_section, synthetic_section, section, named in cases:
+        for metric_section, synthetic_section, engine_section, section, named in cases:
             config = {
                 "experiment": "loss_curve",
                 "seed": 1,
                 "out_dir": str(tmp_path / "o"),
                 "metric": metric_section,
+                "engine": engine_section,
                 "data": {"synthetic": synthetic_section},
             }
             path = tmp_path / "sections.yaml"

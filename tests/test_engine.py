@@ -195,11 +195,18 @@ class TestRunDmoc:
     def test_rtp_runs_and_improves(self):
         data = rtp.generate_rtp_scenario(3, 2, 40, seed=10)
         spec = MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.1, c=5.0)
-        res = run_dmoc(spec, data, EngineConfig(n_clusters=4, seed=3, init="kmeans"))
-        kmc = baselines.kmc_pipeline(spec, data, 4, seed=3)
+        kmc, res = evaluation.run_schemes(
+            ("kmc", "dmoc"), spec, data, EngineConfig(n_clusters=4, seed=3, init="kmeans")
+        ).values()
         assert res.objective >= kmc.objective
         diffs = np.diff(res.trace.objectives)
         assert np.all(diffs >= -1e-9)
+
+    def test_kmeans_init_is_resolved_outside_the_engine(self):
+        data = gen_synthetic_pcs(archetypes=2, n_slots=4, n_samples=20, seed=1)
+        spec = MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0, x_max=3.0)
+        with pytest.raises(DmocError, match="run_schemes"):
+            run_dmoc(spec, data, EngineConfig(n_clusters=2, seed=0, init="kmeans"))
 
     def test_approx_assignment_rejected_for_rtp(self):
         data = rtp.generate_rtp_scenario(2, 2, 10, seed=0)
@@ -429,7 +436,8 @@ class TestExactSums:
             values[np.arange(40), rng.integers(0, 2, size=40)] = rng.uniform(3.0, 9.0, size=40)
             data = DataSet(values)
             for m in (2, 3, 4, 5):
-                kmc = baselines.kmc_pipeline(spec, data, m, seed=seed)
-                res = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=seed, init="kmeans"))
+                kmc, res = evaluation.run_schemes(
+                    ("kmc", "dmoc"), spec, data, EngineConfig(n_clusters=m, seed=seed, init="kmeans")
+                ).values()
                 assert res.objective >= kmc.objective
                 assert res.objective == math.fsum(-values[:, :2].max(axis=1))

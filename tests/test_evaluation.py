@@ -140,7 +140,8 @@ class TestClustersForTarget:
 
     def test_loose_target_needs_one_cluster(self, setup):
         spec, data = setup
-        res = evaluation._run_scheme("dmoc", spec, data, 1, seed=1)
+        config = EngineConfig(n_clusters=1, seed=1, init="kmeans")
+        res = evaluation.run_schemes(("dmoc",), spec, data, config)["dmoc"]
         peak = evaluation.realized_peaks(spec, res, data).max()
         assert evaluation.clusters_for_target(spec, data, peak + 0.1, "dmoc", 5, seed=0) == 1
 
@@ -214,10 +215,20 @@ class TestSweeps:
         curves = {c.scheme: c for c in evaluation.loss_curve(PCS6, data, [1, 2, 3], seed=4)}
         assert sorted(starts) == [(1, 5), (2, 6), (3, 7)]
 
-        # the shared start reproduces a kmeans-initialized run at seed + M exactly
+        # the shared start reproduces a run from the k-means decisions at seed + M exactly
         for m, objective in zip([1, 2, 3], curves["dmoc"].objectives):
-            run = run_dmoc(PCS6, data, EngineConfig(n_clusters=m, seed=4 + m, init="kmeans"))
+            init = kmc_pipeline(PCS6, data, m, seed=4 + m).representatives
+            run = run_dmoc(PCS6, data, EngineConfig(n_clusters=m, seed=4 + m, init=init))
             assert objective == run.objective
+
+        starts.clear()
+        config = EngineConfig(n_clusters=3, seed=2, init="kmeans")
+        results = evaluation.run_schemes(("kmc", "dmoc", "dmoc-approx"), PCS6, data, config)
+        assert starts == [(3, 2)]
+        assert list(results) == ["kmc", "dmoc", "dmoc-approx"]
+        starts.clear()
+        evaluation.run_schemes(("dmoc",), PCS6, data, EngineConfig(n_clusters=3, seed=2, init="random"))
+        assert starts == []
 
     def test_unknown_scheme_rejected(self):
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=10, seed=16)
