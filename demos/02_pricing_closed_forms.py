@@ -32,10 +32,10 @@ print(
 # space does not depend on the tariff (so nearest-in-transform = best cluster)
 rng = np.random.default_rng(0)
 g = data.values[0]
-z = rtp.affine_transform(g, params)
+z = rtp.transform_dataset(g, params)[0]
 x1, x2 = rng.uniform(0.5, 1.5, size=(2, 4))
-inv1 = rtp.f1(x1, g, params) + constants.a_tilde * ((z - x1) ** 2).sum()
-inv2 = rtp.f1(x2, g, params) + constants.a_tilde * ((z - x2) ** 2).sum()
+inv1 = rtp.f1_batch(x1, g, params)[0] + constants.a_tilde * ((z - x1) ** 2).sum()
+inv2 = rtp.f1_batch(x2, g, params)[0] + constants.a_tilde * ((z - x2) ** 2).sum()
 print(f"price-invariant remainder at two random tariffs: {inv1:.6f} vs {inv2:.6f}")
 
 # structural fact 2: the closed-form tariff tracks the cluster average

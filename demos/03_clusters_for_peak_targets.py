@@ -1,10 +1,11 @@
 """How many clusters does a peak-power guarantee cost?
 
 Fix a ceiling on the worst realized total load (non-controllable plus
-scheduled). Sweep the cluster budget M upward until every day stays under the
-ceiling, for both clustering schemes. Decision-oriented clusters are shaped
-for exactly this objective, so they hit a given ceiling with far fewer
-clusters; -1 marks ceilings that no budget up to m_max reaches.
+scheduled). One sweep walks the cluster budget M upward and, at each M,
+clusters once with each scheme from a shared k-means start; a ceiling's answer
+is the first M at which every day stays under it. Decision-oriented clusters
+are shaped for exactly this objective, so they hit a given ceiling with far
+fewer clusters; -1 marks ceilings that no budget up to m_max reaches.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from dmoc import MetricSpec
 from dmoc.data import gen_synthetic_pcs
-from dmoc.evaluation import clusters_for_target, perfect_decisions
+from dmoc.evaluation import clusters_for_targets, perfect_decisions
 
 data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=365, seed=12, jitter=1)
 spec = MetricSpec.for_pcs(n_slots=24, p=math.inf, energy=30.0, x_max=3.0)
@@ -23,16 +24,12 @@ ideal = perfect_decisions(spec, data)
 floor = float((ideal + data.values).max(axis=1).max())
 print(f"worst-day peak with per-day optimal schedules: {floor:.3f} kW\n")
 
-targets = np.round(np.arange(floor - 0.05, floor + 0.50, 0.1), 3)
+targets = [float(t) for t in np.round(np.arange(floor - 0.05, floor + 0.50, 0.1), 3)]
+found = clusters_for_targets(spec, data, targets, schemes=("kmc", "dmoc"), m_max=30, seed=1)
 print(f"{'target kW':>10} {'kmc M':>6} {'dmoc M':>7}")
 for target in targets:
-    row = []
-    for scheme in ("kmc", "dmoc"):
-        found = clusters_for_target(
-            spec, data, float(target), scheme=scheme, m_max=30, seed=1
-        )
-        row.append(-1 if found is None else found)
-    print(f"{target:>10.3f} {row[0]:>6} {row[1]:>7}")
+    kmc, dmoc = (-1 if found[s, target] is None else found[s, target] for s in ("kmc", "dmoc"))
+    print(f"{target:>10.3f} {kmc:>6} {dmoc:>7}")
 
 print(
     "\nTighter ceilings inflate the conventional cluster count quickly, while"

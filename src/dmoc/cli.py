@@ -83,14 +83,29 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
 
 
+def _section(config: dict, name: str, fn):
+    """The ``name`` section through ``fn``, whose keyword defaults are its defaults;
+    an unknown key or a value that fn cannot convert is a usage error."""
+    try:
+        return _from_section(fn, config.get(name) or {}, name)
+    except (TypeError, ValueError) as err:
+        raise CliUsageError(f"{name}: {err}") from None
+
+
+def _listed(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _engine_settings(config: dict) -> dict:
-    """The ``engine`` section as max_iters, tol and init keywords; another key is a usage error."""
+    """The ``engine`` section as max_iters, tol and init keywords."""
 
     def engine(max_iters=10, tol=1e-3, init="kmeans"):
         # PyYAML reads a float such as 1e-3 as a string
         return {"max_iters": int(max_iters), "tol": float(tol), "init": init}
 
-    return _from_section(engine, config.get("engine") or {}, "engine")
+    return _section(config, "engine", engine)
 
 
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
@@ -207,9 +222,10 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key="loss_curve"):
-    section = config.get(key) or {}
-    m_values = list(range(int(section.get("m_min", 1)), int(section.get("m_max", 20)) + 1))
-    schemes = tuple(section.get("schemes", evaluation.SCHEMES))
+    def loss_curve(m_min=1, m_max=20, schemes=evaluation.SCHEMES):
+        return range(int(m_min), int(m_max) + 1), _listed(schemes, "schemes")
+
+    m_values, schemes = _section(config, key, loss_curve)
     curves = evaluation.loss_curve(
         spec, data, m_values, schemes=schemes, seed=seed, jobs=jobs, **engine
     )
@@ -226,26 +242,19 @@ def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key=
 
 
 def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
-    section = config.get("peak_target") or {}
-    targets = [float(t) for t in section.get("targets", [])]
+    def peak_target(targets=(), m_max=20, schemes=("dmoc", "kmc")):
+        targets = [float(t) for t in _listed(targets, "targets")]
+        return targets, int(m_max), _listed(schemes, "schemes")
+
+    targets, m_max, schemes = _section(config, "peak_target", peak_target)
     if not targets:
         raise CliUsageError("peak_target experiment requires peak_target.targets")
-    schemes = tuple(section.get("schemes", ("dmoc", "kmc")))
-    m_max = int(section.get("m_max", 20))
-
-    def one(task):
-        scheme, target = task
-        found = evaluation.clusters_for_target(
-            spec, data, target, scheme=scheme, m_max=m_max, seed=seed,
-            max_iters=engine["max_iters"], tol=engine["tol"],
-        )
-        return -1 if found is None else found
-
-    results = evaluation.fan_out(one, [(s, t) for s in schemes for t in targets], jobs)
+    found = evaluation.clusters_for_targets(
+        spec, data, targets, schemes=schemes, m_max=m_max, seed=seed,
+        max_iters=engine["max_iters"], tol=engine["tol"], jobs=jobs,
+    )
     rows = [
-        [scheme, float(target), int(results[(scheme, target)])]
-        for scheme in schemes
-        for target in targets
+        [s, t, -1 if found[s, t] is None else found[s, t]] for s in schemes for t in targets
     ]
     _write_csv(out_dir / "peak_target.csv", ["scheme", "target_kw", "clusters_needed"], rows)
     return [out_dir / "peak_target.csv"]
@@ -254,7 +263,7 @@ def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
 def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
-    m = int((config.get("geometry2d") or {}).get("clusters", 4))
+    m = _section(config, "geometry2d", lambda clusters=4: int(clusters))
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = [
@@ -271,7 +280,7 @@ def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
 
 
 def _experiment_representatives(config, spec, data, engine, seed, jobs, out_dir):
-    m = int((config.get("representatives") or {}).get("clusters", 3))
+    m = _section(config, "representatives", lambda clusters=3: int(clusters))
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = []

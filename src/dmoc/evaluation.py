@@ -187,27 +187,46 @@ def nested_dmoc_sweep(
     return results
 
 
-def clusters_for_target(
+def clusters_for_targets(
     spec: MetricSpec,
     data: DataSet,
-    target_peak_kw: float,
-    scheme: str = "dmoc",
+    targets,
+    schemes=("dmoc", "kmc"),
     m_max: int = 20,
     seed: int = 0,
     max_iters: int = 10,
     tol: float = 1e-3,
-) -> int | None:
-    """Smallest M whose worst realized peak is at most the target; None if none.
+    jobs: int = 1,
+) -> dict:
+    """``{(scheme, target): M}``: the smallest M whose worst realized peak is at
+    most the target, or None if no M up to ``m_max`` reaches it.
 
-    Run M uses seed ``seed + M``; the engine schemes start from k-means.
+    One sweep walks M upward: at each M, one ``run_schemes`` call (seed
+    ``seed + M``, k-means start) runs the schemes that still have an open
+    target, until every target is answered. With ``jobs > 1``, M runs in
+    threaded rounds of ``jobs`` values; the answers never depend on jobs.
     """
     if spec.kind != "pcs" or spec.pcs.p != np.inf:
         raise DmocError("the peak-target search requires a pcs spec with p = inf")
-    for m in range(1, m_max + 1):
+
+    def worst_peaks(m):
         config = EngineConfig(
             n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init="kmeans"
         )
-        res = run_schemes((scheme,), spec, data, config)[scheme]
-        if realized_peaks(spec, res, data).max() <= target_peak_kw:
-            return m
-    return None
+        results = run_schemes(pending, spec, data, config)
+        return {s: realized_peaks(spec, r, data).max() for s, r in results.items()}
+
+    found = {}
+    pending = tuple(schemes)
+    step = max(jobs, 1)
+    for first in range(1, m_max + 1, step):
+        if not pending:
+            break
+        peaks = fan_out(worst_peaks, range(first, min(first + step, m_max + 1)), jobs)
+        for m, peak in peaks.items():
+            for s in pending:
+                for t in targets:
+                    if (s, t) not in found and peak[s] <= t:
+                        found[s, t] = m
+        pending = tuple(s for s in pending if any((s, t) not in found for t in targets))
+    return {(s, t): found.get((s, t)) for s in schemes for t in targets}

@@ -82,11 +82,6 @@ def _norms(loads: np.ndarray, params: PcsParams, p: float) -> np.ndarray:
     return (levels**p).sum(axis=-1) ** (1.0 / p)
 
 
-def f2(x, g, params: PcsParams) -> float:
-    """Scheduling utility: minus the weighted Lp norm of the total load x + g."""
-    return float(-weighted_norms(g, x, params)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Feasible set
 # ---------------------------------------------------------------------------
@@ -563,15 +558,6 @@ def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
             )
         x[:, pos] = np.clip(lam[:, None] / wp - gp, 0.0, params.x_max)
     return x
-
-
-def valley_fill_decision(g, energy: float, x_max: float) -> np.ndarray:
-    """Water-filling for one sample at p = inf with unit weights."""
-    g = as_vector(g, name="profile")
-    if g.size * x_max < energy - FEASIBILITY_TOL:
-        raise SolverError(f"energy {energy} exceeds capacity {g.size * x_max}")
-    params = PcsParams(n_slots=g.size, p=math.inf, energy=energy, x_max=x_max)
-    return water_fill_decisions(g, params)[0]
 
 
 def perfect_decision_pcs(g, params: PcsParams) -> np.ndarray:

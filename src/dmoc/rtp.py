@@ -23,7 +23,6 @@ from .core import (
     MetricOps,
     RtpParams,
     as_decisions,
-    as_vector,
     cluster_means,
     logger,
 )
@@ -81,11 +80,6 @@ def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
     return per_slot.sum(axis=-1)
 
 
-def f1(x, g, params: RtpParams) -> float:
-    """Provider utility of price profile ``x`` for one stacked sample ``g``."""
-    return float(f1_batch(x, np.asarray(g, dtype=float), params)[0])
-
-
 @dataclass(frozen=True)
 class RtpDerivedConstants:
     """Auxiliary scalars of the quadratic completion: a_tilde, kappa, beta."""
@@ -105,12 +99,6 @@ def derived_constants(params: RtpParams) -> RtpDerivedConstants:
     return RtpDerivedConstants(a_tilde=a_tilde, kappa=kappa, beta=beta, n_slots=params.n_slots)
 
 
-def affine_transform(g, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
-    """Map a stacked sample into price space: entry t is kappa * sum_k g_k(t) + beta."""
-    g = as_vector(np.asarray(g, dtype=float), name="sample")
-    return transform_dataset(g, params, constants)[0]
-
-
 def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
     """Affine transform applied row-wise: (N, K*T) -> (N, T)."""
     c = derived_constants(params) if constants is None else constants
@@ -125,11 +113,6 @@ def assign_batch(values, reps, params: RtpParams) -> np.ndarray:
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     d2 = ((z[:, None, :] - reps[None, :, :]) ** 2).sum(axis=-1)
     return np.argmin(d2, axis=1)
-
-
-def assign_cluster_rtp(g, reps, params: RtpParams) -> int:
-    """Best cluster for one sample (ties to the lowest index)."""
-    return int(assign_batch(np.atleast_2d(np.asarray(g, dtype=float)), reps, params)[0])
 
 
 def _values_of(data) -> np.ndarray:

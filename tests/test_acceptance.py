@@ -101,8 +101,8 @@ def test_c02_rtp_closed_form_correctness():
     for _ in range(1000):
         g = rng.uniform(2.0, 3.0, size=12)
         reps = rng.uniform(0.1, 1.9, size=(5, 3))
-        direct = int(np.argmax([rtp.f1(x, g, params) for x in reps]))
-        assert rtp.assign_cluster_rtp(g, reps, params) == direct
+        direct = int(np.argmax([rtp.f1_batch(x, g, params)[0] for x in reps]))
+        assert rtp.assign_batch(g, reps, params)[0] == direct
     print("[PASS] C2 closed-form prices vs numeric oracle, assignment vs direct argmax")
 
 
@@ -115,10 +115,10 @@ def test_c03_decomposition_identity():
     constants = rtp.derived_constants(params)
     for _ in range(1000):
         g = rng.uniform(2.0, 3.0, size=20)
-        z = rtp.affine_transform(g, params, constants=constants)
+        z = rtp.transform_dataset(g, params, constants=constants)[0]
         x1, x2 = rng.uniform(0.0, 1.9, size=(2, 4))
-        lhs = rtp.f1(x1, g, params) + constants.a_tilde * ((z - x1) ** 2).sum()
-        rhs = rtp.f1(x2, g, params) + constants.a_tilde * ((z - x2) ** 2).sum()
+        lhs = rtp.f1_batch(x1, g, params)[0] + constants.a_tilde * ((z - x1) ** 2).sum()
+        rhs = rtp.f1_batch(x2, g, params)[0] + constants.a_tilde * ((z - x2) ** 2).sum()
         assert abs(lhs - rhs) <= 1e-8
     print("[PASS] C3 decomposition identity on 1000 random triples")
 
@@ -157,7 +157,7 @@ def test_c04_pcs_solver_agreement():
     params = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=5.0, x_max=2.0).pcs
     for _ in range(200):
         g = rng.uniform(0.0, 3.0, size=6)
-        wf = pcs.valley_fill_decision(g, params.energy, params.x_max)
+        wf = pcs.water_fill_decisions(g, params)[0]
         lp = pcs.epigraph_lp_representative(g[None, :], [0], params)
         f_wf = pcs_cluster_objective(wf, g[None, :], params.weights, math.inf)
         f_lp = pcs_cluster_objective(lp, g[None, :], params.weights, math.inf)
@@ -287,6 +287,16 @@ def test_c11_byte_identical_outputs_across_jobs(tmp_path):
             "data": {"synthetic": {"kind": "pcs", "archetypes": 2, "n_slots": 2,
                                      "n_samples": 40, "seed": 46}},
             "geometry2d": {"clusters": 4},
+        },
+        # two rounds of M at --jobs 4: kmc meets 3 kW only at M = 6, and 1 kW is unreachable
+        "peak": {
+            "experiment": "peak_target",
+            "seed": 47,
+            "metric": {"kind": "pcs", "n_slots": 8, "p": "inf", "energy": 8.0, "x_max": 3.0},
+            "data": {"synthetic": {"kind": "pcs", "archetypes": 3, "n_slots": 8,
+                                     "n_samples": 60, "seed": 48}},
+            "peak_target": {"targets": [3.5, 3.0, 1.0], "m_max": 6,
+                            "schemes": ["kmc", "dmoc", "dmoc-approx"]},
         },
     }
     for name, config in configs.items():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,63 @@ class TestExperiment:
             err = capsys.readouterr().err
             assert err.startswith(f"usage error: {section}") and named in err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, section",
+        [
+            ("peak_target", {"targets": 3.0}),
+            ("peak_target", {"targets": [3.0], "schemes": "dmoc"}),
+            ("peak_target", {"targets": ["abc"]}),
+            ("peak_target", {"targets": [3.0], "m_max": "x"}),
+            ("peak_target", {"targets": [3.0], "target": [2.0]}),
+            ("loss_curve", {"m_max": "x"}),
+            ("loss_curve", {"schemes": "dmoc"}),
+            ("loss_curve", {"m_min": 1, "mmax": 3}),
+            ("rtp_loss_curve", {"m_min": [1]}),
+            ("rtp_loss_curve", {"schemes": "kmc"}),
+            ("geometry2d", {"clusters": "x"}),
+            ("geometry2d", {"cluster": 3}),
+            ("representatives", {"clusters": [3]}),
+            ("representatives", {"clusters": 3, "scheme": "dmoc"}),
+            ("engine", {"max_iters": "x"}),
+        ],
+    )
+    def test_malformed_experiment_section_is_usage_error(
+        self, tmp_path, capsys, experiment, section
+    ):
+        if experiment == "rtp_loss_curve":
+            metric = {"kind": "rtp", "n_consumers": 2, "n_slots": 2, "alpha": 0.5, "a": 0.1}
+            data = {"kind": "rtp", "n_consumers": 2, "n_slots": 2, "n_samples": 8}
+        else:
+            metric = {"kind": "pcs", "n_slots": 2, "p": "inf", "energy": 2.0, "x_max": 2.0}
+            data = {"kind": "pcs", "archetypes": 2, "n_slots": 2, "n_samples": 8}
+        config = {
+            "experiment": "loss_curve" if experiment == "engine" else experiment,
+            "seed": 1,
+            "out_dir": str(tmp_path / "o"),
+            "metric": metric,
+            "data": {"synthetic": data},
+            experiment: section,
+        }
+        path = tmp_path / "section.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {experiment}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_experiment_config_runs(self, tmp_path):
+        # the documented config, cut to M = 1..2, must stay valid for the section readers
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        config = yaml.safe_load(blocks[0])
+        config["out_dir"] = str(tmp_path / "out")
+        config["loss_curve"]["m_max"] = 2
+        path = tmp_path / "readme.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_OK
+        lines = (tmp_path / "out" / f"{config['experiment']}.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 2
 
     def test_unparsable_metric_p_is_usage_error(self, tmp_path, capsys):
         out_dir = tmp_path / "o"

@@ -18,7 +18,7 @@ class TestPerfectBaseline:
         data = DataSet([[3.0, 0.0]])
         x = pcs.perfect_decision_pcs([3.0, 0.0], spec.pcs)
         assert evaluation.perfect_objective(spec, data) == pytest.approx(
-            pcs.f2(x, [3.0, 0.0], spec.pcs)
+            -pcs.paired_norms([3.0, 0.0], x, spec.pcs)[0]
         )
 
     def test_identical_rtp_samples_scale_linearly(self):
@@ -136,39 +136,108 @@ def setup():
     return PCS6, data
 
 
-class TestClustersForTarget:
+def counting_runs(monkeypatch):
+    """Patch the sweep's k-means pipeline and engine to record (M, seed) starts
+    and (M, scheme) engine runs."""
+    starts, runs = [], []
+    kmc_pipeline, run_dmoc = evaluation.kmc_pipeline, evaluation.run_dmoc
+
+    def counting_kmc_pipeline(spec, data, n_clusters, seed, **kwargs):
+        starts.append((n_clusters, seed))
+        return kmc_pipeline(spec, data, n_clusters, seed=seed, **kwargs)
+
+    def counting_run_dmoc(spec, data, config, approx_assignment=False):
+        runs.append((config.n_clusters, "dmoc-approx" if approx_assignment else "dmoc"))
+        return run_dmoc(spec, data, config, approx_assignment=approx_assignment)
+
+    monkeypatch.setattr(evaluation, "kmc_pipeline", counting_kmc_pipeline)
+    monkeypatch.setattr(evaluation, "run_dmoc", counting_run_dmoc)
+    return starts, runs
+
+
+class TestClustersForTargets:
 
     def test_loose_target_needs_one_cluster(self, setup):
         spec, data = setup
         config = EngineConfig(n_clusters=1, seed=1, init="kmeans")
         res = evaluation.run_schemes(("dmoc",), spec, data, config)["dmoc"]
         peak = evaluation.realized_peaks(spec, res, data).max()
-        assert evaluation.clusters_for_target(spec, data, peak + 0.1, "dmoc", 5, seed=0) == 1
+        found = evaluation.clusters_for_targets(spec, data, [peak + 0.1], ("dmoc",), 5, seed=0)
+        assert found == {("dmoc", peak + 0.1): 1}
 
     def test_impossible_target_not_found(self, setup):
         spec, data = setup
         perfect = evaluation.perfect_decisions(spec, data)
         worst = (perfect + data.values).max(axis=1).max()
-        assert (
-            evaluation.clusters_for_target(spec, data, worst - 0.25, "dmoc", 4, seed=0)
-            is None
-        )
+        found = evaluation.clusters_for_targets(spec, data, [worst - 0.25], ("dmoc",), 4, seed=0)
+        assert found == {("dmoc", worst - 0.25): None}
 
     def test_required_clusters_monotone_in_target(self, setup):
         spec, data = setup
         targets = np.linspace(2.0, 5.0, 7)
-        found = [
-            evaluation.clusters_for_target(spec, data, t, "dmoc", 6, seed=2)
-            for t in targets
-        ]
-        numeric = [math.inf if f is None else f for f in found]
+        found = evaluation.clusters_for_targets(spec, data, targets, ("dmoc",), 6, seed=2)
+        numeric = [math.inf if found["dmoc", t] is None else found["dmoc", t] for t in targets]
         assert all(a >= b for a, b in zip(numeric, numeric[1:]))
 
-    def test_requires_peak_metric(self, setup):
+    def test_requires_peak_metric(self, setup, monkeypatch):
         _, data = setup
+        starts, runs = counting_runs(monkeypatch)
         spec2 = MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0)
         with pytest.raises(DmocError):
-            evaluation.clusters_for_target(spec2, data, 3.0, "dmoc", 3, seed=0)
+            evaluation.clusters_for_targets(spec2, data, [3.0], ("dmoc",), 3, seed=0)
+        assert starts == runs == []
+
+    def test_answers_are_the_first_m_meeting_each_target(self, setup):
+        # at seed 2 the kmc peak is not monotone in M: 3.19 kW at M = 4, 3.28 kW at M = 5
+        spec, data = setup
+        schemes, targets, m_max = ("kmc", "dmoc", "dmoc-approx"), [4.2, 3.2, 3.0, 2.0], 8
+        peaks = {
+            (s, m): evaluation.realized_peaks(spec, run, data).max()
+            for m in range(1, m_max + 1)
+            for s, run in evaluation.run_schemes(
+                schemes, spec, data, EngineConfig(n_clusters=m, seed=2 + m, init="kmeans")
+            ).items()
+        }
+        expected = {
+            (s, t): next((m for m in range(1, m_max + 1) if peaks[s, m] <= t), None)
+            for s in schemes
+            for t in targets
+        }
+        for jobs in (1, 3):
+            found = evaluation.clusters_for_targets(
+                spec, data, targets, schemes, m_max, seed=2, jobs=jobs
+            )
+            assert found == expected
+            assert list(found) == list(expected)
+        assert found["kmc", 3.2] == 4 and found["kmc", 2.0] is None
+
+    def test_one_start_per_m_and_one_engine_run_per_pending_scheme(self, setup, monkeypatch):
+        spec, data = setup
+        schemes, targets = ("kmc", "dmoc", "dmoc-approx"), [4.2, 3.0]
+        found = evaluation.clusters_for_targets(spec, data, targets, schemes, 8, seed=2)
+        starts, runs = counting_runs(monkeypatch)
+        assert evaluation.clusters_for_targets(spec, data, targets, schemes, 8, seed=2) == found
+
+        # the sweep stops at the first M that answers every target, before m_max
+        stop = max(found.values())
+        assert stop < 8
+        assert starts == [(m, 2 + m) for m in range(1, stop + 1)]
+        # an engine scheme runs at every M up to its own last answer, and no further
+        last = {s: max(found[s, t] for t in targets) for s in ("dmoc", "dmoc-approx")}
+        assert last["dmoc"] != last["dmoc-approx"]
+        assert sorted(runs) == sorted((m, s) for s in last for m in range(1, last[s] + 1))
+
+    def test_unreachable_target_runs_to_m_max(self, setup, monkeypatch):
+        spec, data = setup
+        perfect = evaluation.perfect_decisions(spec, data)
+        worst = (perfect + data.values).max(axis=1).max()
+        starts, runs = counting_runs(monkeypatch)
+        found = evaluation.clusters_for_targets(
+            spec, data, [5.0, worst - 0.25], ("dmoc",), 5, seed=0
+        )
+        assert found == {("dmoc", 5.0): 1, ("dmoc", worst - 0.25): None}
+        assert starts == [(m, m) for m in range(1, 6)]
+        assert runs == [(m, "dmoc") for m in range(1, 6)]
 
 
 class TestSweeps:

@@ -24,20 +24,21 @@ def params(**kwargs):
 
 class TestF2:
     def test_peak(self):
-        assert pcs.f2([1.0, 0.0], [2.0, 1.0], params()) == -3.0
+        assert -pcs.paired_norms([2.0, 1.0], [1.0, 0.0], params())[0] == -3.0
 
     def test_total_energy(self):
-        assert pcs.f2([1.0, 0.0], [2.0, 1.0], params(p=1)) == -4.0
+        assert -pcs.paired_norms([2.0, 1.0], [1.0, 0.0], params(p=1))[0] == -4.0
 
     def test_euclidean(self):
-        assert pcs.f2([0.0, 0.0], [3.0, 4.0], params(p=2)) == -5.0
+        assert -pcs.paired_norms([3.0, 4.0], [0.0, 0.0], params(p=2))[0] == -5.0
 
     @given(st.floats(0.1, 5.0))
     def test_weight_scaling_covariance(self, gamma):
         base = params(weights=[1.0, 0.5])
         scaled = params(weights=[gamma, 0.5 * gamma])
         x, g = [1.0, 1.0], [2.0, 0.5]
-        assert pcs.f2(x, g, scaled) == pytest.approx(gamma * pcs.f2(x, g, base))
+        scaled_norm, base_norm = pcs.paired_norms(g, x, scaled)[0], pcs.paired_norms(g, x, base)[0]
+        assert scaled_norm == pytest.approx(gamma * base_norm)
 
 
 def assign(g, reps, p, approx=False):
@@ -400,7 +401,7 @@ class TestPerfectDecision:
         p = params(n_slots=6, energy=5.0, x_max=2.0)
         for _ in range(30):
             g = rng.uniform(0.0, 3.0, size=6)
-            wf = pcs.valley_fill_decision(g, p.energy, p.x_max)
+            wf = pcs.water_fill_decisions(g, p)[0]
             lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
             f_wf = pcs_cluster_objective(wf, g[None, :], p.weights, math.inf)
             f_lp = pcs_cluster_objective(lp, g[None, :], p.weights, math.inf)
@@ -417,10 +418,6 @@ class TestPerfectDecision:
             pcs.perfect_decision_pcs([0.0, big], p), [[0.0, big]], p.weights, math.inf
         )
         assert a == pytest.approx(b, abs=1e-9)
-
-    def test_energy_exceeding_capacity_raises(self):
-        with pytest.raises(SolverError):
-            pcs.valley_fill_decision([1.0, 1.0], 5.0, 2.0)
 
 
 class TestWaterFill:

@@ -38,19 +38,19 @@ class TestConsumerSide:
 
 class TestF1:
     def test_free_price_single_consumer(self):
-        assert rtp.f1([0.0], [2.0], params()) == 4.0
+        assert rtp.f1_batch([0.0], [2.0], params())[0] == 4.0
 
     def test_constant_cost(self):
-        assert rtp.f1([0.0], [2.0], params(c=10.0)) == -6.0
+        assert rtp.f1_batch([0.0], [2.0], params(c=10.0))[0] == -6.0
 
     def test_price_equal_to_g_kills_consumption(self):
         p = params(n_consumers=2, n_slots=3, c=7.0)
         g = np.full(6, 2.5)
-        assert rtp.f1(np.full(3, 2.5), g, p) == pytest.approx(-3 * 7.0)
+        assert rtp.f1_batch(np.full(3, 2.5), g, p)[0] == pytest.approx(-3 * 7.0)
 
     def test_overpricing_clamps_and_warns(self, caplog):
         with caplog.at_level("WARNING", logger="dmoc"):
-            value = rtp.f1([3.0], [2.0], params())
+            value = rtp.f1_batch([3.0], [2.0], params())[0]
         assert value == 0.0
         assert any("over-pricing" in r.message for r in caplog.records)
 
@@ -74,7 +74,7 @@ class TestF1:
         for _ in range(25):
             x = rng.uniform(0.0, 3.5, size=4)
             g = rng.uniform(0.0, 4.0, size=12)
-            assert rtp.f1(x, g, p) == pytest.approx(f1_literal(x, g, p), abs=1e-12)
+            assert rtp.f1_batch(x, g, p)[0] == pytest.approx(f1_literal(x, g, p), abs=1e-12)
 
 
 class TestDerivedConstants:
@@ -95,20 +95,20 @@ class TestAffineTransform:
     def test_slot_sums(self):
         p = params(n_consumers=2, n_slots=2, a=0.1)
         constants = rtp.RtpDerivedConstants(a_tilde=1.0, kappa=0.5, beta=0.0, n_slots=2)
-        out = rtp.affine_transform([1.0, 3.0, 2.0, 2.0], p, constants=constants)
+        out = rtp.transform_dataset([1.0, 3.0, 2.0, 2.0], p, constants=constants)[0]
         np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_zero_kappa_gives_constant(self):
         p = params(n_consumers=3, n_slots=2, b=1.0)
         c = rtp.derived_constants(p)
-        out = rtp.affine_transform(np.arange(6, dtype=float), p)
+        out = rtp.transform_dataset(np.arange(6, dtype=float), p)[0]
         np.testing.assert_allclose(out, np.full(2, c.beta))
 
     def test_identity_case(self):
         p = params(n_consumers=1, n_slots=3, a=0.2)
         constants = rtp.RtpDerivedConstants(a_tilde=1.0, kappa=1.0, beta=0.0, n_slots=3)
         g = np.array([0.7, 1.1, 2.9])
-        np.testing.assert_allclose(rtp.affine_transform(g, p, constants=constants), g)
+        np.testing.assert_allclose(rtp.transform_dataset(g, p, constants=constants)[0], g)
 
 
 class TestAssignment:
@@ -116,13 +116,13 @@ class TestAssignment:
         p = params(n_consumers=2, n_slots=2, a=0.1)
         c = rtp.derived_constants(p)
         g = np.array([1.0, 3.0, 2.0, 2.0])
-        z = rtp.affine_transform(g, p)
+        z = rtp.transform_dataset(g, p)[0]
         reps = np.array([z, z + 3.0])
-        assert rtp.assign_cluster_rtp(g, reps, p) == 0
+        assert rtp.assign_batch(g, reps, p)[0] == 0
 
     def test_single_rep(self):
         p = params(n_consumers=2, n_slots=2, a=0.1)
-        assert rtp.assign_cluster_rtp(np.ones(4), np.ones((1, 2)), p) == 0
+        assert rtp.assign_batch(np.ones(4), np.ones((1, 2)), p)[0] == 0
 
     def test_argmax_equivalence_with_direct_f1(self):
         p = params(n_consumers=3, n_slots=2, a=0.15, b=0.05, c=1.0)
@@ -130,8 +130,8 @@ class TestAssignment:
         for _ in range(200):
             g = rng.uniform(2.0, 3.0, size=6)
             reps = rng.uniform(0.1, 1.9, size=(4, 2))
-            direct = int(np.argmax([rtp.f1(x, g, p) for x in reps]))
-            assert rtp.assign_cluster_rtp(g, reps, p) == direct
+            direct = int(np.argmax([rtp.f1_batch(x, g, p)[0] for x in reps]))
+            assert rtp.assign_batch(g, reps, p)[0] == direct
 
 
 class TestClosedFormRepresentative:
@@ -200,10 +200,10 @@ class TestDecompositionProperty:
         rng = np.random.default_rng(8)
         for _ in range(100):
             g = rng.uniform(2.0, 3.0, size=12)
-            z = rtp.affine_transform(g, p)
+            z = rtp.transform_dataset(g, p)[0]
             x1, x2 = rng.uniform(0.0, 1.9, size=(2, 3))
-            lhs = rtp.f1(x1, g, p) + c.a_tilde * ((z - x1) ** 2).sum()
-            rhs = rtp.f1(x2, g, p) + c.a_tilde * ((z - x2) ** 2).sum()
+            lhs = rtp.f1_batch(x1, g, p)[0] + c.a_tilde * ((z - x1) ** 2).sum()
+            rhs = rtp.f1_batch(x2, g, p)[0] + c.a_tilde * ((z - x2) ** 2).sum()
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_closed_form_beats_perturbations(self):
@@ -211,9 +211,9 @@ class TestDecompositionProperty:
         rng = np.random.default_rng(5)
         members = rng.uniform(2.0, 3.0, size=(6, 6))
         star = rtp.closed_form_representative(members, range(6), p)
-        best = sum(rtp.f1(star, g, p) for g in members)
+        best = rtp.f1_batch(star, members, p).sum()
         for _ in range(100):
             delta = rng.normal(size=2)
             perturbed = np.clip(star + 1e-3 * delta, 0.0, None)
-            value = sum(rtp.f1(perturbed, g, p) for g in members)
+            value = rtp.f1_batch(perturbed, members, p).sum()
             assert value <= best + 1e-12
