@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import logging
 import math
@@ -29,9 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
-
-EXPERIMENTS = ("loss_curve", "peak_target", "geometry2d", "representatives", "rtp_loss_curve")
-
 
 class CliUsageError(Exception):
     pass
@@ -83,13 +81,19 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
 
 
-def _section(config: dict, name: str, fn):
-    """The ``name`` section through ``fn``, whose keyword defaults are its defaults;
-    an unknown key or a value that fn cannot convert is a usage error."""
+def _read(fn, section: dict | None, name: str):
+    """``fn(**section)`` through a reader whose keyword defaults are its defaults; an
+    unknown key, or a value that fn cannot convert or rejects, is a usage error."""
     try:
-        return _from_section(fn, config.get(name) or {}, name)
+        return _from_section(fn, section or {}, name)
     except (TypeError, ValueError) as err:
         raise CliUsageError(f"{name}: {err}") from None
+
+
+def _given(args, fn) -> dict:
+    """The parsed flags whose destinations are parameters of fn."""
+    params = inspect.signature(fn).parameters
+    return {k: v for k, v in vars(args).items() if k in params}
 
 
 def _listed(value, key: str) -> tuple:
@@ -98,14 +102,23 @@ def _listed(value, key: str) -> tuple:
     return tuple(value)
 
 
-def _engine_settings(config: dict) -> dict:
-    """The ``engine`` section as max_iters, tol and init keywords."""
+def _schemes(value) -> tuple:
+    schemes = _listed(value, "schemes")
+    for s in schemes:
+        if s not in evaluation.SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; expected one of {evaluation.SCHEMES}")
+    return schemes
 
-    def engine(max_iters=10, tol=1e-3, init="kmeans"):
-        # PyYAML reads a float such as 1e-3 as a string
-        return {"max_iters": int(max_iters), "tol": float(tol), "init": init}
 
-    return _section(config, "engine", engine)
+def _engine(max_iters=10, tol=1e-3, init="kmeans"):
+    """The engine settings, from the ``engine`` section or the ``cluster`` flags."""
+    if init not in ("random", "kmeans"):
+        raise ValueError(f"init must be 'random' or 'kmeans', got {init!r}")
+    # PyYAML reads a float such as 1e-3 as a string
+    return {"max_iters": int(max_iters), "tol": float(tol), "init": init}
+
+
+GENERATORS = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}
 
 
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
@@ -118,10 +131,9 @@ def _dataset_from_config(config: dict, seed: int) -> DataSet:
     synth = dict(synth)
     kind = synth.pop("kind", "pcs")
     synth.setdefault("seed", seed)
-    generate = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}.get(kind)
-    if generate is None:
+    if kind not in GENERATORS:
         raise CliUsageError(f"unknown synthetic data kind {kind!r}")
-    return _from_section(generate, synth, f"data.synthetic ({kind})")
+    return _from_section(GENERATORS[kind], synth, f"data.synthetic ({kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +141,9 @@ def _dataset_from_config(config: dict, seed: int) -> DataSet:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "pcs":
-        data = gen_synthetic_pcs(
-            archetypes=args.archetypes,
-            n_slots=args.slots,
-            n_samples=args.samples,
-            seed=args.seed,
-            peak_kw=args.peak_kw,
-            base_kw=args.base_kw,
-            jitter=args.jitter,
-        )
-    else:
-        data = rtp.generate_rtp_scenario(
-            n_consumers=args.consumers,
-            n_slots=args.slots,
-            n_samples=args.samples,
-            seed=args.seed,
-            g_low=args.g_low,
-            g_high=args.g_high,
-        )
+    # the data flags are the given flags besides --kind and --out
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
+    data = _from_section(GENERATORS[args.kind], params, f"gen --kind {args.kind}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_profiles(data, args.out)
     print(f"wrote {data.n} x {data.dim} profiles to {args.out}")
@@ -155,25 +151,14 @@ def _cmd_gen(args) -> int:
 
 
 def _metric_from_args(args) -> MetricSpec:
-    if args.metric == "pcs":
-        return _metric_from_mapping(
-            dict(kind="pcs", n_slots=args.slots, p=args.p, energy=args.energy, x_max=args.x_max)
-        )
-    return _metric_from_mapping(
-        dict(kind="rtp", n_consumers=args.consumers, n_slots=args.slots, alpha=args.alpha,
-             a=args.a, b=args.b, c=args.c)
-    )
+    params = PcsParams if args.metric == "pcs" else RtpParams
+    return _metric_from_mapping({"kind": args.metric, **_given(args, params)})
 
 
 def _cmd_cluster(args) -> int:
     spec = _metric_from_args(args)
-    config = EngineConfig(
-        n_clusters=args.clusters,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        init=args.init,
-    )
+    engine = _read(_engine, _given(args, _engine), "cluster")
+    config = EngineConfig(n_clusters=args.n_clusters, seed=args.seed, **engine)
     data = load_profiles(args.data)
     result = evaluation.run_schemes((args.scheme,), spec, data, config)[args.scheme]
     out_dir = Path(args.out_dir)
@@ -222,10 +207,16 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key="loss_curve"):
-    def loss_curve(m_min=1, m_max=20, schemes=evaluation.SCHEMES):
-        return range(int(m_min), int(m_max) + 1), _listed(schemes, "schemes")
+    if key == "rtp_loss_curve" and spec.kind != "rtp":
+        raise CliUsageError("rtp_loss_curve requires an rtp metric")
 
-    m_values, schemes = _section(config, key, loss_curve)
+    def loss_curve(m_min=1, m_max=20, schemes=evaluation.SCHEMES):
+        m_min, m_max = int(m_min), int(m_max)
+        if not 1 <= m_min <= m_max:
+            raise ValueError(f"need 1 <= m_min <= m_max, got m_min = {m_min}, m_max = {m_max}")
+        return range(m_min, m_max + 1), _schemes(schemes)
+
+    m_values, schemes = _read(loss_curve, config.get(key), key)
     curves = evaluation.loss_curve(
         spec, data, m_values, schemes=schemes, seed=seed, jobs=jobs, **engine
     )
@@ -244,9 +235,11 @@ def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key=
 def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
     def peak_target(targets=(), m_max=20, schemes=("dmoc", "kmc")):
         targets = [float(t) for t in _listed(targets, "targets")]
-        return targets, int(m_max), _listed(schemes, "schemes")
+        if int(m_max) < 1:
+            raise ValueError(f"m_max must be >= 1, got {m_max}")
+        return targets, int(m_max), _schemes(schemes)
 
-    targets, m_max, schemes = _section(config, "peak_target", peak_target)
+    targets, m_max, schemes = _read(peak_target, config.get("peak_target"), "peak_target")
     if not targets:
         raise CliUsageError("peak_target experiment requires peak_target.targets")
     found = evaluation.clusters_for_targets(
@@ -263,7 +256,7 @@ def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
 def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
-    m = _section(config, "geometry2d", lambda clusters=4: int(clusters))
+    m = _read(lambda clusters=4: int(clusters), config.get("geometry2d"), "geometry2d")
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = [
@@ -280,7 +273,7 @@ def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
 
 
 def _experiment_representatives(config, spec, data, engine, seed, jobs, out_dir):
-    m = _section(config, "representatives", lambda clusters=3: int(clusters))
+    m = _read(lambda clusters=3: int(clusters), config.get("representatives"), "representatives")
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = []
@@ -307,29 +300,27 @@ def _experiment_representatives(config, spec, data, engine, seed, jobs, out_dir)
     return [out_dir / "representatives.csv"]
 
 
+EXPERIMENTS = {
+    "loss_curve": _experiment_loss_curve,
+    "peak_target": _experiment_peak_target,
+    "geometry2d": _experiment_geometry2d,
+    "representatives": _experiment_representatives,
+    "rtp_loss_curve": functools.partial(_experiment_loss_curve, key="rtp_loss_curve"),
+}
+
+
 def _run_experiment(config: dict, seed: int, jobs: int, out_dir: Path) -> list[Path]:
     name = config.get("experiment")
     if name not in EXPERIMENTS:
-        raise CliUsageError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
+        raise CliUsageError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {name!r}")
     if "solver" in config:
         raise CliUsageError(
             "the 'solver' section is not supported: the metric's p fixes the solver route"
         )
     spec = _metric_from_mapping(config.get("metric") or {})
-    engine = _engine_settings(config)
+    engine = _read(_engine, config.get("engine"), "engine")
     data = _dataset_from_config(config, seed)
-    args = (config, spec, data, engine, seed, jobs, out_dir)
-    if name == "loss_curve":
-        return _experiment_loss_curve(*args)
-    if name == "rtp_loss_curve":
-        if spec.kind != "rtp":
-            raise CliUsageError("rtp_loss_curve requires an rtp metric")
-        return _experiment_loss_curve(*args, key="rtp_loss_curve")
-    if name == "peak_target":
-        return _experiment_peak_target(*args)
-    if name == "geometry2d":
-        return _experiment_geometry2d(*args)
-    return _experiment_representatives(*args)
+    return EXPERIMENTS[name](config, spec, data, engine, seed, jobs, out_dir)
 
 
 def _cmd_experiment(args) -> int:
@@ -357,41 +348,48 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dmoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate synthetic profiles")
-    gen.add_argument("--kind", choices=("pcs", "rtp"), default="pcs")
+    # gen's data flags and cluster's engine flags have no argparse default: only the
+    # given ones reach the generator and the engine reader, whose signatures hold them
+    gen = sub.add_parser(
+        "gen", help="generate synthetic profiles", argument_default=argparse.SUPPRESS
+    )
+    gen.add_argument("--kind", choices=tuple(GENERATORS), default="pcs")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--slots", type=int, default=24)
-    gen.add_argument("--samples", type=int, default=365)
-    gen.add_argument("--archetypes", type=int, default=3)
-    gen.add_argument("--peak-kw", type=float, default=2.0)
-    gen.add_argument("--base-kw", type=float, default=0.4)
-    gen.add_argument("--jitter", type=int, default=1)
-    gen.add_argument("--consumers", type=int, default=5)
-    gen.add_argument("--g-low", type=float, default=2.0)
-    gen.add_argument("--g-high", type=float, default=3.0)
+    gen.add_argument("--slots", dest="n_slots", type=int)
+    gen.add_argument("--samples", dest="n_samples", type=int)
+    gen.add_argument("--archetypes", type=int)
+    gen.add_argument("--peak-kw", type=float)
+    gen.add_argument("--base-kw", type=float)
+    gen.add_argument("--jitter", type=int)
+    gen.add_argument("--consumers", dest="n_consumers", type=int)
+    gen.add_argument("--g-low", type=float)
+    gen.add_argument("--g-high", type=float)
     gen.set_defaults(func=_cmd_gen)
 
     def add_metric_args(p):
         p.add_argument("--metric", choices=("pcs", "rtp"), default="pcs")
-        p.add_argument("--slots", type=int, default=24)
+        p.add_argument("--slots", dest="n_slots", type=int, default=24)
         p.add_argument("--p", default="inf", help="norm exponent (integer or 'inf')")
         p.add_argument("--energy", type=float, default=30.0)
         p.add_argument("--x-max", type=float, default=3.0)
-        p.add_argument("--consumers", type=int, default=5)
+        p.add_argument("--consumers", dest="n_consumers", type=int, default=5)
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--a", type=float, default=0.1)
         p.add_argument("--b", type=float, default=0.0)
         p.add_argument("--c", type=float, default=10.0)
 
-    cluster = sub.add_parser("cluster", help="run one clustering scheme on a data file")
+    cluster = sub.add_parser(
+        "cluster", help="run one clustering scheme on a data file",
+        argument_default=argparse.SUPPRESS,
+    )
     cluster.add_argument("--data", required=True)
     cluster.add_argument("--scheme", choices=evaluation.SCHEMES, default="dmoc")
-    cluster.add_argument("--clusters", type=int, required=True)
+    cluster.add_argument("--clusters", dest="n_clusters", type=int, required=True)
     cluster.add_argument("--seed", type=int, required=True)
-    cluster.add_argument("--max-iters", type=int, default=10)
-    cluster.add_argument("--tol", type=float, default=1e-3)
-    cluster.add_argument("--init", choices=("random", "kmeans"), default="kmeans")
+    cluster.add_argument("--max-iters", type=int)
+    cluster.add_argument("--tol", type=float)
+    cluster.add_argument("--init", help="kmeans or random")
     cluster.add_argument("--out-dir", default="out")
     add_metric_args(cluster)
     cluster.set_defaults(func=_cmd_cluster)

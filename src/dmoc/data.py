@@ -83,7 +83,7 @@ def save_profiles(data: DataSet, path) -> None:
 
 
 def gen_synthetic_pcs(
-    archetypes: int,
+    archetypes: int = 3,
     n_slots: int = 24,
     n_samples: int = 365,
     seed: int = 0,

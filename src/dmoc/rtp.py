@@ -153,10 +153,10 @@ def perfect_prices(values, params: RtpParams) -> np.ndarray:
 
 
 def generate_rtp_scenario(
-    n_consumers: int,
-    n_slots: int,
-    n_samples: int,
-    seed: int,
+    n_consumers: int = 5,
+    n_slots: int = 24,
+    n_samples: int = 365,
+    seed: int = 0,
     g_low: float = 2.0,
     g_high: float = 3.0,
 ) -> DataSet:

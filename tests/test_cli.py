@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from dmoc import cli, load_profiles, pcs
+from dmoc import (
+    EngineConfig, MetricSpec, PcsParams, RtpParams, cli, evaluation, gen_synthetic_pcs,
+    load_profiles, pcs, rtp, save_profiles,
+)
 
 
 def run_cli(*argv):
@@ -70,6 +74,16 @@ class TestGen:
     def test_seed_required(self, tmp_path, capsys):
         code = run_cli("gen", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
+
+    def test_flag_the_kind_does_not_take_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for kind, flag, param in (("rtp", "--archetypes", "archetypes"),
+                                  ("pcs", "--consumers", "n_consumers")):
+            code = run_cli("gen", "--kind", kind, flag, "3", "--out", str(out), "--seed", "1")
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: gen --kind {kind}: ") and param in err
+            assert not out.exists()
 
     def test_log_level_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMOC_LOG", "DEBUG")
@@ -146,6 +160,84 @@ class TestEval:
         out = capsys.readouterr().out
         assert "perfect objective" in out
         assert "peak entropy" in out
+
+
+class TestFlags:
+    """Every gen, cluster and metric flag reaches the parameter of the same name: the files
+    written equal, byte for byte, those of the direct library call."""
+
+    def test_gen_flags(self, tmp_path):
+        cases = (
+            (["--kind", "pcs", "--archetypes", "4", "--slots", "10", "--samples", "30",
+              "--peak-kw", "2.5", "--base-kw", "0.3", "--jitter", "2", "--seed", "5"],
+             gen_synthetic_pcs(archetypes=4, n_slots=10, n_samples=30, seed=5, peak_kw=2.5,
+                               base_kw=0.3, jitter=2)),
+            (["--kind", "rtp", "--consumers", "3", "--slots", "4", "--samples", "20",
+              "--g-low", "1.5", "--g-high", "2.5", "--seed", "6"],
+             rtp.generate_rtp_scenario(n_consumers=3, n_slots=4, n_samples=20, seed=6,
+                                       g_low=1.5, g_high=2.5)),
+        )
+        for flags, data in cases:
+            out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+            assert run_cli("gen", "--out", str(out), *flags) == cli.EXIT_OK
+            save_profiles(data, expected)
+            assert out.read_bytes() == expected.read_bytes()
+
+    def test_cluster_flags(self, tmp_path):
+        # the pcs run stops on --tol after 2 iterations (4 at the default), the rtp run on
+        # --max-iters after 3 (4 at the default)
+        cases = (
+            ("dmoc-approx", ["--slots", "6", "--p", "2", "--energy", "5.0", "--x-max", "2.5"],
+             MetricSpec(kind="pcs", pcs=PcsParams(n_slots=6, p=2.0, energy=5.0, x_max=2.5)),
+             gen_synthetic_pcs(n_slots=6, n_samples=24, seed=3),
+             ["--clusters", "3", "--seed", "4", "--max-iters", "8", "--tol", "0.5",
+              "--init", "random"],
+             EngineConfig(n_clusters=3, max_iters=8, tol=0.5, seed=4, init="random")),
+            ("dmoc", ["--metric", "rtp", "--consumers", "3", "--slots", "4", "--alpha", "0.6",
+                      "--a", "0.05", "--b", "0.1", "--c", "2.0"],
+             MetricSpec(kind="rtp", rtp=RtpParams(n_consumers=3, n_slots=4, alpha=0.6, a=0.05,
+                                                  b=0.1, c=2.0)),
+             rtp.generate_rtp_scenario(n_consumers=3, n_slots=4, n_samples=24, seed=3),
+             ["--clusters", "3", "--seed", "0", "--max-iters", "3", "--tol", "1e-4",
+              "--init", "random"],
+             EngineConfig(n_clusters=3, max_iters=3, tol=1e-4, seed=0, init="random")),
+        )
+        for scheme, metric, spec, data, engine, config in cases:
+            data_path, out, expected = tmp_path / "data.csv", tmp_path / "cli", tmp_path / "lib"
+            save_profiles(data, data_path)
+            assert run_cli("cluster", "--data", str(data_path), "--scheme", scheme,
+                           "--out-dir", str(out), *engine, *metric) == cli.EXIT_OK
+            # the library run reads the same rounded CSV as the command
+            data = load_profiles(data_path)
+            result = evaluation.run_schemes((scheme,), spec, data, config)[scheme]
+            t_cols = [f"t{t}" for t in range(spec.decision_dim)]
+            cli._write_csv(
+                expected / "representatives.csv", ["cluster"] + t_cols,
+                [[m] + [float(v) for v in row] for m, row in enumerate(result.representatives)],
+            )
+            cli._write_csv(
+                expected / "assignment.csv", ["sample", "cluster"],
+                [[n, int(c)] for n, c in enumerate(result.partition.assignment)],
+            )
+            cli._write_csv(
+                expected / "trace.csv", ["iteration", "objective"],
+                [[q, float(v)] for q, v in enumerate(result.trace.objectives, start=1)],
+            )
+            for name in ("representatives.csv", "assignment.csv", "trace.csv"):
+                assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch):
+        # the documented gen, cluster and eval lines, run as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```bash\n")[1].split("```")[0]
+        block = block.replace("\\\n", " ")  # join continued lines
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv[1:] for argv in lines if argv[1] in ("gen", "cluster", "eval")]
+        assert [argv[0] for argv in commands] == ["gen", "cluster", "eval"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert run_cli(*argv) == cli.EXIT_OK
+        assert load_profiles(tmp_path / "run" / "representatives.csv").n == 3
 
 
 class TestExperiment:
@@ -274,9 +366,9 @@ class TestExperiment:
         metric = {"kind": "pcs", "n_slots": 4, "p": "inf", "energy": 4.0}
         synthetic = {"kind": "pcs", "archetypes": 2, "n_slots": 4, "n_samples": 10}
         cases = (
-            # a pcs section without archetypes; an rtp section with them; a misspelt metric
-            # field; a misspelt engine field beside a key the engine section does not take
-            (metric, {"kind": "pcs", "n_slots": 4, "n_samples": 10}, {}, "data.synthetic", "archetypes"),
+            # a pcs section with an rtp argument; an rtp section with a pcs one; a misspelt
+            # metric field; a misspelt engine field beside a key the engine section does not take
+            (metric, {**synthetic, "n_consumers": 2}, {}, "data.synthetic", "n_consumers"),
             (metric, {"kind": "rtp", "n_consumers": 2, "n_slots": 4, "n_samples": 10,
                       "archetypes": 2}, {}, "data.synthetic", "archetypes"),
             ({**metric, "n_slot": 4}, synthetic, {}, "metric", "n_slot"),
@@ -316,6 +408,11 @@ class TestExperiment:
             ("representatives", {"clusters": [3]}),
             ("representatives", {"clusters": 3, "scheme": "dmoc"}),
             ("engine", {"max_iters": "x"}),
+            ("loss_curve", {"m_max": 2, "schemes": ["dmocx"]}),
+            ("peak_target", {"targets": [3.0], "schemes": ["dmocx"]}),
+            ("loss_curve", {"m_min": 5, "m_max": 2}),
+            ("peak_target", {"targets": [3.0], "m_max": 0}),
+            ("engine", {"init": "foo"}),
         ],
     )
     def test_malformed_experiment_section_is_usage_error(
@@ -338,7 +435,10 @@ class TestExperiment:
         path = tmp_path / "section.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"usage error: {experiment}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {experiment}: ")
+        if section.get("schemes") == ["dmocx"]:
+            assert str(evaluation.SCHEMES) in err
         assert not (tmp_path / "o").exists()
 
     def test_readme_experiment_config_runs(self, tmp_path):
