@@ -20,6 +20,7 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
+    as_decisions,
     cluster_means,
     metric_ops,
 )
@@ -160,7 +161,6 @@ def squared_distance_ops(dim: int) -> MetricOps:
             np.atleast_2d(np.asarray(values, dtype=float)), assignment, clusters
         ),
         perfect_decisions=lambda values: np.atleast_2d(np.array(values, dtype=float)),
-        feasible=lambda decisions: (np.atleast_2d(decisions).shape[1] == dim)
-        & np.all(np.isfinite(np.atleast_2d(np.asarray(decisions, dtype=float))), axis=1),
+        feasible=lambda decisions: np.ones(as_decisions(decisions, dim).shape[0], dtype=bool),
         member_determined=True,
     )

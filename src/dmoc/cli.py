@@ -110,6 +110,15 @@ def _schemes(value) -> tuple:
     return schemes
 
 
+def _integer(value, name: str, least: int) -> int:
+    """A top-level integer setting of at least ``least``, from the config or its flag."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise CliUsageError(
+            f"{name}: expected an integer >= {least} (config '{name}' or --{name}), got {value!r}"
+        )
+    return value
+
+
 def _engine(max_iters=10, tol=1e-3, init="kmeans"):
     """The engine settings, from the ``engine`` section or the ``cluster`` flags."""
     if init not in ("random", "kmeans"):
@@ -330,11 +339,9 @@ def _cmd_experiment(args) -> int:
     with open(config_path) as fh:
         config = yaml.safe_load(fh) or {}
     seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None:
-        raise CliUsageError("a seed is required (config 'seed' or --seed)")
-    jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
+    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
     out_dir = Path(args.out_dir or config.get("out_dir", "out"))
-    files = _run_experiment(config, int(seed), jobs, out_dir)
+    files = _run_experiment(config, _integer(seed, "seed", 0), _integer(jobs, "jobs", 1), out_dir)
     for f in files:
         print(f"wrote {f}")
     return EXIT_OK

@@ -81,9 +81,14 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_decisions(decisions, *, name: str = "decision") -> np.ndarray:
-    """Coerce to a finite 2-D float array of decision rows (a 1-D decision is one row)."""
+def as_decisions(decisions, length: int | None = None, *, name: str = "decision") -> np.ndarray:
+    """Coerce to a finite 2-D float array of decision rows (a 1-D decision is one row),
+    each of ``length`` entries when given."""
     x = np.atleast_2d(np.asarray(decisions, dtype=float))
+    if x.ndim > 2:
+        raise DimensionError(f"{name} rows must form a 1-D or 2-D array, got shape {x.shape}")
+    if length is not None and x.shape[1] != length:
+        raise DimensionError(f"{name} has length {x.shape[1]}, expected {length}")
     if not np.all(np.isfinite(x)):
         raise DmocError(f"{name} contains non-finite entries")
     return x
@@ -331,13 +336,14 @@ class MetricOps:
         (argmax of the utility, ties to the lowest index).
     best_representatives(values, assignment, clusters, warm_starts) -> (k, T) array
         Row i: the feasible decision maximizing the summed utility over the rows
-        with ``assignment == clusters[i]`` (at least one), never worse than
-        ``warm_starts[i]`` (``warm_starts`` may be None). A SolverError names the cluster.
+        with ``assignment == clusters[i]`` (at least one). ``warm_starts[i]``
+        (``warm_starts`` may be None) is only a starting point, read by the
+        finite-p subgradient alone. A SolverError names the cluster.
     perfect_decisions(values) -> (n, T) array
         Per-row optimal decisions x*(g_n).
     feasible(decisions) -> (k,) bool array
         Constraint check per decision row (a (T,) decision is one row); a row
-        of the wrong length is infeasible, a non-finite entry raises DmocError.
+        of the wrong length raises DimensionError, a non-finite entry DmocError.
     member_determined: bool
         Set by the metric, not the user: True when best_representatives
         depends on the members alone (analytic and LP routes, not iterative
@@ -370,12 +376,21 @@ def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _feasible_rows(spec: MetricSpec, decisions):
-    """The decisions as finite rows of the metric's length, and a bool per row."""
-    x = as_decisions(decisions)
-    if x.shape[1] != spec.decision_dim:
-        raise DimensionError(f"decision has length {x.shape[1]}, expected {spec.decision_dim}")
-    return x, metric_ops(spec).feasible(x)
+def require_feasible(
+    ops: MetricOps, decisions, count: int | None = None, *, name: str = "decision"
+) -> np.ndarray:
+    """The supplied ``decisions`` as rows: at least one, exactly ``count`` when given,
+    each of the metric's length and feasible (else InfeasibleDecisionError naming it)."""
+    x = np.atleast_2d(np.asarray(decisions, dtype=float))
+    ok = ops.feasible(x)
+    if count is not None and x.shape[0] != count:
+        raise DmocError(f"{name} provides {x.shape[0]} decisions for {count} clusters")
+    if x.shape[0] < 1:
+        raise DmocError("at least one representative is required")
+    if not ok.all():
+        m = int(np.argmin(ok))
+        raise InfeasibleDecisionError(f"{name} {m} is infeasible: {x[m]}")
+    return x
 
 
 def check_feasible(spec: MetricSpec, x) -> bool:
@@ -384,15 +399,7 @@ def check_feasible(spec: MetricSpec, x) -> bool:
     Pricing requires positive prices (checked as ``x >= -tol``); scheduling
     requires ``0 <= x <= x_max`` per slot and total energy ``sum(x) >= E``.
     """
-    return bool(_feasible_rows(spec, as_vector(x, name="decision"))[1][0])
-
-
-def _require_feasible(spec: MetricSpec, decisions) -> None:
-    x, ok = _feasible_rows(spec, decisions)
-    if not ok.all():
-        raise InfeasibleDecisionError(
-            f"decision violates the {spec.kind} constraint set: {x[np.argmin(ok)]}"
-        )
+    return bool(metric_ops(spec).feasible(as_vector(x, name="decision"))[0])
 
 
 def evaluate_utility(spec: MetricSpec, x, g) -> float:
@@ -407,8 +414,9 @@ def evaluate_utility(spec: MetricSpec, x, g) -> float:
         raise DmocError("sample contains negative entries")
     if g.size != spec.data_dim:
         raise DimensionError(f"sample has length {g.size}, expected {spec.data_dim}")
-    _require_feasible(spec, x)
-    return float(metric_ops(spec).utilities(x, g[None, :])[0])
+    ops = metric_ops(spec)
+    require_feasible(ops, x)
+    return float(ops.utilities(x, g[None, :])[0])
 
 
 def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> float:
@@ -420,5 +428,6 @@ def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> 
         )
     reps = result.representatives
     assignment = result.partition.assignment
-    _require_feasible(spec, reps[np.unique(assignment)])
-    return math.fsum(metric_ops(spec).utilities(reps[assignment], data.values))
+    ops = metric_ops(spec)
+    require_feasible(ops, reps[np.unique(assignment)])
+    return math.fsum(ops.utilities(reps[assignment], data.values))

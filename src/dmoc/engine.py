@@ -19,13 +19,13 @@ from .core import (
     DataSet,
     DmocError,
     EmptyClusterError,
-    InfeasibleDecisionError,
     MetricOps,
     MetricSpec,
     Partition,
     RunTrace,
     cluster_members,
     metric_ops,
+    require_feasible,
 )
 
 
@@ -62,17 +62,6 @@ class EngineConfig:
             )
 
 
-def _validated_reps(ops: MetricOps, reps) -> np.ndarray:
-    reps = np.atleast_2d(np.asarray(reps, dtype=float))
-    if reps.shape[0] < 1:
-        raise DmocError("at least one representative is required")
-    ok = ops.feasible(reps)
-    if not ok.all():
-        m = int(np.argmin(ok))
-        raise InfeasibleDecisionError(f"representative {m} is infeasible: {reps[m]}")
-    return reps
-
-
 def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray) -> float:
     """Correctly rounded sum (math.fsum) of the per-sample utilities.
 
@@ -96,6 +85,32 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
     return reps, ops.assign(values, reps)
 
 
+def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters):
+    """Solve the representatives of ``clusters`` (each with members), warm-started at ``reps``.
+
+    Each cluster keeps its representative in ``reps`` unless the solve strictly
+    raises the correctly rounded sum of its members' utilities, so solver
+    tolerance can never lower the objective. Returns the representatives and
+    every sample's utility at its representative.
+    """
+    utilities = ops.utilities(reps[assignment], values)
+    candidates = reps.copy()
+    if len(clusters) == 0:
+        return candidates, utilities
+    candidates[clusters] = ops.best_representatives(values, assignment, clusters, reps[clusters])
+    solved = np.zeros(reps.shape[0], dtype=bool)
+    solved[clusters] = True
+    rows = np.nonzero(solved[assignment])[0]
+    solved_utilities = np.empty_like(utilities)
+    solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
+    for m, members in zip(clusters, cluster_members(assignment, clusters)):
+        if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
+            utilities[members] = solved_utilities[members]
+        else:
+            candidates[m] = reps[m]
+    return candidates, utilities
+
+
 def assign_clusters(
     spec: MetricSpec,
     data: DataSet,
@@ -104,7 +119,7 @@ def assign_clusters(
 ) -> Partition:
     """Assign every sample to its best representative (ties to the lowest index)."""
     ops = metric_ops(spec, approx_assignment=approx_assignment)
-    reps = _validated_reps(ops, reps)
+    reps = require_feasible(ops, reps, name="representative")
     return Partition(ops.assign(data.values, reps), reps.shape[0])
 
 
@@ -116,36 +131,28 @@ def update_representatives(
 ) -> np.ndarray:
     """Best representative decision for every cluster of the partition.
 
-    ``warm_starts``, if given, holds one feasible decision per cluster, and
-    each returned decision is never worse than its warm start. Raises
-    EmptyClusterError if a cluster has no members, InfeasibleDecisionError
-    for an infeasible warm start, and SolverError (carrying the cluster
-    index) on solver failure.
+    ``warm_starts``, if given, holds one feasible decision per cluster; each
+    cluster keeps its warm start unless the solve strictly raises the
+    cluster's utility, as in every engine iteration. Raises EmptyClusterError
+    if a cluster has no members, DimensionError or InfeasibleDecisionError for
+    a warm start of the wrong length or outside the constraint set, and
+    SolverError (carrying the cluster index) on solver failure.
     """
     ops = metric_ops(spec)
     if warm_starts is not None:
-        warm_starts = _validated_reps(ops, warm_starts)
-        if warm_starts.shape[0] != partition.n_clusters:
-            raise DmocError(
-                f"warm_starts provides {warm_starts.shape[0]} decisions "
-                f"for {partition.n_clusters} clusters"
-            )
+        warm_starts = require_feasible(ops, warm_starts, partition.n_clusters, name="warm_starts")
     empty = np.nonzero(partition.counts() == 0)[0]
     if empty.size:
         raise EmptyClusterError(f"cluster {empty[0]} has no members", cluster=int(empty[0]))
-    return ops.best_representatives(
-        data.values, partition.assignment, np.arange(partition.n_clusters), warm_starts
-    )
+    clusters = np.arange(partition.n_clusters)
+    if warm_starts is None:
+        return ops.best_representatives(data.values, partition.assignment, clusters, None)
+    return _keep_or_replace(ops, data.values, partition.assignment, warm_starts, clusters)[0]
 
 
 def _initial_reps(ops: MetricOps, data: DataSet, config: EngineConfig) -> np.ndarray:
     if isinstance(config.init, np.ndarray):
-        reps = _validated_reps(ops, config.init)
-        if reps.shape[0] != config.n_clusters:
-            raise DmocError(
-                f"init provides {reps.shape[0]} decisions for {config.n_clusters} clusters"
-            )
-        return reps
+        return require_feasible(ops, config.init, config.n_clusters, name="init")
     rng = np.random.default_rng(config.seed)
     picks = rng.choice(data.n, size=config.n_clusters, replace=False)
     return ops.perfect_decisions(data.values[picks])
@@ -190,23 +197,7 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
             changed[assignment[moved]] = True
             changed[last_assignment[moved]] = True
             solve &= changed
-        clusters = np.nonzero(solve)[0]
-        candidates = reps.copy()
-        # every sample at its current representative; the solved clusters' members at the candidate
-        utilities = ops.utilities(reps[assignment], values)
-        if clusters.size:
-            candidates[clusters] = ops.best_representatives(values, assignment, clusters, reps[clusters])
-            rows = np.nonzero(solve[assignment])[0]
-            solved_utilities = np.empty_like(utilities)
-            solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
-            for m, members in zip(clusters, cluster_members(assignment, clusters)):
-                # keep the previous representative unless the solve strictly improved
-                # the cluster utility; solver tolerance must never lower the objective
-                if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
-                    utilities[members] = solved_utilities[members]
-                else:
-                    candidates[m] = reps[m]
-        reps = candidates
+        reps, utilities = _keep_or_replace(ops, values, assignment, reps, np.nonzero(solve)[0])
         current = math.fsum(utilities)
         objectives.append(current)
         if current - previous <= config.tol:

@@ -13,7 +13,8 @@ representative solves a convex program handled here by
 * projected subgradient with Polyak-style adaptive level steps for finite
   p >= 2.
 
-p alone picks the route; each route's tolerances are module constants.
+p alone picks the route; each route's tolerances are module constants. The
+engine, not the route, decides whether a solve replaces a representative.
 
 ``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
 reference solver, imported on use: no route calls it, and scipy is needed only
@@ -493,22 +494,17 @@ def solve_representative(data, member_indices, params: PcsParams, warm_start=Non
 
     Dispatches on p: the cheapest-slot fill at p = 1, the interior-point
     method on the epigraph LP at p = inf, the level subgradient method
-    otherwise; a solver failure raises SolverError. When a feasible warm
-    start is supplied the returned profile is never worse than it (the better
-    of the two is kept), which keeps alternating optimization monotone.
+    otherwise, which starts from ``warm_start`` when one is given; a solver
+    failure raises SolverError. Whether the result replaces a cluster's
+    representative is the engine's decision, not the solver's.
     """
-    G = _member_values(data, member_indices)
-    if params.p == 1:
-        x = cheapest_slot_schedule(params)
-    elif params.p == math.inf:
-        x = interior_point_representative(G, range(G.shape[0]), params)
-    else:
-        x = projected_subgradient_representative(G, range(G.shape[0]), params, warm_start=warm_start)
-    if warm_start is not None:
-        warm = np.asarray(warm_start, dtype=float)
-        if paired_norms(G, warm, params).sum() <= paired_norms(G, x, params).sum():
-            return warm.copy()
-    return x
+    if params.p == math.inf:
+        return interior_point_representative(data, member_indices, params)
+    if params.p != 1:
+        return projected_subgradient_representative(data, member_indices, params, warm_start=warm_start)
+    if len(member_indices) == 0:
+        raise EmptyClusterError("cannot compute a representative for an empty cluster")
+    return cheapest_slot_schedule(params)
 
 
 #: Rows per block of water_fill_decisions: bounds its (rows, 2T, T) fill table
@@ -586,10 +582,9 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     assign_p = 2 if approx_assignment else None
 
     def feasible(decisions) -> np.ndarray:
-        x = as_decisions(decisions, name="profile")
+        x = as_decisions(decisions, params.n_slots, name="profile")
         return (
-            (x.shape[1] == params.n_slots)
-            & np.all(x >= -FEASIBILITY_TOL, axis=1)
+            np.all(x >= -FEASIBILITY_TOL, axis=1)
             & np.all(x <= params.x_max + FEASIBILITY_TOL, axis=1)
             & (x.sum(axis=1) >= params.energy - FEASIBILITY_TOL)
         )

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     DataSet,
     DimensionError,
-    DmocError,
     EmptyClusterError,
     FEASIBILITY_TOL,
     MetricOps,
@@ -62,11 +61,7 @@ def _stack_to_slots(g: np.ndarray, params: RtpParams) -> np.ndarray:
 def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
     """Welfare-minus-cost utility for each sample row: of the one price profile
     ``x`` (T,), or of row i of an (n, T) ``x`` for sample row i."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.n_slots:
-        raise DimensionError(f"price profiles of shape {x.shape} need {params.n_slots} columns")
-    if not np.all(np.isfinite(x)):
-        raise DmocError("price profile contains non-finite entries")
+    x = as_decisions(x, params.n_slots, name="price profile")
     g = _stack_to_slots(np.atleast_2d(np.asarray(values, dtype=float)), params)
     price = x[..., None]
     if np.any(price > g):
@@ -174,8 +169,8 @@ def metric_ops(params: RtpParams) -> MetricOps:
     """Callable bundle for the engine (closed-form assignment and representatives)."""
 
     def feasible(decisions) -> np.ndarray:
-        x = as_decisions(decisions, name="price profile")
-        return (x.shape[1] == params.n_slots) & np.all(x >= -FEASIBILITY_TOL, axis=1)
+        x = as_decisions(decisions, params.n_slots, name="price profile")
+        return np.all(x >= -FEASIBILITY_TOL, axis=1)
 
     return MetricOps(
         utilities=lambda x, values: f1_batch(x, values, params),

@@ -413,6 +413,14 @@ class TestExperiment:
             ("loss_curve", {"m_min": 5, "m_max": 2}),
             ("peak_target", {"targets": [3.0], "m_max": 0}),
             ("engine", {"init": "foo"}),
+            # the top-level seed and jobs, and the --jobs flag
+            ("jobs", "abc"),
+            ("jobs", 0),
+            ("jobs", -2),
+            ("jobs", 1.5),
+            ("seed", 1.5),
+            ("seed", "abc"),
+            ("--jobs", "0"),
         ],
     )
     def test_malformed_experiment_section_is_usage_error(
@@ -425,19 +433,21 @@ class TestExperiment:
             metric = {"kind": "pcs", "n_slots": 2, "p": "inf", "energy": 2.0, "x_max": 2.0}
             data = {"kind": "pcs", "archetypes": 2, "n_slots": 2, "n_samples": 8}
         config = {
-            "experiment": "loss_curve" if experiment == "engine" else experiment,
+            "experiment": experiment if experiment in cli.EXPERIMENTS else "loss_curve",
             "seed": 1,
             "out_dir": str(tmp_path / "o"),
             "metric": metric,
             "data": {"synthetic": data},
-            experiment: section,
         }
+        flags = [experiment, section] if experiment.startswith("--") else []
+        if not flags:
+            config[experiment] = section
         path = tmp_path / "section.yaml"
         path.write_text(yaml.safe_dump(config))
-        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert run_cli("experiment", str(path), *flags) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {experiment}: ")
-        if section.get("schemes") == ["dmocx"]:
+        assert err.startswith(f"usage error: {experiment.lstrip('-')}: ")
+        if isinstance(section, dict) and section.get("schemes") == ["dmocx"]:
             assert str(evaluation.SCHEMES) in err
         assert not (tmp_path / "o").exists()
 

@@ -235,13 +235,10 @@ class TestBatchedMetricOps:
         assert ok.shape == (24,) and ok.dtype == bool
         np.testing.assert_array_equal(ok, [ops.feasible(x)[0] for x in rows])
         assert ok[:6].all() and (spec is None or not ok[6:12].any())
-        assert not ops.feasible(np.zeros((2, decision_dim + 1))).any()
-        nan = np.full(decision_dim, np.nan)
-        if spec is None:
-            assert not ops.feasible(nan)[0]
-        else:
-            with pytest.raises(DmocError, match="non-finite"):
-                ops.feasible(nan)
+        with pytest.raises(DimensionError, match=f"has length {decision_dim + 1}, expected"):
+            ops.feasible(np.zeros((2, decision_dim + 1)))
+        with pytest.raises(DmocError, match="non-finite"):
+            ops.feasible(np.full(decision_dim, np.nan))
 
 
 class TestTypes:

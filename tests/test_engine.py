@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from dmoc import (
+    ClusteringResult,
     DataSet,
+    DimensionError,
     DmocError,
     EmptyClusterError,
     EngineConfig,
     InfeasibleDecisionError,
     MetricSpec,
     Partition,
+    RunTrace,
     SolverError,
     assign_clusters,
+    check_feasible,
+    evaluate_utility,
     metric_ops,
     run_dmoc,
     run_dmoc_ops,
@@ -22,6 +27,8 @@ from dmoc import (
 )
 from dmoc import baselines, evaluation, pcs, rtp
 from dmoc.data import gen_synthetic_pcs
+
+from oracles import rtp_numeric_representative
 
 
 PCS = MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0)
@@ -94,7 +101,53 @@ class TestUpdateRepresentatives:
             assert ops.feasible(reps).all()
             for m in range(2):
                 values = data.values[partition.members(m)]
-                assert ops.utilities(reps[m], values).sum() >= ops.utilities(warm[m], values).sum()
+                assert math.fsum(ops.utilities(reps[m], values)) >= math.fsum(
+                    ops.utilities(warm[m], values)
+                )
+
+    def test_warm_start_beats_a_worse_closed_form(self):
+        # with a = 1 the closed form over-prices this cluster: utility 9.70 against 23.17
+        spec = MetricSpec.for_rtp(n_consumers=5, n_slots=2, alpha=0.5, a=1.0)
+        data = rtp.generate_rtp_scenario(5, 2, 8, seed=0)
+        partition = Partition(np.zeros(8, dtype=int), 1)
+        warm = rtp_numeric_representative(data.values, spec.rtp)
+        ops = metric_ops(spec)
+        closed = update_representatives(spec, data, partition)[0]
+        reps = update_representatives(spec, data, partition, warm_starts=warm)
+        f_warm = math.fsum(ops.utilities(warm, data.values))
+        assert math.fsum(ops.utilities(closed, data.values)) < f_warm
+        assert math.fsum(ops.utilities(reps[0], data.values)) >= f_warm
+
+
+class TestSuppliedDecisions:
+    spec = MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0, x_max=3.0)
+    data = gen_synthetic_pcs(archetypes=2, n_slots=4, n_samples=10, seed=4)
+    partition = Partition([0, 1] * 5, 2)
+
+    def test_wrong_length_is_a_dimension_error_everywhere(self):
+        short = np.ones((2, 3))
+        calls = (
+            lambda: run_dmoc(self.spec, self.data, EngineConfig(n_clusters=2, seed=0, init=short)),
+            lambda: assign_clusters(self.spec, self.data, short),
+            lambda: update_representatives(self.spec, self.data, self.partition, warm_starts=short),
+            lambda: check_feasible(self.spec, short[0]),
+            lambda: evaluate_utility(self.spec, short[0], self.data.values[0]),
+            lambda: total_utility(
+                self.spec,
+                ClusteringResult(self.partition, short, 0.0, RunTrace((0.0,), 1, True)),
+                self.data,
+            ),
+        )
+        for call in calls:
+            with pytest.raises(DimensionError, match="has length 3, expected 4"):
+                call()
+
+    def test_zero_representatives_rejected(self):
+        none = np.empty((0, 4))
+        with pytest.raises(DmocError, match="at least one representative"):
+            assign_clusters(self.spec, self.data, none)
+        with pytest.raises(DmocError, match="init provides 0 decisions for 2 clusters"):
+            run_dmoc(self.spec, self.data, EngineConfig(n_clusters=2, seed=0, init=none))
 
 
 class TestRunDmoc:

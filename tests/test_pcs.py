@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmoc.core import DimensionError, EmptyClusterError, MetricSpec, PcsParams, SolverError
-from dmoc import EngineConfig, cli, pcs, run_dmoc
+from dmoc.core import (
+    DataSet,
+    DimensionError,
+    EmptyClusterError,
+    MetricSpec,
+    Partition,
+    PcsParams,
+    SolverError,
+)
+from dmoc import EngineConfig, cli, pcs, run_dmoc, update_representatives
 from dmoc.data import gen_synthetic_pcs, save_profiles
 
 from oracles import (
@@ -380,7 +388,9 @@ class TestSolveRepresentative:
         p = params(n_slots=3, energy=3.0, x_max=2.0)
         members = np.random.default_rng(4).uniform(0, 3, size=(2, 3))
         warm = pcs.epigraph_lp_representative(members, [0, 1], p)
-        out = pcs.solve_representative(members, [0, 1], p, warm_start=warm)
+        out = update_representatives(
+            MetricSpec(kind="pcs", pcs=p), DataSet(members), Partition([0, 0], 1), warm_starts=warm
+        )[0]
         f_out = pcs_cluster_objective(out, members, p.weights, math.inf)
         f_warm = pcs_cluster_objective(warm, members, p.weights, math.inf)
         assert f_out <= f_warm

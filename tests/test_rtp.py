@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmoc.core import EmptyClusterError, RtpParams
+from dmoc.core import DimensionError, DmocError, EmptyClusterError, RtpParams
 from dmoc import rtp
 
 from oracles import rtp_numeric_representative
@@ -47,6 +47,15 @@ class TestF1:
         p = params(n_consumers=2, n_slots=3, c=7.0)
         g = np.full(6, 2.5)
         assert rtp.f1_batch(np.full(3, 2.5), g, p)[0] == pytest.approx(-3 * 7.0)
+
+    def test_malformed_prices_rejected(self):
+        p = params(n_consumers=2, n_slots=3)
+        g = np.full(6, 2.5)
+        for x in (np.ones(2), np.ones((1, 2, 3))):
+            with pytest.raises(DimensionError):
+                rtp.f1_batch(x, g, p)
+        with pytest.raises(DmocError, match="non-finite"):
+            rtp.f1_batch([1.0, np.nan, 1.0], g, p)
 
     def test_overpricing_clamps_and_warns(self, caplog):
         with caplog.at_level("WARNING", logger="dmoc"):
