@@ -23,6 +23,8 @@ from .core import (
     as_decisions,
     cluster_means,
     metric_ops,
+    nearest_centers,
+    row_blocks,
 )
 from .engine import _objective, _repair_empty
 
@@ -37,9 +39,12 @@ class KmeansResult:
     inertia_trace: tuple = ()
 
 
-def _sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, M) squared Euclidean distances, one centroid at a time (no (N, M, d) temporary)."""
-    return np.stack([((values - c) ** 2).sum(axis=1) for c in centers], axis=1)
+def _inertia(values: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
+    """Sum over rows of the squared distance to the assigned centroid, measured in row blocks."""
+    per_row = np.empty(values.shape[0])
+    for rows in row_blocks(values.shape[0], values.shape[1]):
+        per_row[rows] = ((values[rows] - centroids[assignment[rows]]) ** 2).sum(axis=1)
+    return float(per_row.sum())
 
 
 def _centroids(values: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -87,7 +92,7 @@ def kmeans(
     centroids = (
         kmeans_pp_init(values, n_clusters, rng)
         if init is None
-        else np.array(np.atleast_2d(np.asarray(init, dtype=float)))
+        else as_decisions(init, data.dim, name="init centroids")
     )
     if centroids.shape != (n_clusters, data.dim):
         raise DmocError(f"init centroids have shape {centroids.shape}")
@@ -96,13 +101,11 @@ def kmeans(
     ops = squared_distance_ops(data.dim)
     assignment = None
     trace = []
-    rows = np.arange(data.n)
     for _ in range(max_iters):
-        dist = _sq_distances(values, centroids)
-        repaired, new_assignment = _repair_empty(ops, values, centroids, np.argmin(dist, axis=1))
-        if repaired is not centroids:  # re-seeded: measure the new centroids
-            centroids, dist = repaired, _sq_distances(values, repaired)
-        inertia = float(dist[rows, new_assignment].sum())
+        centroids, new_assignment = _repair_empty(
+            ops, values, centroids, nearest_centers(values, centroids)
+        )
+        inertia = _inertia(values, centroids, new_assignment)
         trace.append(inertia)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
@@ -110,7 +113,7 @@ def kmeans(
         centroids = _centroids(values, assignment, centroids)
     else:
         # the cap ended the run after a centroid update: measure the moved centroids
-        inertia = float(_sq_distances(values, centroids)[rows, assignment].sum())
+        inertia = _inertia(values, centroids, assignment)
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
@@ -154,8 +157,9 @@ def squared_distance_ops(dim: int) -> MetricOps:
         utilities=lambda x, values: -(
             (np.atleast_2d(np.asarray(values, dtype=float)) - np.asarray(x, dtype=float)) ** 2
         ).sum(axis=1),
-        assign=lambda values, reps: np.argmin(
-            _sq_distances(np.atleast_2d(values), np.atleast_2d(reps)), axis=1
+        assign=lambda values, reps: nearest_centers(
+            np.atleast_2d(np.asarray(values, dtype=float)),
+            np.atleast_2d(np.asarray(reps, dtype=float)),
         ),
         best_representatives=lambda values, assignment, clusters, warm_starts: cluster_means(
             np.atleast_2d(np.asarray(values, dtype=float)), assignment, clusters

@@ -94,6 +94,65 @@ def as_decisions(decisions, length: int | None = None, *, name: str = "decision"
     return x
 
 
+#: Floats in one block of a row-blocked kernel (64 KB). Temporaries this small stay
+#: below glibc's default 128 KB mmap threshold, so each call reuses heap memory
+#: instead of faulting in fresh pages.
+BLOCK_FLOATS = 8192
+
+
+def row_blocks(n_rows: int, row_floats: int) -> list:
+    """Consecutive slices covering ``range(n_rows)``, each of at least one row and at
+    most ``BLOCK_FLOATS // row_floats`` rows (``row_floats``: a row's share of the
+    largest temporary). Row-wise results are unchanged by the blocking."""
+    step = max(1, BLOCK_FLOATS // max(1, row_floats))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, M) squared Euclidean distances ``((v - c)**2).sum()``, one center at a time."""
+    return np.stack([((values - c) ** 2).sum(axis=1) for c in centers], axis=1)
+
+
+def nearest_centers(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest of the (M, d) ``centers`` for each row of the (N, d)
+    ``values`` (both finite), ties to the lowest index: exactly
+    ``argmin(sq_distances(values, centers), axis=1)``.
+
+    Centers are ranked by the expansion ||v||^2 - 2 v.c + ||c||^2, one matrix
+    product per row block (as scikit-learn's ``euclidean_distances``). It differs
+    from ``sq_distances`` by at most 2 gamma_{d+3} (||v|| + max ||c||)^2, with
+    gamma_n = n u / (1 - n u) for the unit roundoff u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3), in any summation order and
+    with or without fused multiply-adds. A row whose two best expanded distances
+    are not farther apart than twice that, with margin, is re-measured with
+    ``sq_distances``; every other row's nearest center is unique under both forms.
+    """
+    n, dim = values.shape
+    out = np.zeros(n, dtype=np.intp)
+    if centers.shape[0] == 1:
+        return out
+    v_sq = np.einsum("ij,ij->i", values, values)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    k = (dim + 4) * np.finfo(float).eps / 2
+    # the second term covers the absolute rounding error of products that underflow
+    bound_scale, bound_floor = 4 * k / (1 - k), 8 * (dim + 4) * np.finfo(float).smallest_subnormal
+    reach = math.sqrt(c_sq.max())
+    near = np.zeros(n, dtype=bool)
+    for rows in row_blocks(n, centers.shape[0]):
+        dist = values[rows] @ centers.T
+        dist *= -2.0
+        dist += v_sq[rows, None]
+        dist += c_sq
+        out[rows] = dist.argmin(axis=1)
+        two = np.partition(dist, 1, axis=1)
+        bound = bound_scale * (np.sqrt(v_sq[rows]) + reach) ** 2 + bound_floor
+        # written so that a NaN gap (an overflowed expansion) is re-measured too
+        near[rows] = ~(two[:, 1] - two[:, 0] > bound)
+    if near.any():
+        out[near] = sq_distances(values[near], centers).argmin(axis=1)
+    return out
+
+
 def cluster_members(assignment: np.ndarray, clusters) -> list:
     """Sorted member indices of each of ``clusters``, from one stable grouping of ``assignment``."""
     order = np.argsort(assignment, kind="stable")

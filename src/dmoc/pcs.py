@@ -45,6 +45,7 @@ from .core import (
     as_decisions,
     as_vector,
     cluster_members,
+    row_blocks,
 )
 
 
@@ -64,9 +65,14 @@ def _profiles(values, decisions, params: PcsParams):
 
 
 def weighted_norms(values, reps, params: PcsParams, p: float | None = None) -> np.ndarray:
-    """(N, M) matrix of ||W(x_m + g_n)||_p for sample rows and representative rows."""
+    """(N, M) matrix of ||W(x_m + g_n)||_p for sample rows and representative rows,
+    filled in row blocks."""
     v, r = _profiles(values, np.atleast_2d(reps), params)
-    return _norms(v[:, None, :] + r[None, :, :], params, params.p if p is None else p)
+    p = params.p if p is None else p
+    out = np.empty((v.shape[0], r.shape[0]))
+    for rows in row_blocks(v.shape[0], r.size):
+        out[rows] = _norms(v[rows, None, :] + r[None, :, :], params, p)
+    return out
 
 
 def paired_norms(values, decisions, params: PcsParams) -> np.ndarray:

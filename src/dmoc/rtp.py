@@ -24,6 +24,8 @@ from .core import (
     as_decisions,
     cluster_means,
     logger,
+    nearest_centers,
+    row_blocks,
 )
 
 
@@ -60,19 +62,29 @@ def _stack_to_slots(g: np.ndarray, params: RtpParams) -> np.ndarray:
 
 def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
     """Welfare-minus-cost utility for each sample row: of the one price profile
-    ``x`` (T,), or of row i of an (n, T) ``x`` for sample row i."""
+    ``x`` (T,), or of row i of an (n, T) ``x`` for sample row i. Computed in row
+    blocks; an over-priced batch logs one warning per call."""
     x = as_decisions(x, params.n_slots, name="price profile")
     g = _stack_to_slots(np.atleast_2d(np.asarray(values, dtype=float)), params)
-    price = x[..., None]
-    if np.any(price > g):
+    n = g.shape[0] if x.shape[0] == 1 else x.shape[0]
+    if g.shape[0] not in (1, n):
+        raise DimensionError(f"{x.shape[0]} price profiles for {g.shape[0]} samples")
+    out = np.empty(n)
+    over_priced = False
+    for rows in row_blocks(n, params.data_dim):
+        price = (x if x.shape[0] == 1 else x[rows])[..., None]
+        g_rows = g if g.shape[0] == 1 else g[rows]
+        over_priced = over_priced or bool(np.any(price > g_rows))
+        ell = best_response_load(price, g_rows, params.alpha)
+        u = consumer_utility(ell, g_rows, params.alpha)
+        load = ell.sum(axis=-1)
+        per_slot = u.sum(axis=-1) - params.a * load**2 - params.b * load - params.c
+        out[rows] = per_slot.sum(axis=-1)
+    if over_priced:
         logger.warning(
             "over-pricing: price exceeds a satisfaction parameter; load clamped to 0"
         )
-    ell = best_response_load(price, g, params.alpha)
-    u = consumer_utility(ell, g, params.alpha)
-    load = ell.sum(axis=-1)
-    per_slot = u.sum(axis=-1) - params.a * load**2 - params.b * load - params.c
-    return per_slot.sum(axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,11 +115,10 @@ def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants 
 
 
 def assign_batch(values, reps, params: RtpParams) -> np.ndarray:
-    """Closed-form assignment: nearest representative in the transformed space."""
-    z = transform_dataset(values, params)
+    """Closed-form assignment: nearest representative in the transformed space
+    (ties to the lowest index)."""
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
-    d2 = ((z[:, None, :] - reps[None, :, :]) ** 2).sum(axis=-1)
-    return np.argmin(d2, axis=1)
+    return nearest_centers(transform_dataset(values, params), reps)
 
 
 def _values_of(data) -> np.ndarray:

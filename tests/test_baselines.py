@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, check_feasible
+from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, check_feasible
 from dmoc import baselines, evaluation
 from dmoc.data import gen_synthetic_pcs
 
@@ -56,12 +56,17 @@ class TestKmeans:
         with pytest.raises(DmocError):
             baselines.kmeans(DataSet([[1.0, 2.0]]), 2, seed=0)
 
-    def test_distances_match_broadcast_form_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        values = rng.uniform(0.0, 3.0, size=(50, 120))
-        centers = rng.uniform(0.0, 3.0, size=(7, 120))
-        broadcast = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        assert np.array_equal(baselines._sq_distances(values, centers), broadcast)
+    def test_init_centroids_are_validated(self):
+        data = DataSet(np.random.default_rng(0).uniform(0, 3, size=(6, 3)))
+        for bad in ([[np.nan, 1, 1], [2, 2, 2]], [[np.inf, 1, 1], [2, 2, 2]]):
+            with pytest.raises(DmocError, match="init centroids contains non-finite"):
+                baselines.kmeans(data, 2, seed=0, init=bad)
+        with pytest.raises(DimensionError, match="init centroids has length 2, expected 3"):
+            baselines.kmeans(data, 2, seed=0, init=[[1, 1], [2, 2]])
+        with pytest.raises(DmocError, match="init centroids have shape"):
+            baselines.kmeans(data, 2, seed=0, init=[[1, 1, 1]])
+        km = baselines.kmeans(data, 2, seed=0, init=[[0, 0, 0], [3, 3, 3]])
+        assert km.centroids.shape == (2, 3)
 
     def test_inertia_measures_final_centroids(self):
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=50, seed=6)

@@ -18,7 +18,7 @@ from dmoc import (
     metric_ops,
     total_utility,
 )
-from dmoc import baselines
+from dmoc import baselines, core
 
 
 def pcs_spec(**kwargs):
@@ -290,3 +290,87 @@ class TestTypes:
                 objective=0.0,
                 trace=RunTrace((0.0,), 1, True),
             )
+
+
+@st.composite
+def center_cases(draw):
+    """(values, centers) with the cases the GEMM ranking gets wrong or nearly wrong:
+    exact ties on a coarse grid, a sample planted midway between two centers,
+    duplicated centers, centers one ulp apart, an offset of 1e6 (where the
+    expansion cancels) and negative coordinates."""
+    n, m, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3).map(float), min_size=dim, max_size=dim)
+    values = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    centers = np.array(draw(st.lists(row, min_size=m, max_size=m)))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    values, centers = offset + scale * values, offset + scale * centers
+    if draw(st.booleans()):
+        values[0] = (centers[0] + centers[-1]) / 2
+    if m > 1 and draw(st.booleans()):
+        centers[1] = centers[0]
+    if m > 1 and draw(st.booleans()):
+        centers[-1] = np.nextafter(centers[0], np.inf)
+    return values, centers
+
+
+class TestNearestCenters:
+    def test_distances_match_broadcast_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 7, 8, 9, 24, 120, 130):
+            values = rng.uniform(0.0, 3.0, size=(50, dim))
+            centers = rng.uniform(0.0, 3.0, size=(7, dim))
+            broadcast = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+            assert np.array_equal(core.sq_distances(values, centers), broadcast)
+            # one row at a time, as the kernel re-measures near ties
+            assert np.array_equal(
+                np.vstack([core.sq_distances(v[None, :], centers) for v in values]), broadcast
+            )
+
+    @given(center_cases())
+    def test_equals_argmin_of_direct_distances(self, case):
+        values, centers = case
+        expected = np.argmin(core.sq_distances(values, centers), axis=1)
+        np.testing.assert_array_equal(core.nearest_centers(values, centers), expected)
+
+    def test_near_ties_are_re_measured_and_clear_winners_are_not(self, monkeypatch):
+        measured = []
+
+        def counting(values, centers):
+            measured.append(values.shape[0])
+            return direct(values, centers)
+
+        direct = core.sq_distances
+        monkeypatch.setattr(core, "sq_distances", counting)
+        rng = np.random.default_rng(2)
+        centers = rng.uniform(-1.0, 1.0, size=(4, 24))
+        values = np.vstack([centers + 0.01 * rng.normal(size=(4, 24))] * 50)
+        nearest = core.nearest_centers(values, centers)
+        np.testing.assert_array_equal(nearest, np.tile(np.arange(4), 50))
+        assert measured == []
+        # exact ties (midpoints, duplicated centers), one ulp apart, and near ties at 1e6,
+        # where the expansion cancels
+        midway = (centers[0] + centers[1]) / 2 + 1e-6 * rng.normal(size=(20, 24))
+        cases = [
+            (np.vstack([values, (centers[0] + centers[2]) / 2]), centers),
+            (values, np.vstack([centers, centers[1]])),
+            (values, np.vstack([centers, np.nextafter(centers[3], np.inf)])),
+            (midway + 1e6, centers + 1e6),
+        ]
+        for v, c in cases:
+            np.testing.assert_array_equal(
+                core.nearest_centers(v, c), np.argmin(direct(v, c), axis=1)
+            )
+        assert len(measured) == len(cases) and min(measured) >= 1
+        # ties go to the lowest index
+        assert core.nearest_centers(centers[1:2], np.vstack([centers, centers[1]]))[0] == 1
+
+    @pytest.mark.parametrize(
+        "n_rows, row_floats", [(0, 5), (1, 5), (10, 3000), (9000, 1), (20000, 7)]
+    )
+    def test_row_blocks_cover_every_row_in_order(self, n_rows, row_floats):
+        blocks = core.row_blocks(n_rows, row_floats)
+        covered = [i for b in blocks for i in range(n_rows)[b]]
+        assert covered == list(range(n_rows))
+        sizes = [len(range(n_rows)[b]) for b in blocks]
+        assert all(1 <= s <= max(1, core.BLOCK_FLOATS // row_floats) for s in sizes)

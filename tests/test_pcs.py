@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmoc.core import (
+    BLOCK_FLOATS,
     DataSet,
     DimensionError,
     EmptyClusterError,
@@ -87,6 +88,17 @@ class TestAssignment:
 
     def test_single_rep(self):
         assert assign([1.0, 1.0], np.ones((1, 2)), params(), approx=True) == 0
+
+    @pytest.mark.parametrize("p, override", [(math.inf, None), (2, None), (3, None), (math.inf, 2)])
+    def test_blocked_norms_equal_one_shot(self, p, override):
+        rng = np.random.default_rng(9)
+        pp = params(n_slots=24, p=p, energy=30.0, x_max=3.0, weights=rng.uniform(0.5, 2.0, size=24))
+        reps = rng.uniform(0.0, 3.0, size=(7, 24))
+        values = rng.uniform(0.0, 5.0, size=(4 * (BLOCK_FLOATS // reps.size) + 3, 24))
+        levels = np.abs(pp.weights * (values[:, None, :] + reps[None, :, :]))
+        q = p if override is None else override
+        one_shot = levels.max(axis=-1) if q == math.inf else (levels**q).sum(axis=-1) ** (1.0 / q)
+        np.testing.assert_array_equal(pcs.weighted_norms(values, reps, pp, p=override), one_shot)
 
     def test_weight_scaling_keeps_argmin(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmoc.core import DimensionError, DmocError, EmptyClusterError, RtpParams
+from dmoc.core import BLOCK_FLOATS, DimensionError, DmocError, EmptyClusterError, RtpParams
 from dmoc import rtp
 
 from oracles import rtp_numeric_representative
@@ -62,6 +62,38 @@ class TestF1:
             value = rtp.f1_batch([3.0], [2.0], params())[0]
         assert value == 0.0
         assert any("over-pricing" in r.message for r in caplog.records)
+
+    def test_blocked_batch_equals_one_shot(self):
+        def one_shot(x, values, p):
+            g = values.reshape(values.shape[0], p.n_slots, p.n_consumers)
+            price = np.atleast_2d(x)[..., None]
+            ell = np.where(price > g, 0.0, (g - price) / p.alpha)
+            quad, sat = g * ell - 0.5 * p.alpha * ell**2, g**2 / (2.0 * p.alpha)
+            u = np.where(ell <= g / p.alpha, quad, sat)
+            load = ell.sum(axis=-1)
+            return (u.sum(axis=-1) - p.a * load**2 - p.b * load - p.c).sum(axis=-1)
+
+        p = params(n_consumers=5, n_slots=24, a=0.3, b=0.1, c=10.0)
+        n = 3 * (BLOCK_FLOATS // p.data_dim) + 5
+        rng = np.random.default_rng(12)
+        values = rng.uniform(2.0, 3.0, size=(n, p.data_dim))
+        shared = rng.uniform(1.5, 2.5, size=24)  # over-prices some consumers
+        paired = rng.uniform(1.5, 2.5, size=(n, 24))
+        for x in (shared, paired):
+            np.testing.assert_array_equal(rtp.f1_batch(x, values, p), one_shot(x, values, p))
+        # paired prices for one sample
+        one = values[:1]
+        np.testing.assert_array_equal(rtp.f1_batch(paired, one, p), one_shot(paired, one, p))
+        with pytest.raises(DimensionError, match="price profiles for"):
+            rtp.f1_batch(paired[:-1], values, p)
+
+    def test_overpriced_batch_warns_once_per_call(self, caplog):
+        p = params(n_consumers=5, n_slots=24)
+        values = np.full((5 * (BLOCK_FLOATS // p.data_dim) + 1, p.data_dim), 2.0)
+        with caplog.at_level("WARNING", logger="dmoc"):
+            rtp.f1_batch(np.full(24, 3.0), values, p)
+            rtp.f1_batch(np.full(24, 1.0), values, p)
+        assert sum("over-pricing" in r.message for r in caplog.records) == 1
 
     def test_matches_literal_loop_implementation(self):
         # pins the consumer-fastest stacking (g_1(1)..g_K(1), g_1(2), ...)
@@ -132,6 +164,13 @@ class TestAssignment:
     def test_single_rep(self):
         p = params(n_consumers=2, n_slots=2, a=0.1)
         assert rtp.assign_batch(np.ones(4), np.ones((1, 2)), p)[0] == 0
+
+    def test_ties_go_to_the_lowest_index(self):
+        p = params(n_consumers=2, n_slots=2, a=0.1)
+        g = np.array([[1.0, 3.0, 2.0, 2.0], [2.0, 2.0, 3.0, 3.0]])
+        z = rtp.transform_dataset(g, p)
+        reps = np.array([z[1] + 0.5, z[0], z[0], z[1], z[1]])
+        np.testing.assert_array_equal(rtp.assign_batch(g, reps, p), [1, 3])
 
     def test_argmax_equivalence_with_direct_f1(self):
         p = params(n_consumers=3, n_slots=2, a=0.15, b=0.05, c=1.0)
