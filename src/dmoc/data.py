@@ -55,11 +55,11 @@ def load_profiles(path) -> DataSet:
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    with path.open(newline="") as fh:
-        for i, cells in enumerate(csv.reader(fh), start=1):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if i == 1 and _is_header(cells):
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
+        lines = ((i, c) for i, c in enumerate(csv.reader(fh), start=1) if c and (len(c) > 1 or c[0].strip()))
+        # a header can only be the first non-blank row; i stays the row's number in the file
+        for k, (i, cells) in enumerate(lines):
+            if k == 0 and _is_header(cells):
                 continue
             if width is None:
                 width = len(cells)

@@ -22,14 +22,15 @@ by it (the test suite cross-checks it and the interior point against an
 independent projected gradient descent on a softmax-smoothed peak, in
 ``tests/oracles.py``).
 
-A single sample's p = inf decision (perfect decisions, k-means centroid
-decisions, empty-cluster repair, random starts) needs no LP: it is the
-weighted water-filling optimum ``x = clip(lam / w - g, 0, x_max)``, computed
-exactly for a whole (N, T) batch by ``water_fill_decisions``.
+A single sample's p > 1 decision (perfect decisions, k-means centroid decisions,
+empty-cluster repair, random starts) needs no solver: it is the water-filling
+optimum ``x = clip(lam / v - g, 0, x_max)`` with ``v = w**(p/(p-1))`` (v = w at
+p = inf), computed exactly for a whole (N, T) batch by ``water_fill_decisions``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,14 +65,13 @@ def _profiles(values, decisions, params: PcsParams):
     return v, x
 
 
-def weighted_norms(values, reps, params: PcsParams, p: float | None = None) -> np.ndarray:
+def weighted_norms(values, reps, params: PcsParams) -> np.ndarray:
     """(N, M) matrix of ||W(x_m + g_n)||_p for sample rows and representative rows,
     filled in row blocks."""
     v, r = _profiles(values, np.atleast_2d(reps), params)
-    p = params.p if p is None else p
     out = np.empty((v.shape[0], r.shape[0]))
     for rows in row_blocks(v.shape[0], r.size):
-        out[rows] = _norms(v[rows, None, :] + r[None, :, :], params, p)
+        out[rows] = _norms(v[rows, None, :] + r[None, :, :], params)
     return out
 
 
@@ -79,14 +79,14 @@ def paired_norms(values, decisions, params: PcsParams) -> np.ndarray:
     """(N,) vector of ||W(x_n + g_n)||_p for paired sample and decision rows
     (one (T,) decision pairs with every row)."""
     v, x = _profiles(values, decisions, params)
-    return _norms(v + x, params, params.p)
+    return _norms(v + x, params)
 
 
-def _norms(loads: np.ndarray, params: PcsParams, p: float) -> np.ndarray:
+def _norms(loads: np.ndarray, params: PcsParams) -> np.ndarray:
     levels = np.abs(params.weights * loads)
-    if p == math.inf:
+    if params.p == math.inf:
         return levels.max(axis=-1)
-    return (levels**p).sum(axis=-1) ** (1.0 / p)
+    return (levels**params.p).sum(axis=-1) ** (1.0 / params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +137,20 @@ def _member_values(data, member_indices) -> np.ndarray:
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _cheapest_fills(params: PcsParams) -> np.ndarray:
+    """Energy the cheapest feasible schedule puts in its k-th cheapest slot, k = 0..T-1."""
+    return np.clip(params.energy - params.x_max * np.arange(params.n_slots), 0.0, params.x_max)
+
+
 def cheapest_slot_schedule(params: PcsParams) -> np.ndarray:
     """p = 1 optimum: pour all energy into the cheapest slots.
 
     The cluster objective at p = 1 is ``const + |N_m| * sum_t w_t x_t``, so the
-    members are irrelevant; greedily fill the lowest-weight slots (ties to the
-    lowest slot index) up to x_max until the energy need is met.
+    members are irrelevant; fill the lowest-weight slots (ties to the lowest
+    slot index) up to x_max until the energy need is met.
     """
     x = np.zeros(params.n_slots)
-    remaining = params.energy
-    for t in np.argsort(params.weights, kind="stable"):
-        if remaining <= 0:
-            break
-        x[t] = min(params.x_max, remaining)
-        remaining -= x[t]
+    x[np.argsort(params.weights, kind="stable")] = _cheapest_fills(params)
     return x
 
 
@@ -245,8 +245,7 @@ class _EpigraphLP:
             [(self.w * G).ravel(), [params.energy], np.zeros(self.T), np.full(self.T, -params.x_max)]
         )
         self.wg = self.split(self.b)[0]
-        # energy put in the k-th cheapest slot by the cheapest feasible schedule
-        self.fills = np.clip(params.energy - params.x_max * np.arange(self.T), 0.0, params.x_max)
+        self.fills = _cheapest_fills(params)
         self.zero = _IPM_ZERO * self.n * (self.wg.max() + self.w.max() * params.x_max)
 
     def split(self, v: np.ndarray):
@@ -519,36 +518,41 @@ _FILL_ROWS = 1024
 
 
 def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
-    """Per-row p = inf optimum by weighted water-filling, exact and batched.
+    """Per-row optimum for p > 1 by weighted water-filling, exact and batched.
 
-    Row g gets x = clip(lam / w - g, 0, x_max) with lam the lowest level whose
-    fill meets the energy need (Boyd & Vandenberghe, Convex Optimization,
-    sec. 5.5.3); its peak max_t w_t (x_t + g_t) is the single-sample optimum.
-    The fill is piecewise linear in lam, with breakpoints w_t g_t (slot t
-    starts filling) and w_t (g_t + x_max) (slot t is full), so lam is
+    Row g gets x = clip(lam / v - g, 0, x_max), lam the lowest level whose fill
+    meets the energy need (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3).
+    At finite p, the KKT condition of the norm's p-th power sum_t (w_t (x_t + g_t))^p
+    on a slot inside the box, p w_t^p (x_t + g_t)^(p-1) = mu, gives x_t + g_t =
+    lam / v_t with v_t = w_t^(p/(p-1)) = w_t^(1 + 1/(p-1)); at p = inf, v = w, and
+    the peak max_t w_t (x_t + g_t) is optimal. w is scaled to max 1 before the
+    power, so v cannot overflow. The fill is piecewise linear in lam, with breakpoints v_t g_t
+    (slot t starts filling) and v_t (g_t + x_max) (slot t is full), so lam is
     interpolated exactly between sorted breakpoints, as in project_feasible.
-    Zero-weight slots cost nothing and are filled to x_max first, and so are
-    slots whose scaled weight is subnormal: lam / w cannot resolve their fill,
-    and a full one adds at most w_t (g_t + x_max) to the peak.
+    Slots with zero or subnormal scaled v are filled to x_max first: lam / v cannot
+    resolve their fill, and a full one adds at most w_t (g_t + x_max) to the peak
+    (its p-th power to the cost). Raises ValueError at p = 1: its optimum ignores g.
     """
+    if params.p == 1:
+        raise ValueError("water-filling needs p > 1; the p = 1 optimum is cheapest_slot_schedule")
     G = np.atleast_2d(np.asarray(values, dtype=float))
     if G.shape[1] != params.n_slots:
         raise DimensionError(f"profiles must have length {params.n_slots}, got {G.shape[1]}")
-    w = params.weights / max(params.weights.max(), np.finfo(float).tiny)  # x is scale-free
-    pos = w >= np.finfo(float).tiny
+    v = (params.weights / max(params.weights.max(), np.finfo(float).tiny)) ** (1 + 1 / (params.p - 1))
+    pos = v >= np.finfo(float).tiny
     x = np.full(G.shape, params.x_max)
     need = params.energy - params.x_max * np.count_nonzero(~pos)
     if need <= 0 or not pos.any():
         x[:, pos] = 0.0
         return x
-    wp, gp = w[pos], G[:, pos]
-    points = np.sort(np.concatenate([wp * gp, wp * (gp + params.x_max)], axis=1), axis=1)
+    vp, gp = v[pos], G[:, pos]
+    points = np.sort(np.concatenate([vp * gp, vp * (gp + params.x_max)], axis=1), axis=1)
     lam = np.empty(G.shape[0])
-    # lam / w may overflow for tiny weights; the clip to x_max absorbs it
+    # lam / v may overflow for tiny weights; the clip to x_max absorbs it
     with np.errstate(over="ignore"):
         for s in range(0, G.shape[0], _FILL_ROWS):
             pts, g = points[s : s + _FILL_ROWS], gp[s : s + _FILL_ROWS]
-            fills = np.clip(pts[:, :, None] / wp - g[:, None, :], 0.0, params.x_max).sum(axis=2)
+            fills = np.clip(pts[:, :, None] / vp - g[:, None, :], 0.0, params.x_max).sum(axis=2)
             # first breakpoint whose (monotone) fill meets the need; the last one when
             # rounding leaves even the full box a hair short
             i = np.clip((fills < need).sum(axis=1), 1, pts.shape[1] - 1)
@@ -558,7 +562,7 @@ def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
             lam[s : s + _FILL_ROWS] = np.where(
                 rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi
             )
-        x[:, pos] = np.clip(lam[:, None] / wp - gp, 0.0, params.x_max)
+        x[:, pos] = np.clip(lam[:, None] / vp - gp, 0.0, params.x_max)
     return x
 
 
@@ -568,15 +572,11 @@ def perfect_decision_pcs(g, params: PcsParams) -> np.ndarray:
 
 
 def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
-    """Per-row optimal profiles x*(g_n), as an (N, T) array.
-
-    At p = inf these are the water-filling optima, computed in one batch;
-    otherwise each is a singleton-cluster representative.
-    """
-    G = np.atleast_2d(np.asarray(values, dtype=float))
-    if params.p == math.inf:
-        return water_fill_decisions(G, params)
-    return np.stack([solve_representative(g[None, :], [0], params) for g in G])
+    """Per-row optimal profiles x*(g_n), as an (N, T) array, in one exact batch: the
+    water-filling optima (see ``water_fill_decisions``) for p > 1, the cheapest-slot fill at p = 1."""
+    if params.p == 1:
+        return np.tile(cheapest_slot_schedule(params), (np.atleast_2d(values).shape[0], 1))
+    return water_fill_decisions(values, params)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +585,7 @@ def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
 
 def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     """Callable bundle for the engine; approx_assignment forces p = 2 clusters."""
-    assign_p = 2 if approx_assignment else None
+    assign_params = dataclasses.replace(params, p=2) if approx_assignment else params
 
     def feasible(decisions) -> np.ndarray:
         x = as_decisions(decisions, params.n_slots, name="profile")
@@ -607,9 +607,7 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
 
     return MetricOps(
         utilities=lambda x, values: -paired_norms(values, x, params),
-        assign=lambda values, reps: np.argmin(
-            weighted_norms(values, reps, params, p=assign_p), axis=1
-        ),
+        assign=lambda values, reps: np.argmin(weighted_norms(values, reps, assign_params), axis=1),
         best_representatives=best_representatives,
         perfect_decisions=lambda values: perfect_decisions_pcs(values, params),
         feasible=feasible,

@@ -58,6 +58,22 @@ class TestProfileIo:
         assert (data.n, data.dim) == (2, 3)
         np.testing.assert_array_equal(data.values[0], [1.0, 2.0, 3.0])
 
+    def test_utf8_bom_keeps_first_row(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1.0,2.0\n3.0,4.0\n".encode("utf-8"))
+        np.testing.assert_array_equal(load_profiles(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "blank_then_header.csv"
+        path.write_text("\n\nt0,t1\n1.0,2.0\n3.0,abc\n")
+        with pytest.raises(DataFormatError) as err:
+            load_profiles(path)
+        # the header is skipped; rows keep their line numbers in the file
+        assert err.value.row == 5 and err.value.col == 2
+        path.write_text("\n\nt0,t1\n1.0,2.0\n")
+        np.testing.assert_array_equal(load_profiles(path).values, [[1.0, 2.0]])
+
     def test_nan_cell_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,NaN\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,7 +99,8 @@ class TestAssignment:
         levels = np.abs(pp.weights * (values[:, None, :] + reps[None, :, :]))
         q = p if override is None else override
         one_shot = levels.max(axis=-1) if q == math.inf else (levels**q).sum(axis=-1) ** (1.0 / q)
-        np.testing.assert_array_equal(pcs.weighted_norms(values, reps, pp, p=override), one_shot)
+        norm_params = pp if override is None else dataclasses.replace(pp, p=override)
+        np.testing.assert_array_equal(pcs.weighted_norms(values, reps, norm_params), one_shot)
 
     def test_weight_scaling_keeps_argmin(self):
         rng = np.random.default_rng(2)
@@ -524,6 +526,52 @@ class TestWaterFill:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             pcs.water_fill_decisions(np.ones((2, 3)), params())
+
+    def test_p1_rejected(self):
+        # the p = 1 optimum ignores the profile; it is the cheapest-slot fill
+        with pytest.raises(ValueError):
+            pcs.water_fill_decisions(np.ones((2, 2)), params(p=1))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_perfect_decisions_solve_no_cluster(self, monkeypatch, p):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a per-sample decision must not call the cluster solver")
+
+        monkeypatch.setattr(pcs, "solve_representative", no_solve)
+        pp = params(n_slots=6, p=p, energy=5.0, x_max=2.0, weights=[1.0, 0.5, 2.0, 1.5, 0.8, 1.2])
+        values = np.random.default_rng(65).uniform(0.0, 3.0, size=(40, 6))
+        x = pcs.perfect_decisions_pcs(values, pp)
+        assert x.shape == values.shape and np.all(pcs.metric_ops(pp).feasible(x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.sampled_from([0.0, 1e-170]) | st.floats(0.05, 3.0), min_size=t, max_size=t),
+                st.lists(st.floats(0.0, 5.0), min_size=t, max_size=t),
+                st.integers(2, 6),
+                st.floats(0.01, 1.0),
+                st.floats(0.1, 4.0),
+            )
+        )
+    )
+    def test_finite_p_matches_subgradient(self, case):
+        weights, g, p_exp, fill, x_max = case
+        t = len(g)
+        p = params(n_slots=t, p=p_exp, energy=fill * t * x_max, x_max=x_max, weights=weights)
+        g = np.array(g)
+        x = pcs.water_fill_decisions(g, p)[0]
+        assert pcs.metric_ops(p).feasible(x)
+        f = pcs_cluster_objective(x, g[None, :], p.weights, p_exp)
+        f_sg = pcs_cluster_objective(
+            pcs.projected_subgradient_representative(g[None, :], [0], p), g[None, :], p.weights, p_exp
+        )
+        # the subgradient iterate is feasible, so the exact optimum is never worse
+        assert f <= f_sg * (1 + 1e-12)
+        if t == 2:
+            f_grid, _ = grid_min_pcs(g[None, :], p.weights, p_exp, p.energy, x_max)
+            # the grid (step 0.01) has no point when E is within a step of 2 x_max
+            assert f_grid == math.inf or abs(f_grid - f) <= 0.02 * p.weights.sum() + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
