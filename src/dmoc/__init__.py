@@ -23,7 +23,6 @@ from .core import (
     RtpParams,
     RunTrace,
     SolverError,
-    check_feasible,
     evaluate_utility,
     metric_ops,
     total_utility,
@@ -52,7 +51,6 @@ __all__ = [
     "RunTrace",
     "SolverError",
     "assign_clusters",
-    "check_feasible",
     "evaluate_utility",
     "gen_synthetic_pcs",
     "load_profiles",

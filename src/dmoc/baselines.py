@@ -143,7 +143,7 @@ def kmc_pipeline(
         partition=km.assignment,
         representatives=reps,
         objective=objective,
-        trace=RunTrace(objectives=(objective,), iterations_run=1, converged=True),
+        trace=RunTrace(objectives=(objective,), converged=True),
     )
 
 
@@ -161,10 +161,9 @@ def squared_distance_ops(dim: int) -> MetricOps:
             np.atleast_2d(np.asarray(values, dtype=float)),
             np.atleast_2d(np.asarray(reps, dtype=float)),
         ),
-        best_representatives=lambda values, assignment, clusters, warm_starts: cluster_means(
+        best_representatives=lambda values, assignment, clusters: cluster_means(
             np.atleast_2d(np.asarray(values, dtype=float)), assignment, clusters
         ),
         perfect_decisions=lambda values: np.atleast_2d(np.array(values, dtype=float)),
         feasible=lambda decisions: np.ones(as_decisions(decisions, dim).shape[0], dtype=bool),
-        member_determined=True,
     )

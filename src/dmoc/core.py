@@ -347,11 +347,14 @@ class RunTrace:
     """Per-iteration objective values of an alternating-optimization run."""
 
     objectives: tuple
-    iterations_run: int
     converged: bool
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", tuple(float(v) for v in self.objectives))
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objectives)
 
 
 @dataclass(frozen=True)
@@ -393,21 +396,17 @@ class MetricOps:
     assign(values, reps) -> (N,) int array
         Index of the best representative for every row of ``values``
         (argmax of the utility, ties to the lowest index).
-    best_representatives(values, assignment, clusters, warm_starts) -> (k, T) array
+    best_representatives(values, assignment, clusters) -> (k, T) array
         Row i: the feasible decision maximizing the summed utility over the rows
-        with ``assignment == clusters[i]`` (at least one). ``warm_starts[i]``
-        (``warm_starts`` may be None) is only a starting point, read by the
-        finite-p subgradient alone. A SolverError names the cluster.
+        with ``assignment == clusters[i]`` (at least one). It depends on those
+        rows alone, so the engine re-solves only the clusters that a sample
+        entered or left or whose representative changed. A SolverError names
+        the cluster.
     perfect_decisions(values) -> (n, T) array
         Per-row optimal decisions x*(g_n).
     feasible(decisions) -> (k,) bool array
         Constraint check per decision row (a (T,) decision is one row); a row
         of the wrong length raises DimensionError, a non-finite entry DmocError.
-    member_determined: bool
-        Set by the metric, not the user: True when best_representatives
-        depends on the members alone (analytic and LP routes, not iterative
-        ones that depend on the warm start), so the engine re-solves only the
-        clusters that a sample entered or left or whose representative changed.
     """
 
     utilities: Callable
@@ -415,7 +414,6 @@ class MetricOps:
     best_representatives: Callable
     perfect_decisions: Callable
     feasible: Callable
-    member_determined: bool = False
 
 
 def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
@@ -450,15 +448,6 @@ def require_feasible(
         m = int(np.argmin(ok))
         raise InfeasibleDecisionError(f"{name} {m} is infeasible: {x[m]}")
     return x
-
-
-def check_feasible(spec: MetricSpec, x) -> bool:
-    """True iff ``x`` satisfies the metric's constraints within FEASIBILITY_TOL.
-
-    Pricing requires positive prices (checked as ``x >= -tol``); scheduling
-    requires ``0 <= x <= x_max`` per slot and total energy ``sum(x) >= E``.
-    """
-    return bool(metric_ops(spec).feasible(as_vector(x, name="decision"))[0])
 
 
 def evaluate_utility(spec: MetricSpec, x, g) -> float:

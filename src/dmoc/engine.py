@@ -86,7 +86,7 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
 
 
 def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters):
-    """Solve the representatives of ``clusters`` (each with members), warm-started at ``reps``.
+    """Solve the representatives of ``clusters`` (each with members).
 
     Each cluster keeps its representative in ``reps`` unless the solve strictly
     raises the correctly rounded sum of its members' utilities, so solver
@@ -97,7 +97,7 @@ def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clust
     candidates = reps.copy()
     if len(clusters) == 0:
         return candidates, utilities
-    candidates[clusters] = ops.best_representatives(values, assignment, clusters, reps[clusters])
+    candidates[clusters] = ops.best_representatives(values, assignment, clusters)
     solved = np.zeros(reps.shape[0], dtype=bool)
     solved[clusters] = True
     rows = np.nonzero(solved[assignment])[0]
@@ -146,7 +146,7 @@ def update_representatives(
         raise EmptyClusterError(f"cluster {empty[0]} has no members", cluster=int(empty[0]))
     clusters = np.arange(partition.n_clusters)
     if warm_starts is None:
-        return ops.best_representatives(data.values, partition.assignment, clusters, None)
+        return ops.best_representatives(data.values, partition.assignment, clusters)
     return _keep_or_replace(ops, data.values, partition.assignment, warm_starts, clusters)[0]
 
 
@@ -165,9 +165,9 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
     first assignment; at least one full iteration always runs, and iteration
     q stops the run when its improvement is at most ``config.tol``. Each
     iteration solves its clusters' representatives in one call: every
-    nonempty cluster, or with ``ops.member_determined`` after the first
-    iteration only those that a sample entered or left or whose
-    representative the empty-cluster repair replaced.
+    nonempty cluster in the first iteration, and after it only those that a
+    sample entered or left or whose representative the empty-cluster repair
+    replaced, since a representative depends on its cluster's members alone.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -185,18 +185,17 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     objectives = []
     converged = False
+    changed = np.ones(config.n_clusters, dtype=bool)
     for q in range(1, config.max_iters + 1):
         if q > 1:
             last_assignment, last_reps = assignment, reps
             assignment = ops.assign(values, reps)
             reps, assignment = _repair_empty(ops, values, reps, assignment)
-        solve = np.bincount(assignment, minlength=config.n_clusters) > 0
-        if q > 1 and ops.member_determined:
             moved = assignment != last_assignment
             changed = np.any(reps != last_reps, axis=1)
             changed[assignment[moved]] = True
             changed[last_assignment[moved]] = True
-            solve &= changed
+        solve = (np.bincount(assignment, minlength=config.n_clusters) > 0) & changed
         reps, utilities = _keep_or_replace(ops, values, assignment, reps, np.nonzero(solve)[0])
         current = math.fsum(utilities)
         objectives.append(current)
@@ -205,16 +204,11 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
             break
         previous = current
 
-    trace = RunTrace(
-        objectives=tuple(objectives),
-        iterations_run=len(objectives),
-        converged=converged,
-    )
     return ClusteringResult(
         partition=Partition(assignment, config.n_clusters),
         representatives=reps,
         objective=objectives[-1],
-        trace=trace,
+        trace=RunTrace(objectives=tuple(objectives), converged=converged),
     )
 
 

@@ -161,32 +161,6 @@ def loss_curve(
     return curves
 
 
-def nested_dmoc_sweep(
-    spec: MetricSpec,
-    data: DataSet,
-    m_max: int,
-    seed: int = 0,
-    max_iters: int = 10,
-    tol: float = 1e-3,
-) -> list[ClusteringResult]:
-    """Nested runs for M = 1..m_max: each run starts from the previous
-    representatives plus one split seeded at the currently worst-served sample.
-
-    Under this protocol the objective is nondecreasing in M.
-    """
-    ops = metric_ops(spec)
-    results = []
-    init = "random"
-    for m in range(1, m_max + 1):
-        config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed, init=init)
-        res = run_dmoc(spec, data, config)
-        results.append(res)
-        per_sample = ops.utilities(res.representatives[res.partition.assignment], data.values)
-        worst = int(np.argsort(per_sample, kind="stable")[0])
-        init = np.vstack([res.representatives, ops.perfect_decisions(data.values[[worst]])])
-    return results
-
-
 def clusters_for_targets(
     spec: MetricSpec,
     data: DataSet,

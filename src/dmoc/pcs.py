@@ -7,14 +7,14 @@ cluster rule is the generalized Voronoi rule in this norm; the best
 representative solves a convex program handled here by
 
 * an analytic cheapest-slot fill for p = 1,
-* the epigraph LP for p = inf, solved by a primal-dual interior-point method
-  written for its structure (``interior_point_representative``: each Newton
-  step is a T x T Cholesky solve); its failure is a SolverError,
-* projected subgradient with Polyak-style adaptive level steps for finite
-  p >= 2.
+* one primal-dual interior-point method for every p > 1
+  (``interior_point_representative``), on the epigraph LP at p = inf and on the
+  convex program over x alone at finite p; each Newton step is a T x T Cholesky
+  solve, and its failure is a SolverError.
 
-p alone picks the route; each route's tolerances are module constants. The
-engine, not the route, decides whether a solve replaces a representative.
+p alone picks the route; each route's tolerances are module constants, and its
+answer depends on the members alone. The engine, not the route, decides whether
+a solve replaces a representative.
 
 ``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
 reference solver, imported on use: no route calls it, and scipy is needed only
@@ -203,15 +203,15 @@ def epigraph_lp_representative(data, member_indices, params: PcsParams) -> np.nd
     return np.clip(res.x[:T], 0.0, params.x_max)
 
 
-#: The interior-point method returns once the certified relative duality gap of
-#: its iterate is at most _IPM_TOL. Near the optimum the Newton matrix can lose
+#: The interior-point method returns once the certified relative gap of its
+#: iterate is at most _IPM_TOL. Near the optimum the Newton matrix can lose
 #: definiteness to rounding first; the best iterate is then kept if its gap is at
 #: most _IPM_FLOOR, and otherwise the method reports non-convergence, as it does
 #: after _IPM_MAX_ITERS iterations.
 _IPM_TOL = 1e-9
 _IPM_FLOOR = 1e-8
-#: Gaps are relative to the objective, or to this fraction of its largest possible
-#: value, n * max_t w_t (max_n g_nt + x_max), when the objective is smaller.
+#: Gaps are relative to the objective, or to this fraction of its scale,
+#: n * max_t w_t (max_n g_nt + x_max), when the objective is smaller.
 _IPM_ZERO = 1e-6
 _IPM_MAX_ITERS = 100
 #: Fraction of the distance to the boundary of the positive orthant taken per step.
@@ -226,6 +226,11 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha with v + alpha * dv >= 0 for v > 0 (inf when no entry decreases)."""
     fall = -float((dv / v).min())
     return 1.0 / fall if fall > 0 else math.inf
+
+
+def _relative(excess: float, value: float, zero: float) -> float:
+    """A gap bound ``excess`` relative to the objective ``value`` (see _IPM_ZERO)."""
+    return 0.0 if excess <= 0 else excess / max(value, zero)
 
 
 class _EpigraphLP:
@@ -296,6 +301,12 @@ class _EpigraphLP:
         dx = (inverse @ (rx + self.w * (u @ epi))) @ inverse
         return dx, (rs + epi @ (self.w * dx)) / sigma
 
+    def linearize(self, z, y: np.ndarray, d: np.ndarray):
+        """The dual residual A'y - c, with c = (0, 1), and the factored A'DA."""
+        rdx, rds = self.cols(y)
+        rds -= 1.0
+        return (rdx, rds), self.factor(d)
+
     def start(self):
         """Mehrotra's starting point: least-squares primal, least-norm dual, shifted inside."""
         unit = self.factor(np.ones(self.b.size))
@@ -305,7 +316,7 @@ class _EpigraphLP:
         r += max(-1.5 * r.min(), 0.0)
         y += max(-1.5 * y.min(), 0.0)
         ry = r @ y
-        return x, s, r + 0.5 * ry / y.sum(), y + 0.5 * ry / r.sum()
+        return (x, s), r + 0.5 * ry / y.sum(), y + 0.5 * ry / r.sum()
 
     def gap(self, x: np.ndarray, y: np.ndarray) -> float:
         """Certified relative duality gap of a feasible x and the epigraph duals in y.
@@ -319,83 +330,148 @@ class _EpigraphLP:
         epi = self.split(y)[0]
         scale = 1.0 / epi.sum(axis=1)
         bound = scale @ (epi * self.wg).sum(axis=1) + np.sort(self.w * (scale @ epi)) @ self.fills
-        excess = peaks - bound
-        if excess <= 0:
-            return 0.0
-        return excess / max(peaks, self.zero)
+        return _relative(peaks - bound, peaks, self.zero)
 
-    def step(self, x, s, r, y):
-        """One predictor-corrector step (Mehrotra) with centrality correctors (Gondzio)."""
-        rp = self.rows(x, s) - r - self.b  # primal residual A z - r - b
-        rdx, rds = self.cols(y)  # dual residual A'y - c, with c = (0, 1)
-        rds -= 1.0
-        d = y / r
-        factored = self.factor(d)
 
-        def newton(rc, rp=0.0, rdx=0.0, rds=0.0):
-            # move the residuals to zero and the products r*y by rc:
-            # A'DA dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr
-            qx, qs = self.cols(rc / r - d * rp)
-            dx, ds = self.solve(factored, rdx + qx, rds + qs)
-            dr = self.rows(dx, ds) + rp
-            return dx, ds, dr, rc / r - d * dr
+class _NormSum:
+    """The finite-p cluster program ``min f(x) = sum_n ||W(x + g_n)||_p  s.t.  A x >= b``.
 
-        def reach(v):
-            return min(1.0, _IPM_STEP * _max_step(r, v[2])), min(1.0, _IPM_STEP * _max_step(y, v[3]))
+    The 2T + 1 rows are the energy row ``1'x >= E``, the lower bounds ``x >= 0`` and
+    the upper bounds ``-x >= -x_max``. The start is strictly feasible and the steps
+    keep it so, which keeps every load W(x + g_n) nonnegative.
+    """
 
-        ry = r * y
-        mu = ry.mean()
-        dx, ds, dr, dy = newton(-ry, rp, rdx, rds)
-        ap, ad = min(1.0, _max_step(r, dr)), min(1.0, _max_step(y, dy))
-        target = mu * ((r + ap * dr) @ (y + ad * dy) / ry.size / mu) ** 3
-        v = newton(target - ry - dr * dy, rp, rdx, rds)
-        ap, ad = reach(v)
-        for _ in range(_IPM_CORRECTORS):
-            if min(ap, ad) >= _IPM_SHORT_STEP:
-                break
-            # pull the products r*y of a step 0.3 longer into [0.1, 10] x target
-            trial = (r + min(1.0, ap + 0.3) * v[2]) * (y + min(1.0, ad + 0.3) * v[3])
-            fix = np.maximum(np.clip(trial, 0.1 * target, 10.0 * target) - trial, -10.0 * target)
-            corrected = [a + c for a, c in zip(v, newton(fix))]
-            cap, cad = reach(corrected)
-            if cap + cad < ap + ad + 0.03:
-                break  # kept only if it lengthens the steps by a tenth of the trial
-            v, ap, ad = corrected, cap, cad
-        dx, ds, dr, dy = v
-        return x + ap * dx, s + ap * ds, r + ap * dr, y + ad * dy
+    def __init__(self, G: np.ndarray, params: PcsParams):
+        n, self.T = G.shape
+        top = params.weights.max()
+        self.w = params.weights / top if top > 0 else params.weights  # x is scale-free
+        self.wg, self.p, self.x_max = self.w * G, params.p, params.x_max
+        self.b = np.concatenate([[params.energy], np.zeros(self.T), np.full(self.T, -params.x_max)])
+        self.fills = _cheapest_fills(params)
+        self.zero = _IPM_ZERO * n * (self.wg.max() + self.w.max() * params.x_max)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([[x.sum()], x, -x])
+
+    def cols(self, y: np.ndarray):
+        return (y[0] + y[1 : self.T + 1] - y[self.T + 1 :],)
+
+    def derivatives(self, x: np.ndarray):
+        """f(x), its gradient sum_n a_n with a_n = w (u_n/N_n)^(p-1), and the parts of its
+        Hessian sum_n (p-1)/N_n [diag(w^2 (u_n/N_n)^(p-2)) - a_n a_n']: the diagonal and
+        the rows sqrt((p-1)/N_n) a_n. Here u_n = W(x + g_n) and N_n = ||u_n||_p; a member
+        with N_n = 0 contributes nothing (0 lies in its subdifferential there)."""
+        u = self.wg + self.w * x
+        norms = (u**self.p).sum(axis=1) ** (1.0 / self.p)
+        inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        ratio = u * inverse[:, None]
+        bent = ratio ** (self.p - 2)
+        a = self.w * (bent * ratio)
+        curvature = (self.p - 1) * inverse
+        rows = np.sqrt(curvature)[:, None] * a
+        return norms.sum(), a.sum(axis=0), self.w**2 * (curvature @ bent), rows
+
+    def linearize(self, z, y: np.ndarray, d: np.ndarray):
+        """The dual residual A'y - grad f and the factored Newton matrix
+        ``grad^2 f + A'DA = grad^2 f + diag(d_lo + d_hi) + d_E 11'``."""
+        T = self.T
+        _, grad, diagonal, rows = self.derivatives(z[0])
+        newton = -(rows.T @ rows)
+        newton[np.diag_indices(T)] += diagonal + d[1 : T + 1] + d[T + 1 :]
+        newton += d[0]
+        return (self.cols(y)[0] - grad,), np.linalg.inv(np.linalg.cholesky(newton))
+
+    def solve(self, inverse: np.ndarray, rx: np.ndarray):
+        return ((inverse @ rx) @ inverse,)
+
+    def start(self):
+        """A central feasible point: x halfway between the even spread E/T and x_max in
+        every slot; duals y = mu / r that answer the gradient there on average."""
+        x = np.full(self.T, 0.5 * (self.b[0] / self.T + self.x_max))
+        r = self.rows(x) - self.b
+        y = self.derivatives(x)[1].mean() * r.mean() / r
+        return (x,), r, y
+
+    def gap(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Relative Frank-Wolfe gap grad f(x)'x - min over the feasible set of grad f(x)'v
+        (Jaggi, ICML 2013), which bounds f(x) - f* for a feasible x; the minimum is the
+        cheapest fill in gradient order (the gradient is nonnegative)."""
+        value, grad, _, _ = self.derivatives(x)
+        return _relative(grad @ x - np.sort(grad) @ self.fills, value, self.zero)
+
+
+def _step(problem, z, r: np.ndarray, y: np.ndarray):
+    """One predictor-corrector step (Mehrotra) with centrality correctors (Gondzio)
+    on ``min f(z)  s.t.  A z - r = b, r >= 0`` with duals y >= 0; z is a tuple of parts."""
+    rp = problem.rows(*z) - r - problem.b  # primal residual A z - r - b
+    d = y / r
+    rd, factored = problem.linearize(z, y, d)
+    rest = (0.0,) * len(z)
+
+    def newton(rc, rp=0.0, rd=rest):
+        # move the residuals to zero and the products r*y by rc:
+        # (grad^2 f + A'DA) dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr
+        q = problem.cols(rc / r - d * rp)
+        dz = problem.solve(factored, *(a + b for a, b in zip(rd, q)))
+        dr = problem.rows(*dz) + rp
+        return *dz, dr, rc / r - d * dr
+
+    def reach(v):
+        return min(1.0, _IPM_STEP * _max_step(r, v[-2])), min(1.0, _IPM_STEP * _max_step(y, v[-1]))
+
+    ry = r * y
+    mu = ry.mean()
+    *_, dr, dy = newton(-ry, rp, rd)
+    ap, ad = min(1.0, _max_step(r, dr)), min(1.0, _max_step(y, dy))
+    target = mu * ((r + ap * dr) @ (y + ad * dy) / ry.size / mu) ** 3
+    v = newton(target - ry - dr * dy, rp, rd)
+    ap, ad = reach(v)
+    for _ in range(_IPM_CORRECTORS):
+        if min(ap, ad) >= _IPM_SHORT_STEP:
+            break
+        # pull the products r*y of a step 0.3 longer into [0.1, 10] x target
+        trial = (r + min(1.0, ap + 0.3) * v[-2]) * (y + min(1.0, ad + 0.3) * v[-1])
+        fix = np.maximum(np.clip(trial, 0.1 * target, 10.0 * target) - trial, -10.0 * target)
+        corrected = [a + c for a, c in zip(v, newton(fix))]
+        cap, cad = reach(corrected)
+        if cap + cad < ap + ad + 0.03:
+            break  # kept only if it lengthens the steps by a tenth of the trial
+        v, ap, ad = corrected, cap, cad
+    *dz, dr, dy = v
+    return tuple(a + ap * b for a, b in zip(z, dz)), r + ap * dr, y + ad * dy
 
 
 def interior_point_representative(data, member_indices, params: PcsParams) -> np.ndarray:
-    """p = inf representative by a primal-dual interior-point method on the epigraph LP.
+    """Representative for p > 1 by a primal-dual interior-point method.
 
-    Solves the LP of ``epigraph_lp_representative`` with Mehrotra's predictor-corrector
-    method (Mehrotra, SIAM J. Optim. 2(4), 1992) from his starting point, adding
-    Gondzio's centrality correctors, which keep the iteration count nearly flat in
-    the member count. Each Newton system reduces to a T x T Cholesky solve (see
-    ``_EpigraphLP.factor``), so an iteration costs a few passes over the (n, T)
-    member array. Every iterate's projection onto the feasible set is checked
-    against a dual lower bound, so the returned profile is feasible and its
-    objective is within a relative _IPM_TOL (at worst _IPM_FLOOR) of the optimum.
-    Raises SolverError otherwise.
+    Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992) with
+    Gondzio's centrality correctors, which keep the iteration count nearly flat in the
+    member count, on the epigraph LP of ``epigraph_lp_representative`` at p = inf and on
+    the program over x alone (``_NormSum``) at finite p. Each Newton system is a T x T
+    Cholesky solve, so an iteration costs a few passes over the (n, T) member array.
+    Every iterate's projection onto the feasible set is certified (by the LP dual at
+    p = inf, by the Frank-Wolfe gap at finite p), so the returned profile is feasible
+    and within a relative _IPM_TOL (at worst _IPM_FLOOR) of the optimum. Raises
+    SolverError otherwise, and ValueError at p = 1.
     """
-    if params.p != math.inf:
-        raise ValueError("the epigraph LP applies only at p = inf")
+    if params.p == 1:
+        raise ValueError("the interior point needs p > 1; the p = 1 optimum is cheapest_slot_schedule")
     G = _member_values(data, member_indices)
     T = G.shape[1]
     if params.energy >= T * params.x_max:
-        return np.full(T, params.x_max)  # the only feasible point; the LP has no interior
-    lp = _EpigraphLP(G, params)
+        return np.full(T, params.x_max)  # the only feasible point; the program has no interior
+    problem = (_EpigraphLP if params.p == math.inf else _NormSum)(G, params)
     best_gap, best_x = math.inf, None
     try:
-        x, s, r, y = lp.start()
+        z, r, y = problem.start()
         for _ in range(_IPM_MAX_ITERS):
-            feasible = project_feasible(x, params)
-            gap = lp.gap(feasible, y)
+            feasible = project_feasible(z[0], params)
+            gap = problem.gap(feasible, y)
             if gap < best_gap:
                 best_gap, best_x = gap, feasible
             if gap <= _IPM_TOL or not np.isfinite(gap):
                 break
-            x, s, r, y = lp.step(x, s, r, y)
+            z, r, y = _step(problem, z, r, y)
     except np.linalg.LinAlgError:
         pass  # rounding ended the progress; judge the best iterate
     if best_gap <= _IPM_FLOOR:
@@ -403,110 +479,13 @@ def interior_point_representative(data, member_indices, params: PcsParams) -> np
     raise SolverError(f"interior-point method stopped at relative duality gap {best_gap:.2e}")
 
 
-#: The level subgradient method stops once its relative level gap is at most
-#: _SUBGRADIENT_TOL; _SUBGRADIENT_C0 scales its initial level gap. It raises
-#: SolverError after _SUBGRADIENT_MAX_ITERS iterations.
-_SUBGRADIENT_TOL = 1e-5
-_SUBGRADIENT_C0 = 0.1
-_SUBGRADIENT_MAX_ITERS = 100000
-
-
-def _value_and_subgradient(
-    x: np.ndarray, G: np.ndarray, params: PcsParams
-) -> tuple[float, np.ndarray]:
-    """Cluster objective sum_n ||W(x + g_n)||_p and one subgradient at x, for finite p.
-
-    Inputs are nonnegative so the absolute values inside the norm drop out.
-    """
-    w = params.weights
-    p = params.p
-    levels = w * (x + G)
-    norms = (levels**p).sum(axis=1) ** (1.0 / p)
-    safe = norms > 0
-    grad = np.zeros_like(x)
-    if np.any(safe):
-        ratio = levels[safe] ** (p - 1) / norms[safe, None] ** (p - 1)
-        grad = (w * ratio).sum(axis=0)
-    return float(norms.sum()), grad
-
-
-def projected_subgradient_representative(
-    data, member_indices, params: PcsParams, warm_start=None
-) -> np.ndarray:
-    """Finite-p representative: projected subgradient with adaptive level steps.
-
-    Rounds keep a fixed reference value f_ref and step toward the level
-    f_ref - delta; a descent of delta/2 doubles delta (escapes crawling
-    descents), while an exhausted path or iteration budget halves it (the
-    level is unreachable or the iterates oscillate). Stops when the relative
-    level gap reaches _SUBGRADIENT_TOL; raises SolverError when the iteration
-    budget runs out first.
-    """
-    if params.p == math.inf:
-        raise ValueError("the level subgradient method applies only at finite p")
-    G = _member_values(data, member_indices)
-    T = params.n_slots
-    x0 = np.full(T, params.energy / T) if warm_start is None else np.asarray(warm_start, dtype=float)
-    x = project_feasible(x0, params)
-    f_x, grad = _value_and_subgradient(x, G, params)
-    x_best, f_best = x.copy(), f_x
-
-    f_ref = f_best
-    delta = max(_SUBGRADIENT_TOL, _SUBGRADIENT_C0 * max(1.0, abs(f_best)))
-    path = 0.0
-    round_iters = 0
-    budget = 0.25 * params.x_max * math.sqrt(T)
-    round_cap = 150 + 25 * T
-    converged = False
-    for _ in range(_SUBGRADIENT_MAX_ITERS):
-        gn2 = float(grad @ grad)
-        if gn2 <= 1e-30:
-            converged = True
-            break
-        step = (f_x - (f_ref - delta)) / gn2
-        x_new = project_feasible(x - step * grad, params)
-        move = float(np.linalg.norm(x_new - x))
-        path += move
-        round_iters += 1
-        x = x_new
-        f_x, grad = _value_and_subgradient(x, G, params)
-        if f_x < f_best:
-            f_best, x_best = f_x, x.copy()
-        if f_x <= f_ref - 0.5 * delta:
-            f_ref, delta = f_x, 2.0 * delta
-            path, round_iters = 0.0, 0
-        elif (
-            path > budget
-            or round_iters > round_cap
-            or move <= 1e-14 * (1.0 + float(np.linalg.norm(x)))
-        ):
-            delta *= 0.5
-            f_ref = f_best
-            path, round_iters = 0.0, 0
-            if delta <= _SUBGRADIENT_TOL * (1.0 + abs(f_best)):
-                converged = True
-                break
-    if not converged:
-        raise SolverError(
-            f"projected subgradient exhausted {_SUBGRADIENT_MAX_ITERS} iterations "
-            f"with level gap {delta:.3e} above tolerance"
-        )
-    return x_best
-
-
-def solve_representative(data, member_indices, params: PcsParams, warm_start=None) -> np.ndarray:
-    """Best representative consumption profile for a cluster.
-
-    Dispatches on p: the cheapest-slot fill at p = 1, the interior-point
-    method on the epigraph LP at p = inf, the level subgradient method
-    otherwise, which starts from ``warm_start`` when one is given; a solver
-    failure raises SolverError. Whether the result replaces a cluster's
-    representative is the engine's decision, not the solver's.
-    """
-    if params.p == math.inf:
-        return interior_point_representative(data, member_indices, params)
+def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
+    """Best representative consumption profile for a cluster, from its members alone:
+    the cheapest-slot fill at p = 1, the interior-point method otherwise (its failure
+    raises SolverError). Whether the result replaces a cluster's representative is
+    the engine's decision, not the solver's."""
     if params.p != 1:
-        return projected_subgradient_representative(data, member_indices, params, warm_start=warm_start)
+        return interior_point_representative(data, member_indices, params)
     if len(member_indices) == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
     return cheapest_slot_schedule(params)
@@ -595,12 +574,11 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
             & (x.sum(axis=1) >= params.energy - FEASIBILITY_TOL)
         )
 
-    def best_representatives(values, assignment, clusters, warm_starts) -> np.ndarray:
+    def best_representatives(values, assignment, clusters) -> np.ndarray:
         reps = np.empty((len(clusters), params.n_slots))
         for i, (m, members) in enumerate(zip(clusters, cluster_members(assignment, clusters))):
-            warm = None if warm_starts is None else warm_starts[i]
             try:
-                reps[i] = solve_representative(values, members, params, warm_start=warm)
+                reps[i] = solve_representative(values, members, params)
             except SolverError as err:
                 raise SolverError(f"cluster {m}: {err}", cluster=int(m)) from err
         return reps
@@ -611,6 +589,4 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
         best_representatives=best_representatives,
         perfect_decisions=lambda values: perfect_decisions_pcs(values, params),
         feasible=feasible,
-        # the cheapest-slot fill and the epigraph LP see only the members
-        member_determined=params.p in (1, math.inf),
     )

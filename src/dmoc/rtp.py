@@ -186,10 +186,9 @@ def metric_ops(params: RtpParams) -> MetricOps:
     return MetricOps(
         utilities=lambda x, values: f1_batch(x, values, params),
         assign=lambda values, reps: assign_batch(values, reps, params),
-        best_representatives=lambda values, assignment, clusters, warm_starts: (
+        best_representatives=lambda values, assignment, clusters: (
             closed_form_representatives(values, assignment, clusters, params)
         ),
         perfect_decisions=lambda values: perfect_prices(values, params),
         feasible=feasible,
-        member_determined=True,
     )

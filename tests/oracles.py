@@ -1,8 +1,8 @@
 """Independent reference computations used to pin expected values.
 
 These stay deliberately naive (grids, enumeration, finite differences,
-smoothed gradient descent) and never call the solver paths they are used to
-check.
+smoothed gradient descent, level subgradient steps) and never call the solver
+paths they are used to check.
 """
 
 from __future__ import annotations
@@ -81,6 +81,62 @@ def peak_descent_representative(members_values, params):
         if mu <= mu_final * (1.0 + 1e-9):
             return x_best
         mu = max(mu_final, mu / 5.0)
+
+
+def subgradient_representative(members_values, params, tol=1e-5, max_iters=100000):
+    """Finite-p cluster representative by projected subgradient with adaptive level steps.
+
+    Independent of the interior point: rounds keep a fixed reference value f_ref
+    and step toward the level f_ref - delta; a descent of delta/2 doubles delta
+    (escapes crawling descents), while an exhausted path or iteration budget
+    halves it (the level is unreachable or the iterates oscillate). Stops when
+    the relative level gap reaches ``tol``. Returns the best iterate, which is
+    feasible.
+    """
+    if params.p == math.inf:
+        raise ValueError("the level subgradient method applies only at finite p")
+    G = np.atleast_2d(np.asarray(members_values, dtype=float))
+    w, p, T = params.weights, params.p, params.n_slots
+
+    def value_and_subgradient(x):
+        levels = w * (x + G)
+        norms = (levels**p).sum(axis=1) ** (1.0 / p)
+        safe = norms > 0
+        grad = np.zeros_like(x)
+        if np.any(safe):
+            grad = (w * levels[safe] ** (p - 1) / norms[safe, None] ** (p - 1)).sum(axis=0)
+        return float(norms.sum()), grad
+
+    x = project_feasible(np.full(T, params.energy / T), params)
+    f_x, grad = value_and_subgradient(x)
+    x_best, f_best = x.copy(), f_x
+    f_ref = f_best
+    delta = max(tol, 0.1 * max(1.0, abs(f_best)))
+    path, round_iters = 0.0, 0
+    budget = 0.25 * params.x_max * math.sqrt(T)
+    round_cap = 150 + 25 * T
+    for _ in range(max_iters):
+        gn2 = float(grad @ grad)
+        if gn2 <= 1e-30:
+            return x_best
+        x_new = project_feasible(x - (f_x - (f_ref - delta)) / gn2 * grad, params)
+        move = float(np.linalg.norm(x_new - x))
+        path += move
+        round_iters += 1
+        x = x_new
+        f_x, grad = value_and_subgradient(x)
+        if f_x < f_best:
+            f_best, x_best = f_x, x.copy()
+        if f_x <= f_ref - 0.5 * delta:
+            f_ref, delta = f_x, 2.0 * delta
+            path, round_iters = 0.0, 0
+        elif path > budget or round_iters > round_cap or move <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
+            delta *= 0.5
+            f_ref = f_best
+            path, round_iters = 0.0, 0
+            if delta <= tol * (1.0 + abs(f_best)):
+                return x_best
+    raise RuntimeError(f"projected subgradient exhausted {max_iters} iterations")
 
 
 def grid_min_pcs(members_values, weights, p, energy, x_max, step=0.01):

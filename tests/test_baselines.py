@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, check_feasible
+from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops
 from dmoc import baselines, evaluation
 from dmoc.data import gen_synthetic_pcs
 
@@ -100,7 +100,7 @@ class TestKmcPipeline:
         spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=10.0, x_max=3.0)
         res = baselines.kmc_pipeline(spec, data, 5, seed=2)
         for rep in res.representatives:
-            assert check_feasible(spec, rep)
+            assert metric_ops(spec).feasible(rep)[0]
 
     def test_rtp_pipeline_feasible_and_positive(self):
         from dmoc import rtp

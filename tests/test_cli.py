@@ -476,7 +476,7 @@ class TestExperiment:
         assert not out_dir.exists()
 
     def test_solver_failure_is_solver_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 2)
+        monkeypatch.setattr(pcs, "_IPM_MAX_ITERS", 0)
         config = {
             "experiment": "loss_curve",
             "seed": 2,

@@ -13,7 +13,6 @@ from dmoc import (
     Partition,
     RunTrace,
     ClusteringResult,
-    check_feasible,
     evaluate_utility,
     metric_ops,
     total_utility,
@@ -74,23 +73,23 @@ class TestEvaluateUtility:
 
 class TestCheckFeasible:
     def test_pcs_energy_boundary(self):
-        spec = pcs_spec(n_slots=24, energy=30.0, x_max=3.0)
-        assert check_feasible(spec, np.full(24, 1.25))
-        assert not check_feasible(spec, np.zeros(24))
+        feasible = metric_ops(pcs_spec(n_slots=24, energy=30.0, x_max=3.0)).feasible
+        assert feasible(np.full(24, 1.25))[0]
+        assert not feasible(np.zeros(24))[0]
 
     def test_rtp_positivity(self):
-        spec = rtp_spec(n_slots=2)
-        assert not check_feasible(spec, [1.0, -0.5])
-        assert check_feasible(spec, [0.0, 0.0])  # within the 1e-9 tolerance
+        feasible = metric_ops(rtp_spec(n_slots=2)).feasible
+        assert not feasible([1.0, -0.5])[0]
+        assert feasible([0.0, 0.0])[0]  # within the 1e-9 tolerance
 
     def test_pcs_box(self):
-        spec = pcs_spec(n_slots=2, energy=1.0, x_max=2.0)
-        assert not check_feasible(spec, [2.5, 0.5])
-        assert check_feasible(spec, [2.0, 0.0])
+        feasible = metric_ops(pcs_spec(n_slots=2, energy=1.0, x_max=2.0)).feasible
+        assert not feasible([2.5, 0.5])[0]
+        assert feasible([2.0, 0.0])[0]
 
     def test_dimension_precondition(self):
         with pytest.raises(DimensionError):
-            check_feasible(pcs_spec(), [1.0])
+            metric_ops(pcs_spec()).feasible([1.0])
 
 
 class TestTotalUtility:
@@ -101,7 +100,7 @@ class TestTotalUtility:
             partition=Partition([0], 1),
             representatives=[[1.0, 1.0]],
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         assert total_utility(spec, result, data) == evaluate_utility(
             spec, [1.0, 1.0], [3.0, 1.0]
@@ -118,7 +117,7 @@ class TestTotalUtility:
             partition=Partition([0, 1], 2),
             representatives=[[0.0, 2.0], [2.0, 0.0]],
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         single = evaluate_utility(spec, [0.0, 2.0], [3.0, 0.0])
         assert total_utility(spec, result, data) == pytest.approx(2 * single, abs=1e-9)
@@ -130,7 +129,7 @@ class TestTotalUtility:
             partition=Partition([0], 1),
             representatives=[[1.0, 1.0]],
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         with pytest.raises(DimensionError):
             total_utility(spec, result, data)
@@ -145,7 +144,7 @@ class TestTotalUtility:
             partition=Partition(assignment, 2),
             representatives=reps,
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         per_sample = [
             evaluate_utility(spec, reps[assignment[n]], data.values[n]) for n in range(25)
@@ -212,15 +211,12 @@ class TestBatchedMetricOps:
         values = rng.uniform(0.0, 3.0, size=(12, data_dim))
         assignment = np.array([2, 0, 4, 2, 2, 0, 4, 4, 0, 2, 4, 0])  # cluster 1 and 3 empty
         clusters = np.array([4, 0, 2])
-        warm = ops.perfect_decisions(values[[5, 1, 9]])
-        batch = ops.best_representatives(values, assignment, clusters, warm)
+        batch = ops.best_representatives(values, assignment, clusters)
         assert batch.shape == (3, decision_dim)
         for i, m in enumerate(clusters):
             members = np.nonzero(assignment == m)[0]
-            one = ops.best_representatives(values, assignment, [m], warm[i : i + 1])
-            alone = ops.best_representatives(
-                values[members], np.zeros(members.size, int), [0], warm[i : i + 1]
-            )
+            one = ops.best_representatives(values, assignment, [m])
+            alone = ops.best_representatives(values[members], np.zeros(members.size, int), [0])
             np.testing.assert_array_equal(batch[i], one[0])
             np.testing.assert_array_equal(batch[i], alone[0])
 
@@ -288,7 +284,7 @@ class TestTypes:
                 partition=Partition([0, 1], 2),
                 representatives=[[1.0, 1.0]],
                 objective=0.0,
-                trace=RunTrace((0.0,), 1, True),
+                trace=RunTrace((0.0,), True),
             )
 
 

@@ -17,7 +17,6 @@ from dmoc import (
     RunTrace,
     SolverError,
     assign_clusters,
-    check_feasible,
     evaluate_utility,
     metric_ops,
     run_dmoc,
@@ -130,11 +129,11 @@ class TestSuppliedDecisions:
             lambda: run_dmoc(self.spec, self.data, EngineConfig(n_clusters=2, seed=0, init=short)),
             lambda: assign_clusters(self.spec, self.data, short),
             lambda: update_representatives(self.spec, self.data, self.partition, warm_starts=short),
-            lambda: check_feasible(self.spec, short[0]),
+            lambda: metric_ops(self.spec).feasible(short[0]),
             lambda: evaluate_utility(self.spec, short[0], self.data.values[0]),
             lambda: total_utility(
                 self.spec,
-                ClusteringResult(self.partition, short, 0.0, RunTrace((0.0,), 1, True)),
+                ClusteringResult(self.partition, short, 0.0, RunTrace((0.0,), True)),
                 self.data,
             ),
         )
@@ -221,7 +220,7 @@ class TestRunDmoc:
 
         start = ClusteringResult(
             partition=part, representatives=init, objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         assert res.objective >= total_utility(spec, start, data)
 
@@ -349,22 +348,38 @@ class TestSkipUnchangedClusters:
         assert len(solves) == 1
         assert len(highs) == 0
 
-    def test_member_determined_follows_the_solver_route(self):
-        spec = MetricSpec.for_pcs(n_slots=4, p=2, energy=4.0, x_max=3.0)
-        assert not metric_ops(spec).member_determined
-        assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=1, energy=4.0)).member_determined
-        assert metric_ops(MetricSpec.for_pcs(n_slots=4, p=math.inf, energy=4.0)).member_determined
+    def test_single_cluster_run_solves_once_at_finite_p(self, monkeypatch):
+        solves = []
+        solve = pcs.interior_point_representative
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pcs, "interior_point_representative", counting_solve)
+        spec = MetricSpec.for_pcs(n_slots=8, p=2, energy=8.0, x_max=3.0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
+        res = run_dmoc(spec, data, EngineConfig(n_clusters=1, seed=0, tol=0.0))
+        assert res.trace.iterations_run >= 2
+        assert len(solves) == 1
 
     @staticmethod
     def recording(ops, events):
         """The ops, logging each representative call, each solve the guard must
-        reject (no better than its warm start) and each perfect-decision call."""
+        reject (no better than the representative that the last assignment used)
+        and each perfect-decision call."""
+        assigned = []
 
-        def best_representatives(values, assignment, clusters, warm_starts):
-            reps = ops.best_representatives(values, assignment, clusters, warm_starts)
-            for m, warm, rep in zip(clusters, warm_starts, reps):
+        def assign(values, reps):
+            assigned[:] = [reps]
+            return ops.assign(values, reps)
+
+        def best_representatives(values, assignment, clusters):
+            reps = ops.best_representatives(values, assignment, clusters)
+            for m, rep in zip(clusters, reps):
                 rows = values[assignment == m]
-                if math.fsum(ops.utilities(rep, rows)) <= math.fsum(ops.utilities(warm, rows)):
+                kept = assigned[0][m]
+                if math.fsum(ops.utilities(rep, rows)) <= math.fsum(ops.utilities(kept, rows)):
                     events.append("rejected")
             events.append("solve")
             return reps
@@ -374,8 +389,26 @@ class TestSkipUnchangedClusters:
             return ops.perfect_decisions(values)
 
         return dataclasses.replace(
-            ops, best_representatives=best_representatives, perfect_decisions=perfect_decisions
+            ops, assign=assign, best_representatives=best_representatives,
+            perfect_decisions=perfect_decisions,
         )
+
+    @staticmethod
+    def resolving(ops, data, config):
+        """A run that solves every nonempty cluster in every iteration, as a chain of
+        one-iteration runs (the first iteration of a run solves every nonempty
+        cluster), each started from the previous one's representatives."""
+        objectives, previous, reps = [], None, config.init
+        for _ in range(config.max_iters):
+            step = dataclasses.replace(config, max_iters=1, init=reps)
+            res = run_dmoc_ops(ops, data, step)
+            objectives.append(res.objective)
+            reps = res.representatives
+            stop = res.trace.converged if previous is None else res.objective - previous <= config.tol
+            if stop:
+                break
+            previous = res.objective
+        return res.representatives, res.partition.assignment, RunTrace(tuple(objectives), stop)
 
     @pytest.mark.parametrize(
         "spec, data, config, planted",
@@ -394,6 +427,13 @@ class TestSkipUnchangedClusters:
                 EngineConfig(n_clusters=6, seed=1, tol=0.0),
                 "repair",
                 id="pcs-repair",
+            ),
+            pytest.param(
+                MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0),
+                gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=11),
+                EngineConfig(n_clusters=3, seed=4, tol=0.0),
+                None,
+                id="pcs-p2",
             ),
             # outside the no-over-pricing regime the closed form can lose to the kept price
             pytest.param(
@@ -416,10 +456,10 @@ class TestSkipUnchangedClusters:
         events = []  # of the skipping run
         ops = metric_ops(spec)
         skipped = run_dmoc_ops(self.recording(ops, events), data, config)
-        resolved = run_dmoc_ops(dataclasses.replace(ops, member_determined=False), data, config)
-        np.testing.assert_array_equal(skipped.representatives, resolved.representatives)
-        np.testing.assert_array_equal(skipped.partition.assignment, resolved.partition.assignment)
-        assert skipped.trace == resolved.trace
+        reps, assignment, trace = self.resolving(ops, data, config)
+        np.testing.assert_array_equal(skipped.representatives, reps)
+        np.testing.assert_array_equal(skipped.partition.assignment, assignment)
+        assert skipped.trace == trace
         if planted == "repair":
             assert "perfect" in events[events.index("solve") :]
         elif planted == "rejected":
@@ -429,11 +469,11 @@ class TestSkipUnchangedClusters:
         spec = MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0)
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=20, seed=2)
         init = metric_ops(spec).perfect_decisions(data.values[[0, 7]])
-        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 0)
+        monkeypatch.setattr(pcs, "_IPM_MAX_ITERS", 0)
         with pytest.raises(SolverError) as info:
             run_dmoc_ops(metric_ops(spec), data, EngineConfig(n_clusters=2, init=init))
         assert info.value.cluster in (0, 1)
-        assert str(info.value).startswith(f"cluster {info.value.cluster}: projected subgradient")
+        assert str(info.value).startswith(f"cluster {info.value.cluster}: interior-point method")
 
 
 class TestUtilityReuse:

@@ -111,7 +111,7 @@ class TestRealizedPeaks:
             partition=Partition([0, 1], 2),
             representatives=[[0.0, 2.0], [2.0, 0.0]],
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         np.testing.assert_allclose(
             evaluation.realized_peaks(spec, result, data), [3.0, 2.0]
@@ -124,7 +124,7 @@ class TestRealizedPeaks:
             partition=Partition([0], 1),
             representatives=[[0.5, 0.5]],
             objective=0.0,
-            trace=RunTrace((0.0,), 1, True),
+            trace=RunTrace((0.0,), True),
         )
         with pytest.raises(DmocError):
             evaluation.realized_peaks(spec, result, data)
@@ -263,12 +263,6 @@ class TestSweeps:
         seq = evaluation.loss_curve(PCS6, data, [1, 2], seed=1, jobs=1)
         par = evaluation.loss_curve(PCS6, data, [1, 2], seed=1, jobs=4)
         assert seq == par
-
-    def test_nested_sweep_loss_nonincreasing(self):
-        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=15)
-        results = evaluation.nested_dmoc_sweep(PCS6, data, 5, seed=2)
-        objectives = [r.objective for r in results]
-        assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
 
     def test_one_kmeans_start_per_m(self, monkeypatch):
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=17)

@@ -23,6 +23,7 @@ from oracles import (
     grid_min_pcs,
     pcs_cluster_objective,
     peak_descent_representative,
+    subgradient_representative,
 )
 
 
@@ -254,9 +255,10 @@ class TestInteriorPoint:
             assert obj <= grid_obj * (1 + 1e-8)
             assert grid_obj - obj <= 0.01 * n * w.max() + 1e-9
 
-    def test_finite_p_rejected(self):
+    def test_p1_rejected(self):
+        # the p = 1 optimum ignores the members; it is the cheapest-slot fill
         with pytest.raises(ValueError):
-            pcs.interior_point_representative(np.ones((2, 2)), [0, 1], params(p=2))
+            pcs.interior_point_representative(np.ones((2, 2)), [0, 1], params(p=1))
 
     def test_empty_members(self):
         with pytest.raises(EmptyClusterError):
@@ -340,6 +342,93 @@ class TestProjection:
             assert np.linalg.norm(y - x) <= np.linalg.norm(y - z) + 1e-9
 
 
+class TestFinitePInteriorPoint:
+    """The interior point at finite p against water-filling, the subgradient oracle and a grid."""
+
+    @staticmethod
+    def weights(rng, t):
+        w = rng.uniform(0.2, 2.0, size=t)
+        w[rng.random(t) < 0.3] = 0.0
+        return w
+
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_single_member_reaches_water_fill(self, p_exp):
+        rng = np.random.default_rng(81 + p_exp)
+        for _ in range(20):
+            t = int(rng.integers(1, 25))
+            x_max = float(rng.uniform(0.5, 3.0))
+            p = params(
+                n_slots=t, p=p_exp, energy=float(rng.uniform(0.05, 0.95) * t * x_max), x_max=x_max,
+                weights=self.weights(rng, t),
+            )
+            g = rng.uniform(0.5, 5.0, size=(1, t))
+            x = pcs.interior_point_representative(g, [0], p)
+            assert pcs.metric_ops(p).feasible(x)
+            f = pcs_cluster_objective(x, g, p.weights, p_exp)
+            f_wf = pcs_cluster_objective(pcs.water_fill_decisions(g, p)[0], g, p.weights, p_exp)
+            assert f - f_wf <= 1e-9 * f_wf
+
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_clusters_match_subgradient_and_grid(self, p_exp):
+        rng = np.random.default_rng(84 + p_exp)
+        data = gen_synthetic_pcs(archetypes=4, n_slots=24, n_samples=365, seed=p_exp)
+        for n in (2, 40, 365):
+            p = params(n_slots=24, p=p_exp, energy=24.0, x_max=3.0, weights=self.weights(rng, 24))
+            members = data.values[rng.choice(365, size=n, replace=False)]
+            x = pcs.interior_point_representative(members, range(n), p)
+            assert pcs.metric_ops(p).feasible(x)
+            f = pcs_cluster_objective(x, members, p.weights, p_exp)
+            f_sg = pcs_cluster_objective(subgradient_representative(members, p), members, p.weights, p_exp)
+            assert f - f_sg <= 1e-9 * f_sg
+        for _ in range(5):
+            n = int(rng.integers(1, 6))
+            members = rng.uniform(0.0, 3.0, size=(n, 2))
+            p = params(p=p_exp, weights=rng.uniform(0.5, 1.5, size=2))
+            x = pcs.interior_point_representative(members, range(n), p)
+            f = pcs_cluster_objective(x, members, p.weights, p_exp)
+            f_grid, _ = grid_min_pcs(members, p.weights, p_exp, p.energy, p.x_max)
+            assert f <= f_grid * (1 + 1e-9)
+            assert f_grid - f <= 0.01 * n * p.weights.sum()
+
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_energy_at_capacity(self, p_exp):
+        members = np.random.default_rng(87).uniform(0.0, 5.0, size=(30, 6))
+        p = params(n_slots=6, p=p_exp, energy=12.0, x_max=2.0, weights=[1.0, 0.0, 2.0, 0.5, 1.0, 0.0])
+        x = pcs.interior_point_representative(members, range(30), p)
+        np.testing.assert_array_equal(x, np.full(6, 2.0))
+
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_member_without_weighted_load(self, p_exp):
+        # the member's only load sits in the zero-weight slot, which can take all the energy:
+        # its norm reaches 0 at the optimum
+        for energy in (0.5, 1.0, 2.0):
+            p = params(p=p_exp, energy=energy, x_max=2.0, weights=[0.0, 1.0])
+            x = pcs.interior_point_representative(np.array([[5.0, 0.0]]), [0], p)
+            assert np.all(np.isfinite(x)) and pcs.metric_ops(p).feasible(x)
+            assert pcs_cluster_objective(x, [[5.0, 0.0]], p.weights, p_exp) <= 1e-9 * p.x_max
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.sampled_from([0.0, 1e-170]) | st.floats(0.05, 3.0), min_size=t, max_size=t),
+                st.lists(
+                    st.lists(st.floats(0.0, 5.0), min_size=t, max_size=t), min_size=1, max_size=6
+                ),
+                st.sampled_from([2, 3, 6]),
+                st.floats(0.01, 1.0),
+                st.floats(0.1, 4.0),
+            )
+        )
+    )
+    def test_result_is_feasible(self, case):
+        weights, members, p_exp, fill, x_max = case
+        t = len(weights)
+        p = params(n_slots=t, p=p_exp, energy=fill * t * x_max, x_max=x_max, weights=weights)
+        x = pcs.interior_point_representative(np.array(members), range(len(members)), p)
+        assert pcs.metric_ops(p).feasible(x)
+
+
 class TestSubgradientSolver:
     def test_agrees_with_lp(self):
         rng = np.random.default_rng(3)
@@ -360,27 +449,36 @@ class TestSubgradientSolver:
             assert abs(f_sg - f_lp) / abs(f_lp) < 1e-4
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(pcs, "_SUBGRADIENT_MAX_ITERS", 3)
+        monkeypatch.setattr(pcs, "_IPM_MAX_ITERS", 0)
         p = params(n_slots=4, p=2, energy=3.0, x_max=2.0)
         members = np.random.default_rng(1).uniform(0, 3, size=(3, 4))
-        with pytest.raises(SolverError):
-            pcs.projected_subgradient_representative(members, range(3), p)
+        with pytest.raises(SolverError, match="duality gap"):
+            pcs.interior_point_representative(members, range(3), p)
 
     def test_inf_rejected(self):
+        # the finite-p oracle has no p = inf route
         with pytest.raises(ValueError):
-            pcs.projected_subgradient_representative(np.ones((2, 2)), [0, 1], params())
+            subgradient_representative(np.ones((2, 2)), params())
 
     def test_finite_p_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        for p_exp in (2, 3):
-            p = params(n_slots=4, p=p_exp, energy=2.0, x_max=3.0, weights=[1.0, 0.7, 1.3, 0.4])
+        for p_exp in (2, 3, 6):
+            p = params(n_slots=4, p=p_exp, energy=2.0, x_max=3.0, weights=[1.0, 0.7, 1.3, 0.0])
             members = rng.uniform(0.5, 3.0, size=(3, 4))
             x = rng.uniform(0.2, 2.5, size=4)
-            _, grad = pcs._value_and_subgradient(x, members, p)
-            fd = finite_difference_gradient(
-                lambda z: pcs_cluster_objective(z, members, p.weights, p_exp), x
-            )
-            np.testing.assert_allclose(grad, fd, rtol=1e-4)
+            problem = pcs._NormSum(members, p)
+
+            def objective(z):
+                return pcs_cluster_objective(z, members, problem.w, p_exp)
+
+            value, grad, diagonal, rows = problem.derivatives(x)
+            assert value == pytest.approx(objective(x), rel=1e-12)
+            np.testing.assert_allclose(grad, finite_difference_gradient(objective, x), rtol=1e-6)
+            hessian = np.diag(diagonal) - rows.T @ rows
+            fd = np.stack([
+                finite_difference_gradient(lambda z: problem.derivatives(z)[1][i], x) for i in range(4)
+            ])
+            np.testing.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-8)
 
     def test_convexity_witness(self):
         rng = np.random.default_rng(10)
@@ -563,9 +661,7 @@ class TestWaterFill:
         x = pcs.water_fill_decisions(g, p)[0]
         assert pcs.metric_ops(p).feasible(x)
         f = pcs_cluster_objective(x, g[None, :], p.weights, p_exp)
-        f_sg = pcs_cluster_objective(
-            pcs.projected_subgradient_representative(g[None, :], [0], p), g[None, :], p.weights, p_exp
-        )
+        f_sg = pcs_cluster_objective(subgradient_representative(g[None, :], p), g[None, :], p.weights, p_exp)
         # the subgradient iterate is feasible, so the exact optimum is never worse
         assert f <= f_sg * (1 + 1e-12)
         if t == 2:
