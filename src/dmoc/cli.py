@@ -31,7 +31,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
-class CliUsageError(Exception):
+class CliUsageError(ValueError):
     pass
 
 
@@ -83,9 +83,10 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
 
 def _read(fn, section: dict | None, name: str):
     """``fn(**section)`` through a reader whose keyword defaults are its defaults; an
-    unknown key, or a value that fn cannot convert or rejects, is a usage error."""
+    unknown key, or a value that fn cannot convert or rejects, is a usage error naming
+    the section."""
     try:
-        return _from_section(fn, section or {}, name)
+        return fn(**inspect.signature(fn).bind(**(section or {})).arguments)
     except (TypeError, ValueError) as err:
         raise CliUsageError(f"{name}: {err}") from None
 
@@ -111,20 +112,18 @@ def _schemes(value) -> tuple:
 
 
 def _integer(value, name: str, least: int) -> int:
-    """A top-level integer setting of at least ``least``, from the config or its flag."""
+    """An integer setting of at least ``least``; a bool or a float such as 2.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise CliUsageError(
-            f"{name}: expected an integer >= {least} (config '{name}' or --{name}), got {value!r}"
-        )
+        raise CliUsageError(f"{name}: expected an integer >= {least}, got {value!r}")
     return value
 
 
 def _engine(max_iters=10, tol=1e-3, init="kmeans"):
     """The engine settings, from the ``engine`` section or the ``cluster`` flags."""
-    if init not in ("random", "kmeans"):
-        raise ValueError(f"init must be 'random' or 'kmeans', got {init!r}")
-    # PyYAML reads a float such as 1e-3 as a string
-    return {"max_iters": int(max_iters), "tol": float(tol), "init": init}
+    tol = float(tol)  # PyYAML reads a float such as 1e-3 as a string
+    if init not in ("random", "kmeans") or tol < 0:
+        raise ValueError(f"need init 'random' or 'kmeans' and tol >= 0, got {init!r} and {tol!r}")
+    return {"max_iters": _integer(max_iters, "max_iters", 1), "tol": tol, "init": init}
 
 
 GENERATORS = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}
@@ -167,7 +166,8 @@ def _metric_from_args(args) -> MetricSpec:
 def _cmd_cluster(args) -> int:
     spec = _metric_from_args(args)
     engine = _read(_engine, _given(args, _engine), "cluster")
-    config = EngineConfig(n_clusters=args.n_clusters, seed=args.seed, **engine)
+    n_clusters = _integer(args.n_clusters, "--clusters", 1)
+    config = EngineConfig(n_clusters=n_clusters, seed=args.seed, **engine)
     data = load_profiles(args.data)
     result = evaluation.run_schemes((args.scheme,), spec, data, config)[args.scheme]
     out_dir = Path(args.out_dir)
@@ -220,8 +220,8 @@ def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key=
         raise CliUsageError("rtp_loss_curve requires an rtp metric")
 
     def loss_curve(m_min=1, m_max=20, schemes=evaluation.SCHEMES):
-        m_min, m_max = int(m_min), int(m_max)
-        if not 1 <= m_min <= m_max:
+        m_min, m_max = _integer(m_min, "m_min", 1), _integer(m_max, "m_max", 1)
+        if m_min > m_max:
             raise ValueError(f"need 1 <= m_min <= m_max, got m_min = {m_min}, m_max = {m_max}")
         return range(m_min, m_max + 1), _schemes(schemes)
 
@@ -244,9 +244,7 @@ def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key=
 def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
     def peak_target(targets=(), m_max=20, schemes=("dmoc", "kmc")):
         targets = [float(t) for t in _listed(targets, "targets")]
-        if int(m_max) < 1:
-            raise ValueError(f"m_max must be >= 1, got {m_max}")
-        return targets, int(m_max), _schemes(schemes)
+        return targets, _integer(m_max, "m_max", 1), _schemes(schemes)
 
     targets, m_max, schemes = _read(peak_target, config.get("peak_target"), "peak_target")
     if not targets:
@@ -265,7 +263,7 @@ def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
 def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
     if data.dim != 2 or spec.decision_dim != 2:
         raise CliUsageError("geometry2d requires 2-slot data and metric")
-    m = _read(lambda clusters=4: int(clusters), config.get("geometry2d"), "geometry2d")
+    m = _read(lambda clusters=4: _integer(clusters, "clusters", 1), config.get("geometry2d"), "geometry2d")
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = [
@@ -282,7 +280,8 @@ def _experiment_geometry2d(config, spec, data, engine, seed, jobs, out_dir):
 
 
 def _experiment_representatives(config, spec, data, engine, seed, jobs, out_dir):
-    m = _read(lambda clusters=3: int(clusters), config.get("representatives"), "representatives")
+    section = config.get("representatives")
+    m = _read(lambda clusters=3: _integer(clusters, "clusters", 1), section, "representatives")
     run_config = EngineConfig(n_clusters=m, seed=seed, **engine)
     kmc, dmoc_res = evaluation.run_schemes(("kmc", "dmoc"), spec, data, run_config).values()
     rows = []

@@ -90,7 +90,8 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig) 
 
     The k-means pipeline runs at most once, with ``config.seed``: it is the
     kmc result, and with ``config.init == "kmeans"`` its decisions are the
-    explicit start of every engine run.
+    explicit start of every engine run. At p = 2 the approximate (p = 2)
+    assignment is the exact one, so dmoc-approx is the dmoc run, made once.
     """
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -101,10 +102,10 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig) 
         kmc = kmc_pipeline(spec, data, config.n_clusters, seed=config.seed)
     if kmeans_init:
         config = replace(config, init=kmc.representatives)
-    return {
-        s: kmc if s == "kmc" else run_dmoc(spec, data, config, approx_assignment=s == "dmoc-approx")
-        for s in schemes
-    }
+    exact = spec.kind == "pcs" and spec.pcs.p == 2
+    approx = {s: s == "dmoc-approx" and not exact for s in schemes if s != "kmc"}
+    runs = {a: run_dmoc(spec, data, config, approx_assignment=a) for a in dict.fromkeys(approx.values())}
+    return {s: kmc if s == "kmc" else runs[approx[s]] for s in schemes}
 
 
 def fan_out(fn, items, jobs: int) -> dict:

@@ -4,13 +4,12 @@ The decision is a controllable consumption profile ``x`` (length T) subject to
 ``0 <= x(t) <= x_max`` and ``sum(x) >= E``; a sample ``g`` is the
 non-controllable profile. The utility is ``f2 = -||W (x + g)||_p``. The best
 cluster rule is the generalized Voronoi rule in this norm; the best
-representative solves a convex program handled here by
+representative (``solve_representative``) solves a convex program by
 
 * an analytic cheapest-slot fill for p = 1,
-* one primal-dual interior-point method for every p > 1
-  (``interior_point_representative``), on the epigraph LP at p = inf and on the
-  convex program over x alone at finite p; each Newton step is a T x T Cholesky
-  solve, and its failure is a SolverError.
+* one primal-dual interior-point method for every p > 1, on the epigraph LP at
+  p = inf and on the convex program over x alone at finite p; each Newton step
+  is a T x T Cholesky solve, and its failure is a SolverError.
 
 p alone picks the route; each route's tolerances are module constants, and its
 answer depends on the members alone. The engine, not the route, decides whether
@@ -22,10 +21,11 @@ by it (the test suite cross-checks it and the interior point against an
 independent projected gradient descent on a softmax-smoothed peak, in
 ``tests/oracles.py``).
 
-A single sample's p > 1 decision (perfect decisions, k-means centroid decisions,
-empty-cluster repair, random starts) needs no solver: it is the water-filling
-optimum ``x = clip(lam / v - g, 0, x_max)`` with ``v = w**(p/(p-1))`` (v = w at
-p = inf), computed exactly for a whole (N, T) batch by ``water_fill_decisions``.
+A single sample's decision (perfect decisions, k-means centroid decisions,
+empty-cluster repair, random starts) needs no solver: for p > 1 it is the
+water-filling optimum ``x = clip(lam / v - g, 0, x_max)`` with ``v = w**(p/(p-1))``
+(v = w at p = inf), computed exactly for a whole (N, T) batch by
+``perfect_decisions_pcs``.
 """
 
 from __future__ import annotations
@@ -93,14 +93,37 @@ def _norms(loads: np.ndarray, params: PcsParams) -> np.ndarray:
 # Feasible set
 # ---------------------------------------------------------------------------
 
+#: Rows per block of _levels: bounds its (rows, 2T, T) fill table to about 10 MB at T = 24.
+_FILL_ROWS = 1024
+
+
+def _levels(points, v, g, x_max: float, need: float) -> np.ndarray:
+    """Per row n, the lowest level lam whose fill sum_t clip(lam / v_t - g_nt, 0, x_max)
+    meets ``need`` (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3). The fill is
+    monotone and piecewise linear in lam, so lam is interpolated exactly between the
+    row's sorted breakpoints ``points[n]``; it is the last one when rounding leaves even
+    the full box a hair short."""
+    lam = np.empty(points.shape[0])
+    for s in range(0, points.shape[0], _FILL_ROWS):
+        pts, gs = points[s : s + _FILL_ROWS], g[s : s + _FILL_ROWS]
+        fills = np.clip(pts[:, :, None] / v - gs[:, None, :], 0.0, x_max).sum(axis=2)
+        i = np.clip((fills < need).sum(axis=1), 1, pts.shape[1] - 1)
+        r = np.arange(pts.shape[0])
+        lo, hi, flo, fhi = pts[r, i - 1], pts[r, i], fills[r, i - 1], fills[r, i]
+        rise = fhi > flo
+        lam[s : s + _FILL_ROWS] = np.where(
+            rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi
+        )
+    return lam
+
+
 def project_feasible(y, params: PcsParams) -> np.ndarray:
     """Euclidean projection onto {0 <= x <= x_max, sum(x) >= E}.
 
     If clipping to the box already meets the energy need, that is the
     projection; otherwise the projection lies on the energy hyperplane and is
-    a box-clipped shift ``clip(y + lam, 0, x_max)``. The shifted-sum function
-    is piecewise linear in lam, so lam is located exactly from its sorted
-    breakpoints.
+    a box-clipped shift ``clip(y + lam, 0, x_max)``: lam is the level of the
+    unit-weight fill of g = -y (see ``_levels``).
     """
     y = np.asarray(y, dtype=float)
     x = np.clip(y, 0.0, params.x_max)
@@ -108,15 +131,7 @@ def project_feasible(y, params: PcsParams) -> np.ndarray:
         return x
     # breakpoints where clip(y + lam) changes slope: entry enters at -y_t, caps at x_max - y_t
     points = np.unique(np.concatenate([np.maximum(-y, 0.0), np.maximum(params.x_max - y, 0.0)]))
-    sums = np.clip(y[None, :] + points[:, None], 0.0, params.x_max).sum(axis=1)
-    # the last breakpoint when rounding leaves even the full box a hair short
-    i = min(int(np.searchsorted(sums, params.energy, side="left")), points.size - 1)
-    if i == 0:
-        lam = points[0]
-    else:
-        lo, hi = points[i - 1], points[i]
-        flo, fhi = sums[i - 1], sums[i]
-        lam = hi if fhi == flo else lo + (params.energy - flo) * (hi - lo) / (fhi - flo)
+    lam = _levels(points[None, :], np.ones(y.size), -y[None, :], params.x_max, params.energy)[0]
     out = np.clip(y + lam, 0.0, params.x_max)
     deficit = params.energy - out.sum()
     if deficit > 0:
@@ -349,6 +364,7 @@ class _NormSum:
         self.b = np.concatenate([[params.energy], np.zeros(self.T), np.full(self.T, -params.x_max)])
         self.fills = _cheapest_fills(params)
         self.zero = _IPM_ZERO * n * (self.wg.max() + self.w.max() * params.x_max)
+        self.known = None, None  # the last certified point and its derivatives
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([[x.sum()], x, -x])
@@ -375,7 +391,8 @@ class _NormSum:
         """The dual residual A'y - grad f and the factored Newton matrix
         ``grad^2 f + A'DA = grad^2 f + diag(d_lo + d_hi) + d_E 11'``."""
         T = self.T
-        _, grad, diagonal, rows = self.derivatives(z[0])
+        x, known = self.known  # the certified projection, mostly the iterate itself
+        _, grad, diagonal, rows = known if np.array_equal(x, z[0]) else self.derivatives(z[0])
         newton = -(rows.T @ rows)
         newton[np.diag_indices(T)] += diagonal + d[1 : T + 1] + d[T + 1 :]
         newton += d[0]
@@ -386,9 +403,12 @@ class _NormSum:
 
     def start(self):
         """A central feasible point: x halfway between the even spread E/T and x_max in
-        every slot; duals y = mu / r that answer the gradient there on average."""
+        every slot; duals y = mu / r that answer the gradient there on average. None when
+        rounding leaves x no positive slack (E is T x_max to rounding)."""
         x = np.full(self.T, 0.5 * (self.b[0] / self.T + self.x_max))
         r = self.rows(x) - self.b
+        if r.min() <= 0:
+            return None
         y = self.derivatives(x)[1].mean() * r.mean() / r
         return (x,), r, y
 
@@ -396,7 +416,8 @@ class _NormSum:
         """Relative Frank-Wolfe gap grad f(x)'x - min over the feasible set of grad f(x)'v
         (Jaggi, ICML 2013), which bounds f(x) - f* for a feasible x; the minimum is the
         cheapest fill in gradient order (the gradient is nonnegative)."""
-        value, grad, _, _ = self.derivatives(x)
+        self.known = x, self.derivatives(x)
+        value, grad, _, _ = self.known[1]
         return _relative(grad @ x - np.sort(grad) @ self.fills, value, self.zero)
 
 
@@ -441,29 +462,34 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     return tuple(a + ap * b for a, b in zip(z, dz)), r + ap * dr, y + ad * dy
 
 
-def interior_point_representative(data, member_indices, params: PcsParams) -> np.ndarray:
-    """Representative for p > 1 by a primal-dual interior-point method.
+def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
+    """Best representative consumption profile for a cluster, from its members alone.
 
-    Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992) with
-    Gondzio's centrality correctors, which keep the iteration count nearly flat in the
-    member count, on the epigraph LP of ``epigraph_lp_representative`` at p = inf and on
-    the program over x alone (``_NormSum``) at finite p. Each Newton system is a T x T
+    At p = 1 it is the cheapest-slot fill. For p > 1 it is solved by Mehrotra's
+    predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992) with Gondzio's
+    centrality correctors, which keep the iteration count nearly flat in the member
+    count, on the epigraph LP of ``epigraph_lp_representative`` at p = inf and on the
+    program over x alone (``_NormSum``) at finite p. Each Newton system is a T x T
     Cholesky solve, so an iteration costs a few passes over the (n, T) member array.
     Every iterate's projection onto the feasible set is certified (by the LP dual at
     p = inf, by the Frank-Wolfe gap at finite p), so the returned profile is feasible
-    and within a relative _IPM_TOL (at worst _IPM_FLOOR) of the optimum. Raises
-    SolverError otherwise, and ValueError at p = 1.
+    and within a relative _IPM_TOL (at worst _IPM_FLOOR) of the optimum; otherwise the
+    method raises SolverError. Whether the result replaces a cluster's representative
+    is the engine's decision, not the solver's.
     """
-    if params.p == 1:
-        raise ValueError("the interior point needs p > 1; the p = 1 optimum is cheapest_slot_schedule")
     G = _member_values(data, member_indices)
+    if params.p == 1:
+        return cheapest_slot_schedule(params)
     T = G.shape[1]
-    if params.energy >= T * params.x_max:
-        return np.full(T, params.x_max)  # the only feasible point; the program has no interior
     problem = (_EpigraphLP if params.p == math.inf else _NormSum)(G, params)
     best_gap, best_x = math.inf, None
     try:
-        z, r, y = problem.start()
+        # the full box is the only feasible point at E = T x_max, and optimal to rounding
+        # when E is so close to it that _NormSum has no interior start (None)
+        start = problem.start() if params.energy < T * params.x_max else None
+        if start is None:
+            return np.full(T, params.x_max)
+        z, r, y = start
         for _ in range(_IPM_MAX_ITERS):
             feasible = project_feasible(z[0], params)
             gap = problem.gap(feasible, y)
@@ -479,44 +505,30 @@ def interior_point_representative(data, member_indices, params: PcsParams) -> np
     raise SolverError(f"interior-point method stopped at relative duality gap {best_gap:.2e}")
 
 
-def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
-    """Best representative consumption profile for a cluster, from its members alone:
-    the cheapest-slot fill at p = 1, the interior-point method otherwise (its failure
-    raises SolverError). Whether the result replaces a cluster's representative is
-    the engine's decision, not the solver's."""
-    if params.p != 1:
-        return interior_point_representative(data, member_indices, params)
-    if len(member_indices) == 0:
-        raise EmptyClusterError("cannot compute a representative for an empty cluster")
-    return cheapest_slot_schedule(params)
+def perfect_decision_pcs(g, params: PcsParams) -> np.ndarray:
+    """Per-sample optimal profile x*(g) (see ``perfect_decisions_pcs``)."""
+    return perfect_decisions_pcs(as_vector(g, name="profile")[None, :], params)[0]
 
 
-#: Rows per block of water_fill_decisions: bounds its (rows, 2T, T) fill table
-#: to about 10 MB at T = 24.
-_FILL_ROWS = 1024
+def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
+    """Per-row optimal profiles x*(g_n), as an (N, T) array, in one exact batch.
 
-
-def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
-    """Per-row optimum for p > 1 by weighted water-filling, exact and batched.
-
-    Row g gets x = clip(lam / v - g, 0, x_max), lam the lowest level whose fill
-    meets the energy need (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3).
-    At finite p, the KKT condition of the norm's p-th power sum_t (w_t (x_t + g_t))^p
-    on a slot inside the box, p w_t^p (x_t + g_t)^(p-1) = mu, gives x_t + g_t =
-    lam / v_t with v_t = w_t^(p/(p-1)) = w_t^(1 + 1/(p-1)); at p = inf, v = w, and
-    the peak max_t w_t (x_t + g_t) is optimal. w is scaled to max 1 before the
-    power, so v cannot overflow. The fill is piecewise linear in lam, with breakpoints v_t g_t
-    (slot t starts filling) and v_t (g_t + x_max) (slot t is full), so lam is
-    interpolated exactly between sorted breakpoints, as in project_feasible.
-    Slots with zero or subnormal scaled v are filled to x_max first: lam / v cannot
-    resolve their fill, and a full one adds at most w_t (g_t + x_max) to the peak
-    (its p-th power to the cost). Raises ValueError at p = 1: its optimum ignores g.
+    At p = 1 the optimum ignores g: it is the cheapest-slot fill. For p > 1 it is the
+    weighted water-filling optimum x = clip(lam / v - g, 0, x_max) at the level lam of
+    ``_levels``, with breakpoints v_t g_t (slot t starts filling) and v_t (g_t + x_max)
+    (slot t is full). At finite p, the KKT condition of the norm's p-th power
+    sum_t (w_t (x_t + g_t))^p on a slot inside the box, p w_t^p (x_t + g_t)^(p-1) = mu,
+    gives x_t + g_t = lam / v_t with v_t = w_t^(p/(p-1)); at p = inf, v = w, and the
+    peak max_t w_t (x_t + g_t) is optimal. w is scaled to max 1 before the power, so v
+    cannot overflow. Slots with zero or subnormal scaled v are filled to x_max first:
+    lam / v cannot resolve their fill, and a full one adds at most w_t (g_t + x_max) to
+    the peak (its p-th power to the cost).
     """
-    if params.p == 1:
-        raise ValueError("water-filling needs p > 1; the p = 1 optimum is cheapest_slot_schedule")
     G = np.atleast_2d(np.asarray(values, dtype=float))
     if G.shape[1] != params.n_slots:
         raise DimensionError(f"profiles must have length {params.n_slots}, got {G.shape[1]}")
+    if params.p == 1:
+        return np.tile(cheapest_slot_schedule(params), (G.shape[0], 1))
     v = (params.weights / max(params.weights.max(), np.finfo(float).tiny)) ** (1 + 1 / (params.p - 1))
     pos = v >= np.finfo(float).tiny
     x = np.full(G.shape, params.x_max)
@@ -526,36 +538,11 @@ def water_fill_decisions(values, params: PcsParams) -> np.ndarray:
         return x
     vp, gp = v[pos], G[:, pos]
     points = np.sort(np.concatenate([vp * gp, vp * (gp + params.x_max)], axis=1), axis=1)
-    lam = np.empty(G.shape[0])
     # lam / v may overflow for tiny weights; the clip to x_max absorbs it
     with np.errstate(over="ignore"):
-        for s in range(0, G.shape[0], _FILL_ROWS):
-            pts, g = points[s : s + _FILL_ROWS], gp[s : s + _FILL_ROWS]
-            fills = np.clip(pts[:, :, None] / vp - g[:, None, :], 0.0, params.x_max).sum(axis=2)
-            # first breakpoint whose (monotone) fill meets the need; the last one when
-            # rounding leaves even the full box a hair short
-            i = np.clip((fills < need).sum(axis=1), 1, pts.shape[1] - 1)
-            r = np.arange(pts.shape[0])
-            lo, hi, flo, fhi = pts[r, i - 1], pts[r, i], fills[r, i - 1], fills[r, i]
-            rise = fhi > flo
-            lam[s : s + _FILL_ROWS] = np.where(
-                rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi
-            )
+        lam = _levels(points, vp, gp, params.x_max, need)
         x[:, pos] = np.clip(lam[:, None] / vp - gp, 0.0, params.x_max)
     return x
-
-
-def perfect_decision_pcs(g, params: PcsParams) -> np.ndarray:
-    """Per-sample optimal profile x*(g) (see ``perfect_decisions_pcs``)."""
-    return perfect_decisions_pcs(as_vector(g, name="profile")[None, :], params)[0]
-
-
-def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
-    """Per-row optimal profiles x*(g_n), as an (N, T) array, in one exact batch: the
-    water-filling optima (see ``water_fill_decisions``) for p > 1, the cheapest-slot fill at p = 1."""
-    if params.p == 1:
-        return np.tile(cheapest_slot_schedule(params), (np.atleast_2d(values).shape[0], 1))
-    return water_fill_decisions(values, params)
 
 
 # ---------------------------------------------------------------------------

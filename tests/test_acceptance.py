@@ -157,7 +157,7 @@ def test_c04_pcs_solver_agreement():
     params = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=5.0, x_max=2.0).pcs
     for _ in range(200):
         g = rng.uniform(0.0, 3.0, size=6)
-        wf = pcs.water_fill_decisions(g, params)[0]
+        wf = pcs.perfect_decisions_pcs(g, params)[0]
         lp = pcs.epigraph_lp_representative(g[None, :], [0], params)
         f_wf = pcs_cluster_objective(wf, g[None, :], params.weights, math.inf)
         f_lp = pcs_cluster_objective(lp, g[None, :], params.weights, math.inf)

@@ -141,6 +141,24 @@ class TestCluster:
         assert err.startswith("usage error: p ") and "'abc'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--max-iters", "0", "cluster: max_iters"), ("--tol", "-1", "cluster: "), ("--clusters", "0", "--clusters")],
+    )
+    def test_out_of_range_engine_flag_is_usage_error(
+        self, pcs_data_file, tmp_path, capsys, flag, value, named
+    ):
+        flags = {"--clusters": "2", "--seed": "0", flag: value}
+        code = run_cli(
+            "cluster", "--data", str(pcs_data_file), *(a for kv in flags.items() for a in kv),
+            "--slots", "6", "--energy", "6.0", "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        # the message names the setting
+        assert err.startswith(f"usage error: {named}") and flag.lstrip("-").replace("-", "_") in err
+        assert not (tmp_path / "o").exists()
+
     def test_metric_flags_parsed_before_the_data_is_read(self, tmp_path, capsys):
         absent = str(tmp_path / "absent.csv")
         for argv in (
@@ -421,6 +439,14 @@ class TestExperiment:
             ("seed", 1.5),
             ("seed", "abc"),
             ("--jobs", "0"),
+            # integer settings must be integers, and the engine's ranges are checked on reading
+            ("loss_curve", {"m_min": 1.5, "m_max": 2.7}),
+            ("loss_curve", {"m_min": True, "m_max": 2}),
+            ("geometry2d", {"clusters": 2.9}),
+            ("engine", {"max_iters": 2.5}),
+            ("engine", {"max_iters": True}),
+            ("engine", {"max_iters": 0}),
+            ("engine", {"tol": -1}),
         ],
     )
     def test_malformed_experiment_section_is_usage_error(

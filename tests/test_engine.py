@@ -327,7 +327,7 @@ class TestConventionalEmbedding:
 class TestSkipUnchangedClusters:
     def test_single_cluster_run_solves_one_lp(self, monkeypatch):
         solves, highs = [], []
-        solve = pcs.interior_point_representative
+        solve = pcs.solve_representative
         linprog = pcs.linprog
 
         def counting_solve(*args, **kwargs):
@@ -338,7 +338,7 @@ class TestSkipUnchangedClusters:
             highs.append(1)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(pcs, "interior_point_representative", counting_solve)
+        monkeypatch.setattr(pcs, "solve_representative", counting_solve)
         monkeypatch.setattr(pcs, "linprog", counting_linprog)
         spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
@@ -350,13 +350,13 @@ class TestSkipUnchangedClusters:
 
     def test_single_cluster_run_solves_once_at_finite_p(self, monkeypatch):
         solves = []
-        solve = pcs.interior_point_representative
+        solve = pcs.solve_representative
 
         def counting_solve(*args, **kwargs):
             solves.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pcs, "interior_point_representative", counting_solve)
+        monkeypatch.setattr(pcs, "solve_representative", counting_solve)
         spec = MetricSpec.for_pcs(n_slots=8, p=2, energy=8.0, x_max=3.0)
         data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
         res = run_dmoc(spec, data, EngineConfig(n_clusters=1, seed=0, tol=0.0))

@@ -293,6 +293,23 @@ class TestSweeps:
         evaluation.run_schemes(("dmoc",), PCS6, data, EngineConfig(n_clusters=3, seed=2, init="random"))
         assert starts == []
 
+    @pytest.mark.parametrize("p", [2, 2.0])
+    def test_dmoc_approx_is_the_dmoc_run_at_p2(self, monkeypatch, p):
+        # at p = 2 the approximate assignment is the exact one, so both names share one run
+        spec = MetricSpec.for_pcs(n_slots=6, p=p, energy=6.0, x_max=3.0, weights=[1, 2, 1, 3, 1, 2])
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=18)
+        starts, runs = counting_runs(monkeypatch)
+        curves = {c.scheme: c for c in evaluation.loss_curve(spec, data, [1, 2, 3], seed=2)}
+        assert runs == [(m, "dmoc") for m in (1, 2, 3)]
+        # the shared run is bit-identical to a run with the approximate assignment
+        for m, objective in zip([1, 2, 3], curves["dmoc-approx"].objectives):
+            init = baselines.kmc_pipeline(spec, data, m, seed=2 + m).representatives
+            config = EngineConfig(n_clusters=m, seed=2 + m, init=init)
+            assert objective == run_dmoc(spec, data, config, approx_assignment=True).objective
+        assert curves["dmoc-approx"].objectives == curves["dmoc"].objectives
+        results = evaluation.run_schemes(("dmoc", "dmoc-approx"), spec, data, config)
+        assert results["dmoc"] is results["dmoc-approx"]
+
     def test_unknown_scheme_rejected(self):
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=10, seed=16)
         with pytest.raises(DmocError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestInteriorPoint:
     @staticmethod
     def assert_matches_highs(members, p):
         n = members.shape[0]
-        x = pcs.interior_point_representative(members, range(n), p)
+        x = pcs.solve_representative(members, range(n), p)
         assert pcs.metric_ops(p).feasible(x)
         f = pcs_cluster_objective(x, members, p.weights, math.inf)
         f_lp = pcs_cluster_objective(
@@ -231,7 +232,7 @@ class TestInteriorPoint:
             g = rng.uniform(0.0, 5.0, size=t)
             x = self.assert_matches_highs(np.repeat(g[None, :], 120, axis=0), p)
             # the cluster of identical members has the member's own optimum
-            single = pcs.water_fill_decisions(g, p)[0]
+            single = pcs.perfect_decisions_pcs(g, p)[0]
             assert pcs_cluster_objective(x, g[None, :], p.weights, math.inf) == pytest.approx(
                 pcs_cluster_objective(single, g[None, :], p.weights, math.inf), rel=1e-8
             )
@@ -249,20 +250,15 @@ class TestInteriorPoint:
             members = rng.uniform(0.0, 3.0, size=(n, 2))
             w = rng.uniform(0.5, 1.5, size=2)
             p = params(weights=w)
-            x = pcs.interior_point_representative(members, range(n), p)
+            x = pcs.solve_representative(members, range(n), p)
             obj = pcs_cluster_objective(x, members, w, math.inf)
             grid_obj, _ = grid_min_pcs(members, w, math.inf, p.energy, p.x_max)
             assert obj <= grid_obj * (1 + 1e-8)
             assert grid_obj - obj <= 0.01 * n * w.max() + 1e-9
 
-    def test_p1_rejected(self):
-        # the p = 1 optimum ignores the members; it is the cheapest-slot fill
-        with pytest.raises(ValueError):
-            pcs.interior_point_representative(np.ones((2, 2)), [0, 1], params(p=1))
-
     def test_empty_members(self):
         with pytest.raises(EmptyClusterError):
-            pcs.interior_point_representative(np.ones((1, 2)), [], params())
+            pcs.solve_representative(np.ones((1, 2)), [], params())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -282,21 +278,26 @@ class TestInteriorPoint:
         t = len(weights)
         p = params(n_slots=t, energy=fill * t * x_max, x_max=x_max, weights=weights)
         members = np.array(members)
-        x = pcs.interior_point_representative(members, range(members.shape[0]), p)
+        x = pcs.solve_representative(members, range(members.shape[0]), p)
         assert pcs.metric_ops(p).feasible(x)
 
     def test_routes(self, monkeypatch):
-        calls = []
-        solve = pcs.interior_point_representative
+        # p = 1 and the full box take no interior-point step; p = inf and finite p do
+        steps = []
+        step = pcs._step
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+            steps.append(1)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(pcs, "interior_point_representative", counting)
+        monkeypatch.setattr(pcs, "_step", counting)
         members = np.random.default_rng(77).uniform(0.0, 3.0, size=(5, 2))
-        pcs.solve_representative(members, range(5), params())
-        assert len(calls) == 1
+        for p, energy, stepped in [(1, 2.0, False), (math.inf, 4.0, False), (2, 4.0, False),
+                                   (math.inf, 2.0, True), (2, 2.0, True)]:
+            steps.clear()
+            x = pcs.solve_representative(members, range(5), params(p=p, energy=energy))
+            assert pcs.metric_ops(params(p=p, energy=energy)).feasible(x)
+            assert bool(steps) == stepped
 
     def test_failure_is_a_solver_error(self, monkeypatch, tmp_path):
         # no iteration runs, so no iterate certifies a gap; no other solver is tried
@@ -318,6 +319,31 @@ class TestInteriorPoint:
 
 
 class TestProjection:
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.sampled_from([0.0, 2.0, -1.5, 0.7]) | st.floats(-4.0, 6.0), min_size=t, max_size=t),
+                st.floats(0.01, 1.0),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_projection_matches_bisection(self, case):
+        # entries at 0 and at x_max = 2, and repeated entries, give coinciding breakpoints
+        y, fill = np.array(case[0]), case[1]
+        p = params(n_slots=y.size, energy=fill * y.size * 2.0, x_max=2.0)
+        x = pcs.project_feasible(y, p)
+        lo, hi = 0.0, p.x_max - y.min()  # the clipped sum is below E at lo and full at hi
+        if np.clip(y + lo, 0.0, p.x_max).sum() >= p.energy:
+            hi = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.clip(y + mid, 0.0, p.x_max).sum() >= p.energy:
+                hi = mid
+            else:
+                lo = mid
+        np.testing.assert_allclose(x, np.clip(y + hi, 0.0, p.x_max), rtol=0, atol=1e-12 * p.energy)
+        assert x.sum() >= p.energy * (1 - 1e-12)
     @given(st.lists(st.floats(-4.0, 6.0), min_size=4, max_size=4))
     @settings(max_examples=200)
     def test_projection_feasible_and_idempotent(self, y):
@@ -345,6 +371,43 @@ class TestProjection:
 class TestFinitePInteriorPoint:
     """The interior point at finite p against water-filling, the subgradient oracle and a grid."""
 
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_energy_within_rounding_of_capacity(self, p_exp):
+        # a few ulps below T x_max, the start once had no upper slack and divided by zero
+        members = np.random.default_rng(88).uniform(0.0, 5.0, size=(5, 4))
+        x_max = 2.6971840892231818
+        for k in range(1, 9):
+            p = params(n_slots=4, p=p_exp, energy=(1 - k * 2.0**-53) * 4 * x_max, x_max=x_max)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = pcs.solve_representative(members, range(5), p)
+            assert pcs.metric_ops(p).feasible(x)
+
+    @pytest.mark.parametrize("p_exp", [2, 3, 6])
+    def test_derivatives_evaluated_once_per_step(self, monkeypatch, p_exp):
+        # the certificate's derivatives at the projection serve the step at the same point
+        counts = {"derivatives": 0, "steps": 0}
+        derivatives, step = pcs._NormSum.derivatives, pcs._step
+
+        def counting_derivatives(self, x):
+            counts["derivatives"] += 1
+            return derivatives(self, x)
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(pcs._NormSum, "derivatives", counting_derivatives)
+        monkeypatch.setattr(pcs, "_step", counting_step)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=365, seed=p_exp)
+        rng = np.random.default_rng(89)
+        for n in (1, 2, 40, 365):
+            counts.update(derivatives=0, steps=0)
+            p = params(n_slots=24, p=p_exp, energy=30.0, x_max=3.0, weights=self.weights(rng, 24))
+            pcs.solve_representative(data.values, rng.choice(365, size=n, replace=False), p)
+            assert counts["steps"] > 0
+            assert counts["derivatives"] <= counts["steps"] + 2
+
     @staticmethod
     def weights(rng, t):
         w = rng.uniform(0.2, 2.0, size=t)
@@ -362,10 +425,10 @@ class TestFinitePInteriorPoint:
                 weights=self.weights(rng, t),
             )
             g = rng.uniform(0.5, 5.0, size=(1, t))
-            x = pcs.interior_point_representative(g, [0], p)
+            x = pcs.solve_representative(g, [0], p)
             assert pcs.metric_ops(p).feasible(x)
             f = pcs_cluster_objective(x, g, p.weights, p_exp)
-            f_wf = pcs_cluster_objective(pcs.water_fill_decisions(g, p)[0], g, p.weights, p_exp)
+            f_wf = pcs_cluster_objective(pcs.perfect_decisions_pcs(g, p)[0], g, p.weights, p_exp)
             assert f - f_wf <= 1e-9 * f_wf
 
     @pytest.mark.parametrize("p_exp", [2, 3, 6])
@@ -375,7 +438,7 @@ class TestFinitePInteriorPoint:
         for n in (2, 40, 365):
             p = params(n_slots=24, p=p_exp, energy=24.0, x_max=3.0, weights=self.weights(rng, 24))
             members = data.values[rng.choice(365, size=n, replace=False)]
-            x = pcs.interior_point_representative(members, range(n), p)
+            x = pcs.solve_representative(members, range(n), p)
             assert pcs.metric_ops(p).feasible(x)
             f = pcs_cluster_objective(x, members, p.weights, p_exp)
             f_sg = pcs_cluster_objective(subgradient_representative(members, p), members, p.weights, p_exp)
@@ -384,7 +447,7 @@ class TestFinitePInteriorPoint:
             n = int(rng.integers(1, 6))
             members = rng.uniform(0.0, 3.0, size=(n, 2))
             p = params(p=p_exp, weights=rng.uniform(0.5, 1.5, size=2))
-            x = pcs.interior_point_representative(members, range(n), p)
+            x = pcs.solve_representative(members, range(n), p)
             f = pcs_cluster_objective(x, members, p.weights, p_exp)
             f_grid, _ = grid_min_pcs(members, p.weights, p_exp, p.energy, p.x_max)
             assert f <= f_grid * (1 + 1e-9)
@@ -394,7 +457,7 @@ class TestFinitePInteriorPoint:
     def test_energy_at_capacity(self, p_exp):
         members = np.random.default_rng(87).uniform(0.0, 5.0, size=(30, 6))
         p = params(n_slots=6, p=p_exp, energy=12.0, x_max=2.0, weights=[1.0, 0.0, 2.0, 0.5, 1.0, 0.0])
-        x = pcs.interior_point_representative(members, range(30), p)
+        x = pcs.solve_representative(members, range(30), p)
         np.testing.assert_array_equal(x, np.full(6, 2.0))
 
     @pytest.mark.parametrize("p_exp", [2, 3, 6])
@@ -403,7 +466,7 @@ class TestFinitePInteriorPoint:
         # its norm reaches 0 at the optimum
         for energy in (0.5, 1.0, 2.0):
             p = params(p=p_exp, energy=energy, x_max=2.0, weights=[0.0, 1.0])
-            x = pcs.interior_point_representative(np.array([[5.0, 0.0]]), [0], p)
+            x = pcs.solve_representative(np.array([[5.0, 0.0]]), [0], p)
             assert np.all(np.isfinite(x)) and pcs.metric_ops(p).feasible(x)
             assert pcs_cluster_objective(x, [[5.0, 0.0]], p.weights, p_exp) <= 1e-9 * p.x_max
 
@@ -425,7 +488,7 @@ class TestFinitePInteriorPoint:
         weights, members, p_exp, fill, x_max = case
         t = len(weights)
         p = params(n_slots=t, p=p_exp, energy=fill * t * x_max, x_max=x_max, weights=weights)
-        x = pcs.interior_point_representative(np.array(members), range(len(members)), p)
+        x = pcs.solve_representative(np.array(members), range(len(members)), p)
         assert pcs.metric_ops(p).feasible(x)
 
 
@@ -453,7 +516,7 @@ class TestSubgradientSolver:
         p = params(n_slots=4, p=2, energy=3.0, x_max=2.0)
         members = np.random.default_rng(1).uniform(0, 3, size=(3, 4))
         with pytest.raises(SolverError, match="duality gap"):
-            pcs.interior_point_representative(members, range(3), p)
+            pcs.solve_representative(members, range(3), p)
 
     def test_inf_rejected(self):
         # the finite-p oracle has no p = inf route
@@ -523,7 +586,7 @@ class TestPerfectDecision:
         p = params(n_slots=6, energy=5.0, x_max=2.0)
         for _ in range(30):
             g = rng.uniform(0.0, 3.0, size=6)
-            wf = pcs.water_fill_decisions(g, p)[0]
+            wf = pcs.perfect_decisions_pcs(g, p)[0]
             lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
             f_wf = pcs_cluster_objective(wf, g[None, :], p.weights, math.inf)
             f_lp = pcs_cluster_objective(lp, g[None, :], p.weights, math.inf)
@@ -547,7 +610,7 @@ class TestWaterFill:
 
     @staticmethod
     def assert_matches_lp(values, p):
-        x = pcs.water_fill_decisions(values, p)
+        x = pcs.perfect_decisions_pcs(values, p)
         assert x.shape == values.shape
         for g, row in zip(values, x):
             lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
@@ -572,7 +635,7 @@ class TestWaterFill:
             w = rng.uniform(0.2, 2.0, size=6)
             w[[1, 4]] = 0.0
             p = params(n_slots=6, energy=energy, x_max=2.0, weights=w)
-            x = pcs.water_fill_decisions(rng.uniform(0.0, 3.0, size=(5, 6)), p)
+            x = pcs.perfect_decisions_pcs(rng.uniform(0.0, 3.0, size=(5, 6)), p)
             # zero-weight slots cost nothing: they fill to the cap first
             np.testing.assert_array_equal(x[:, [1, 4]], 2.0)
             self.assert_matches_lp(rng.uniform(0.0, 3.0, size=(5, 6)), p)
@@ -582,14 +645,14 @@ class TestWaterFill:
         for energy in (12.0, 12.0 * (1 - 1e-9), 12.0 - 1e-3):
             p = params(n_slots=6, energy=energy, x_max=2.0, weights=rng.uniform(0.5, 1.5, size=6))
             values = rng.uniform(0.0, 3.0, size=(5, 6))
-            x = pcs.water_fill_decisions(values, p)
+            x = pcs.perfect_decisions_pcs(values, p)
             assert np.all(x.sum(axis=1) >= energy - 1e-9)
             self.assert_matches_lp(values, p)
 
     def test_flat_profiles(self):
         p = params(n_slots=5, energy=4.0, x_max=2.0)
         values = np.repeat([[0.0], [1.0], [2.5]], 5, axis=1)
-        np.testing.assert_allclose(pcs.water_fill_decisions(values, p), 0.8, atol=1e-12)
+        np.testing.assert_allclose(pcs.perfect_decisions_pcs(values, p), 0.8, atol=1e-12)
         self.assert_matches_lp(values, p)
 
     def test_subnormal_weight(self):
@@ -604,11 +667,11 @@ class TestWaterFill:
                     w[slot] = tiny
                     g = rng.uniform(0.0, 3.0, size=8)
                     p = params(n_slots=8, energy=energy, x_max=3.0, weights=w)
-                    x = pcs.water_fill_decisions(g, p)[0]
+                    x = pcs.perfect_decisions_pcs(g, p)[0]
                     assert pcs.metric_ops(p).feasible(x)
                     w[slot] = 0.0
                     zero = params(n_slots=8, energy=energy, x_max=3.0, weights=w)
-                    x0 = pcs.water_fill_decisions(g, zero)[0]
+                    x0 = pcs.perfect_decisions_pcs(g, zero)[0]
                     peak = pcs_cluster_objective(x, g[None, :], p.weights, math.inf)
                     peak0 = pcs_cluster_objective(x0, g[None, :], zero.weights, math.inf)
                     assert abs(peak - peak0) <= tiny * (g.max() + p.x_max)
@@ -623,12 +686,12 @@ class TestWaterFill:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            pcs.water_fill_decisions(np.ones((2, 3)), params())
+            pcs.perfect_decisions_pcs(np.ones((2, 3)), params())
 
-    def test_p1_rejected(self):
-        # the p = 1 optimum ignores the profile; it is the cheapest-slot fill
-        with pytest.raises(ValueError):
-            pcs.water_fill_decisions(np.ones((2, 2)), params(p=1))
+    def test_wrong_length_rejected_at_p1(self):
+        # the p = 1 fill ignores the rows, but their length is still checked
+        with pytest.raises(DimensionError):
+            pcs.perfect_decisions_pcs(np.ones((2, 3)), params(p=1))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_perfect_decisions_solve_no_cluster(self, monkeypatch, p):
@@ -658,7 +721,7 @@ class TestWaterFill:
         t = len(g)
         p = params(n_slots=t, p=p_exp, energy=fill * t * x_max, x_max=x_max, weights=weights)
         g = np.array(g)
-        x = pcs.water_fill_decisions(g, p)[0]
+        x = pcs.perfect_decisions_pcs(g, p)[0]
         assert pcs.metric_ops(p).feasible(x)
         f = pcs_cluster_objective(x, g[None, :], p.weights, p_exp)
         f_sg = pcs_cluster_objective(subgradient_representative(g[None, :], p), g[None, :], p.weights, p_exp)
@@ -684,6 +747,6 @@ class TestWaterFill:
         weights, g, fill, x_max = case
         t = len(g)
         p = params(n_slots=t, energy=fill * t * x_max, x_max=x_max, weights=weights)
-        x = pcs.water_fill_decisions(np.array([g]), p)[0]
+        x = pcs.perfect_decisions_pcs(np.array([g]), p)[0]
         assert np.all(x >= 0.0) and np.all(x <= x_max)
         assert x.sum() >= p.energy - 1e-9
