@@ -55,11 +55,19 @@ def _centroids(values: np.ndarray, assignment: np.ndarray, previous: np.ndarray)
     return out
 
 
+def _distances_to(values: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distance ``((v - point) ** 2).sum()`` of every row, measured in row blocks."""
+    out = np.empty(values.shape[0])
+    for rows in row_blocks(values.shape[0], values.shape[1]):
+        out[rows] = ((values[rows] - point) ** 2).sum(axis=1)
+    return out
+
+
 def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared-distance sampling."""
     n = values.shape[0]
     picks = [int(rng.integers(n))]
-    d2 = ((values - values[picks[0]]) ** 2).sum(axis=1)
+    d2 = _distances_to(values, values[picks[0]])
     for _ in range(1, n_clusters):
         total = d2.sum()
         if total <= 0:
@@ -67,7 +75,7 @@ def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator
         else:
             pick = int(rng.choice(n, p=d2 / total))
         picks.append(pick)
-        d2 = np.minimum(d2, ((values - values[pick]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _distances_to(values, values[pick]))
     return values[picks].copy()
 
 
@@ -136,9 +144,9 @@ def kmc_pipeline(
     """
     km = kmeans(data, n_clusters, seed=seed)
     ops = metric_ops(spec)
-    reps = ops.perfect_decisions(km.centroids)
+    reps = ops.perfect_decisions(ops.prepare(km.centroids))
     assignment = km.assignment.assignment
-    objective = _objective(ops, data.values, reps, assignment)
+    objective = _objective(ops, ops.prepare(data.values), reps, assignment)
     return ClusteringResult(
         partition=km.assignment,
         representatives=reps,
@@ -154,6 +162,7 @@ def squared_distance_ops(dim: int) -> MetricOps:
     representative step is the cluster centroid, i.e. one Lloyd iteration.
     """
     return MetricOps(
+        prepare=lambda values: values,
         utilities=lambda x, values: -(
             (np.atleast_2d(np.asarray(values, dtype=float)) - np.asarray(x, dtype=float)) ** 2
         ).sum(axis=1),

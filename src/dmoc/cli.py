@@ -151,6 +151,7 @@ def _dataset_from_config(config: dict, seed: int) -> DataSet:
 def _cmd_gen(args) -> int:
     # the data flags are the given flags besides --kind and --out
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
+    params["seed"] = _integer(args.seed, "--seed", 0)
     data = _from_section(GENERATORS[args.kind], params, f"gen --kind {args.kind}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_profiles(data, args.out)
@@ -167,7 +168,7 @@ def _cmd_cluster(args) -> int:
     spec = _metric_from_args(args)
     engine = _read(_engine, _given(args, _engine), "cluster")
     n_clusters = _integer(args.n_clusters, "--clusters", 1)
-    config = EngineConfig(n_clusters=n_clusters, seed=args.seed, **engine)
+    config = EngineConfig(n_clusters=n_clusters, seed=_integer(args.seed, "--seed", 0), **engine)
     data = load_profiles(args.data)
     result = evaluation.run_schemes((args.scheme,), spec, data, config)[args.scheme]
     out_dir = Path(args.out_dir)

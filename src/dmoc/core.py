@@ -386,29 +386,35 @@ class MetricOps:
     """Bundle of callables describing one decision-utility metric.
 
     The engine is generic over this interface; the pricing and scheduling
-    modules (and the test-only squared-distance metric) each provide one.
+    modules (and the squared-distance metric of k-means) each provide one.
     Every callable works on a whole batch, so each engine step is one call.
 
-    utilities(decisions, values) -> (n,) array
-        Utility of each row of ``values`` under ``decisions``: one (T,)
-        decision for every row, or an (n, T) array pairing row i with
-        decision i.
-    assign(values, reps) -> (N,) int array
-        Index of the best representative for every row of ``values``
-        (argmax of the utility, ties to the lowest index).
-    best_representatives(values, assignment, clusters) -> (k, T) array
+    prepare(values) -> rows
+        The metric's working form of the (N, d) samples, one row per sample.
+        Every other callable takes rows (or a row subset) of its result, so a
+        caller holding raw samples prepares them once per run. The identity
+        for scheduling; the pricing rows append per-sample sufficient
+        statistics (``rtp.sample_rows``).
+    utilities(decisions, rows) -> (n,) array
+        Utility of each of ``rows`` under ``decisions``: one (T,) decision for
+        every row, or an (n, T) array pairing row i with decision i.
+    assign(rows, reps) -> (N,) int array
+        Index of the best representative for every one of ``rows`` (argmax of
+        the utility, ties to the lowest index).
+    best_representatives(rows, assignment, clusters) -> (k, T) array
         Row i: the feasible decision maximizing the summed utility over the rows
         with ``assignment == clusters[i]`` (at least one). It depends on those
         rows alone, so the engine re-solves only the clusters that a sample
         entered or left or whose representative changed. A SolverError names
         the cluster.
-    perfect_decisions(values) -> (n, T) array
+    perfect_decisions(rows) -> (n, T) array
         Per-row optimal decisions x*(g_n).
     feasible(decisions) -> (k,) bool array
         Constraint check per decision row (a (T,) decision is one row); a row
         of the wrong length raises DimensionError, a non-finite entry DmocError.
     """
 
+    prepare: Callable
     utilities: Callable
     assign: Callable
     best_representatives: Callable
@@ -464,7 +470,7 @@ def evaluate_utility(spec: MetricSpec, x, g) -> float:
         raise DimensionError(f"sample has length {g.size}, expected {spec.data_dim}")
     ops = metric_ops(spec)
     require_feasible(ops, x)
-    return float(ops.utilities(x, g[None, :])[0])
+    return float(ops.utilities(x, ops.prepare(g[None, :]))[0])
 
 
 def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> float:
@@ -478,4 +484,4 @@ def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> 
     assignment = result.partition.assignment
     ops = metric_ops(spec)
     require_feasible(ops, reps[np.unique(assignment)])
-    return math.fsum(ops.utilities(reps[assignment], data.values))
+    return math.fsum(ops.utilities(reps[assignment], ops.prepare(data.values)))

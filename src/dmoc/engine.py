@@ -120,7 +120,7 @@ def assign_clusters(
     """Assign every sample to its best representative (ties to the lowest index)."""
     ops = metric_ops(spec, approx_assignment=approx_assignment)
     reps = require_feasible(ops, reps, name="representative")
-    return Partition(ops.assign(data.values, reps), reps.shape[0])
+    return Partition(ops.assign(ops.prepare(data.values), reps), reps.shape[0])
 
 
 def update_representatives(
@@ -145,17 +145,18 @@ def update_representatives(
     if empty.size:
         raise EmptyClusterError(f"cluster {empty[0]} has no members", cluster=int(empty[0]))
     clusters = np.arange(partition.n_clusters)
+    rows = ops.prepare(data.values)
     if warm_starts is None:
-        return ops.best_representatives(data.values, partition.assignment, clusters)
-    return _keep_or_replace(ops, data.values, partition.assignment, warm_starts, clusters)[0]
+        return ops.best_representatives(rows, partition.assignment, clusters)
+    return _keep_or_replace(ops, rows, partition.assignment, warm_starts, clusters)[0]
 
 
-def _initial_reps(ops: MetricOps, data: DataSet, config: EngineConfig) -> np.ndarray:
+def _initial_reps(ops: MetricOps, values: np.ndarray, config: EngineConfig) -> np.ndarray:
     if isinstance(config.init, np.ndarray):
         return require_feasible(ops, config.init, config.n_clusters, name="init")
     rng = np.random.default_rng(config.seed)
-    picks = rng.choice(data.n, size=config.n_clusters, replace=False)
-    return ops.perfect_decisions(data.values[picks])
+    picks = rng.choice(values.shape[0], size=config.n_clusters, replace=False)
+    return ops.perfect_decisions(values[picks])
 
 
 def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> ClusteringResult:
@@ -168,6 +169,7 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
     nonempty cluster in the first iteration, and after it only those that a
     sample entered or left or whose representative the empty-cluster repair
     replaced, since a representative depends on its cluster's members alone.
+    The samples are prepared (``ops.prepare``) once for the whole run.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -176,8 +178,8 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
             "init 'kmeans' is resolved by evaluation.run_schemes; "
             "the engine takes 'random' or explicit decisions"
         )
-    values = data.values
-    reps = _initial_reps(ops, data, config)
+    values = ops.prepare(data.values)
+    reps = _initial_reps(ops, values, config)
 
     assignment = ops.assign(values, reps)
     reps, assignment = _repair_empty(ops, values, reps, assignment)

@@ -30,12 +30,15 @@ SCHEMES = ("dmoc", "dmoc-approx", "kmc")
 
 def perfect_decisions(spec: MetricSpec, data: DataSet) -> np.ndarray:
     """Per-sample optimal decisions x*(g_n), stacked as an (N, T) array."""
-    return metric_ops(spec).perfect_decisions(data.values)
+    ops = metric_ops(spec)
+    return ops.perfect_decisions(ops.prepare(data.values))
 
 
 def perfect_objective(spec: MetricSpec, data: DataSet) -> float:
     """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
-    return math.fsum(metric_ops(spec).utilities(perfect_decisions(spec, data), data.values))
+    ops = metric_ops(spec)
+    rows = ops.prepare(data.values)
+    return math.fsum(ops.utilities(ops.perfect_decisions(rows), rows))
 
 
 def relative_loss(f_perfect: float, f_c: float) -> float:

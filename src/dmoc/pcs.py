@@ -571,6 +571,7 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
         return reps
 
     return MetricOps(
+        prepare=lambda values: values,
         utilities=lambda x, values: -paired_norms(values, x, params),
         assign=lambda values, reps: np.argmin(weighted_norms(values, reps, assign_params), axis=1),
         best_representatives=best_representatives,

@@ -6,6 +6,14 @@ stacks the satisfaction parameters of K consumers over T slots as
 consumer utilities at their best-response loads minus a quadratic procurement
 cost ``a*L^2 + b*L + c`` per slot. Both the best assignment rule and the best
 representative price admit closed forms.
+
+When no price exceeds any consumer's parameter, a sample enters the utility,
+the assignment and the tariffs only through its per-slot sums, its per-slot
+minima (the regime test) and its squared norm. ``sample_rows`` computes these
+once per dataset (``MetricOps.prepare``) and the ``row_*`` rules read them; the
+raw-sample functions (``f1_batch``, ``assign_batch``,
+``closed_form_representatives``, ``perfect_prices``) are those rules on
+``sample_rows`` of their input.
 """
 
 from __future__ import annotations
@@ -60,31 +68,90 @@ def _stack_to_slots(g: np.ndarray, params: RtpParams) -> np.ndarray:
     return g.reshape(*g.shape[:-1], params.n_slots, params.n_consumers)
 
 
-def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
-    """Welfare-minus-cost utility for each sample row: of the one price profile
-    ``x`` (T,), or of row i of an (n, T) ``x`` for sample row i. Computed in row
-    blocks; an over-priced batch logs one warning per call."""
-    x = as_decisions(x, params.n_slots, name="price profile")
-    g = _stack_to_slots(np.atleast_2d(np.asarray(values, dtype=float)), params)
-    n = g.shape[0] if x.shape[0] == 1 else x.shape[0]
-    if g.shape[0] not in (1, n):
-        raise DimensionError(f"{x.shape[0]} price profiles for {g.shape[0]} samples")
+def sample_rows(values, params: RtpParams) -> np.ndarray:
+    """The samples in the metric's working form, one row per sample: one
+    (N, K*T + 2T + 1) array ``[g | S | m | q]`` of the stacked sample g, its
+    per-slot sums S_t = sum_k g_t,k, its per-slot minima m_t = min_k g_t,k and
+    its squared norm q = ||g||^2. Every pricing rule reads a sample through these."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2:
+        raise DimensionError(f"samples must form a 2-D (N, K*T) array, got shape {v.shape}")
+    slots = _stack_to_slots(v, params)
+    width, t = params.data_dim, params.n_slots
+    rows = np.empty((v.shape[0], width + 2 * t + 1))
+    rows[:, :width] = v
+    rows[:, width : width + t] = slots.sum(axis=-1)
+    # one consumer at a time, in place: a reduction over the short K axis is several times slower
+    least = rows[:, width + t : width + 2 * t]
+    least[...] = slots[..., 0]
+    for k in range(1, params.n_consumers):
+        np.minimum(least, slots[..., k], out=least)
+    np.einsum("ij,ij->i", v, v, out=rows[:, -1])
+    return rows
+
+
+def _row_parts(rows, params: RtpParams) -> tuple:
+    """Views (g, S, m, q) of ``sample_rows`` output (or a row subset of it)."""
+    width, t = params.data_dim, params.n_slots
+    if rows.ndim != 2 or rows.shape[1] != width + 2 * t + 1:
+        raise DimensionError(
+            f"sample rows have shape {rows.shape}, expected (n, K*T + 2T + 1) = "
+            f"(n, {width + 2 * t + 1}); raw samples go through sample_rows first"
+        )
+    return rows[:, :width], rows[:, width : width + t], rows[:, width + t : width + 2 * t], rows[:, -1]
+
+
+def _direct_utilities(x: np.ndarray, g: np.ndarray, params: RtpParams) -> np.ndarray:
+    """Utility of each (price, sample) pair from the consumer responses, in row blocks:
+    of the one price profile in ``x`` (1, T) or of row i of ``x`` for sample row i."""
+    g = _stack_to_slots(g, params)
+    n = max(g.shape[0], x.shape[0])
     out = np.empty(n)
-    over_priced = False
     for rows in row_blocks(n, params.data_dim):
         price = (x if x.shape[0] == 1 else x[rows])[..., None]
         g_rows = g if g.shape[0] == 1 else g[rows]
-        over_priced = over_priced or bool(np.any(price > g_rows))
         ell = best_response_load(price, g_rows, params.alpha)
         u = consumer_utility(ell, g_rows, params.alpha)
         load = ell.sum(axis=-1)
         per_slot = u.sum(axis=-1) - params.a * load**2 - params.b * load - params.c
         out[rows] = per_slot.sum(axis=-1)
-    if over_priced:
-        logger.warning(
-            "over-pricing: price exceeds a satisfaction parameter; load clamped to 0"
-        )
     return out
+
+
+def row_utilities(x, rows: np.ndarray, params: RtpParams) -> np.ndarray:
+    """Welfare-minus-cost utility for each of the ``sample_rows``: of the one price
+    profile ``x`` (T,), or of row i of an (n, T) ``x`` for row i.
+
+    A pair priced within every slot's consumers (0 <= x_t <= m_t) has
+    ||g||^2/(2 alpha) - sum_t [K x_t^2/(2 alpha) + a L_t^2 + b L_t + c] with the
+    load L_t = (S_t - K x_t)/alpha, O(T) work. Every other pair (over-priced, or a
+    negative price, where the consumer saturates) goes through the consumer
+    responses on the g columns; an over-priced batch logs one warning per call.
+    """
+    x = as_decisions(x, params.n_slots, name="price profile")
+    g, sums, least, squares = _row_parts(rows, params)
+    n = rows.shape[0] if x.shape[0] == 1 else x.shape[0]
+    if rows.shape[0] not in (1, n):
+        raise DimensionError(f"{x.shape[0]} price profiles for {rows.shape[0]} samples")
+    k, alpha = params.n_consumers, params.alpha
+    load = (sums - k * x) / alpha
+    per_slot = k * x**2 / (2.0 * alpha) + params.a * load**2 + params.b * load + params.c
+    out = squares / (2.0 * alpha) - per_slot.sum(axis=1)
+    outside = np.flatnonzero(~((x >= 0) & (x <= least)).all(axis=1))
+    if outside.size:
+        out[outside] = _direct_utilities(
+            x if x.shape[0] == 1 else x[outside], g if g.shape[0] == 1 else g[outside], params
+        )
+        if np.any(x > least):
+            logger.warning(
+                "over-pricing: price exceeds a satisfaction parameter; load clamped to 0"
+            )
+    return out
+
+
+def f1_batch(x, values: np.ndarray, params: RtpParams) -> np.ndarray:
+    """``row_utilities`` of raw (n, K*T) samples (or one (K*T,) sample)."""
+    return row_utilities(x, sample_rows(np.atleast_2d(values), params), params)
 
 
 @dataclass(frozen=True)
@@ -107,18 +174,24 @@ def derived_constants(params: RtpParams) -> RtpDerivedConstants:
 
 
 def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
-    """Affine transform applied row-wise: (N, K*T) -> (N, T)."""
+    """Affine transform applied row-wise: (N, K*T) -> (N, T), kappa * S + beta."""
     c = derived_constants(params) if constants is None else constants
     v = np.atleast_2d(np.asarray(values, dtype=float))
     slot_sums = _stack_to_slots(v, params).sum(axis=-1)
     return c.kappa * slot_sums + c.beta
 
 
+def row_assignment(rows: np.ndarray, reps, params: RtpParams) -> np.ndarray:
+    """Closed-form assignment of the ``sample_rows``: nearest representative to
+    kappa * S + beta (ties to the lowest index)."""
+    c = derived_constants(params)
+    sums = _row_parts(rows, params)[1]
+    return nearest_centers(c.kappa * sums + c.beta, np.atleast_2d(np.asarray(reps, dtype=float)))
+
+
 def assign_batch(values, reps, params: RtpParams) -> np.ndarray:
-    """Closed-form assignment: nearest representative in the transformed space
-    (ties to the lowest index)."""
-    reps = np.atleast_2d(np.asarray(reps, dtype=float))
-    return nearest_centers(transform_dataset(values, params), reps)
+    """``row_assignment`` of raw (N, K*T) samples (or one (K*T,) sample)."""
+    return row_assignment(sample_rows(np.atleast_2d(values), params), reps, params)
 
 
 def _values_of(data) -> np.ndarray:
@@ -146,16 +219,28 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
     return _optimal_price(gbar, params)
 
 
-def closed_form_representatives(data, assignment, clusters, params: RtpParams) -> np.ndarray:
+def row_representatives(rows: np.ndarray, assignment, clusters, params: RtpParams) -> np.ndarray:
     """(k, T) array of ``closed_form_representative`` for each of ``clusters``, whose
-    members are the rows with ``assignment == clusters[i]``."""
-    slot_means = _stack_to_slots(_values_of(data), params).mean(axis=-1)
+    members are the ``sample_rows`` with ``assignment == clusters[i]``: the optimal
+    price of the cluster mean of S / K."""
+    slot_means = _row_parts(rows, params)[1] / params.n_consumers
     return _optimal_price(cluster_means(slot_means, assignment, clusters), params)
 
 
+def closed_form_representatives(data, assignment, clusters, params: RtpParams) -> np.ndarray:
+    """``row_representatives`` of a DataSet or raw (N, K*T) samples."""
+    return row_representatives(sample_rows(_values_of(data), params), assignment, clusters, params)
+
+
+def row_prices(rows: np.ndarray, params: RtpParams) -> np.ndarray:
+    """Per-row optimal price profiles of the ``sample_rows``, as an (N, T) array:
+    each row is its own cluster."""
+    return _optimal_price(_row_parts(rows, params)[1] / params.n_consumers, params)
+
+
 def perfect_prices(values, params: RtpParams) -> np.ndarray:
-    """Per-row optimal price profiles, as an (N, T) array: each row is its own cluster."""
-    return _optimal_price(_stack_to_slots(_values_of(values), params).mean(axis=-1), params)
+    """``row_prices`` of a DataSet or raw (N, K*T) samples."""
+    return row_prices(sample_rows(_values_of(values), params), params)
 
 
 def generate_rtp_scenario(
@@ -177,18 +262,20 @@ def generate_rtp_scenario(
 
 
 def metric_ops(params: RtpParams) -> MetricOps:
-    """Callable bundle for the engine (closed-form assignment and representatives)."""
+    """Callable bundle for the engine (closed-form assignment and representatives),
+    working on ``sample_rows``."""
 
     def feasible(decisions) -> np.ndarray:
         x = as_decisions(decisions, params.n_slots, name="price profile")
         return np.all(x >= -FEASIBILITY_TOL, axis=1)
 
     return MetricOps(
-        utilities=lambda x, values: f1_batch(x, values, params),
-        assign=lambda values, reps: assign_batch(values, reps, params),
-        best_representatives=lambda values, assignment, clusters: (
-            closed_form_representatives(values, assignment, clusters, params)
+        prepare=lambda values: sample_rows(values, params),
+        utilities=lambda x, rows: row_utilities(x, rows, params),
+        assign=lambda rows, reps: row_assignment(rows, reps, params),
+        best_representatives=lambda rows, assignment, clusters: (
+            row_representatives(rows, assignment, clusters, params)
         ),
-        perfect_decisions=lambda values: perfect_prices(values, params),
+        perfect_decisions=lambda rows: row_prices(rows, params),
         feasible=feasible,
     )

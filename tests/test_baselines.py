@@ -5,6 +5,7 @@ import pytest
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops
 from dmoc import baselines, evaluation
+from dmoc.core import BLOCK_FLOATS
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import best_two_partition_inertia
@@ -76,6 +77,30 @@ class TestKmeans:
             direct = ((data.values - km.centroids[labels]) ** 2).sum()
             assert km.inertia == pytest.approx(direct, rel=1e-12)
             assert len(km.inertia_trace) <= max_iters
+
+    def test_kmeans_pp_blocked_distances_equal_one_shot(self):
+        def one_shot_init(values, n_clusters, rng):
+            n = values.shape[0]
+            picks = [int(rng.integers(n))]
+            d2 = ((values - values[picks[0]]) ** 2).sum(axis=1)
+            for _ in range(1, n_clusters):
+                total = d2.sum()
+                pick = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+                picks.append(pick)
+                d2 = np.minimum(d2, ((values - values[pick]) ** 2).sum(axis=1))
+            return values[picks]
+
+        dim = 120
+        n = 3 * (BLOCK_FLOATS // dim) + 7  # four row blocks, the last one partial
+        values = np.random.default_rng(8).uniform(2.0, 3.0, size=(n, dim))
+        np.testing.assert_array_equal(
+            baselines._distances_to(values, values[5]), ((values - values[5]) ** 2).sum(axis=1)
+        )
+        for seed in range(3):
+            np.testing.assert_array_equal(
+                baselines.kmeans_pp_init(values, 20, np.random.default_rng(seed)),
+                one_shot_init(values, 20, np.random.default_rng(seed)),
+            )
 
 
 class TestKmcPipeline:

@@ -85,6 +85,13 @@ class TestGen:
             assert err.startswith(f"usage error: gen --kind {kind}: ") and param in err
             assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for kind in ("pcs", "rtp"):
+            assert run_cli("gen", "--kind", kind, "--out", str(out), "--seed", "-1") == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("usage error: --seed: expected an integer >= 0")
+            assert not out.exists()
+
     def test_log_level_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMOC_LOG", "DEBUG")
         out = tmp_path / "v.csv"
@@ -143,7 +150,8 @@ class TestCluster:
 
     @pytest.mark.parametrize(
         "flag, value, named",
-        [("--max-iters", "0", "cluster: max_iters"), ("--tol", "-1", "cluster: "), ("--clusters", "0", "--clusters")],
+        [("--max-iters", "0", "cluster: max_iters"), ("--tol", "-1", "cluster: "), ("--clusters", "0", "--clusters"),
+         ("--seed", "-1", "--seed")],
     )
     def test_out_of_range_engine_flag_is_usage_error(
         self, pcs_data_file, tmp_path, capsys, flag, value, named

@@ -186,7 +186,7 @@ class TestBatchedMetricOps:
     def test_batched_calls_equal_row_by_row_calls(self, spec):
         rng = np.random.default_rng(3)
         ops, data_dim, decision_dim = _batch_ops(spec)
-        values = rng.uniform(0.0, 3.0, size=(12, data_dim))
+        values = ops.prepare(rng.uniform(0.0, 3.0, size=(12, data_dim)))
         decisions = ops.perfect_decisions(values)
         assert decisions.shape == (12, decision_dim)
         np.testing.assert_array_equal(
@@ -208,7 +208,7 @@ class TestBatchedMetricOps:
     def test_batched_representatives_equal_per_cluster_calls(self, spec):
         rng = np.random.default_rng(4)
         ops, data_dim, decision_dim = _batch_ops(spec)
-        values = rng.uniform(0.0, 3.0, size=(12, data_dim))
+        values = ops.prepare(rng.uniform(0.0, 3.0, size=(12, data_dim)))
         assignment = np.array([2, 0, 4, 2, 2, 0, 4, 4, 0, 2, 4, 0])  # cluster 1 and 3 empty
         clusters = np.array([4, 0, 2])
         batch = ops.best_representatives(values, assignment, clusters)
@@ -223,7 +223,7 @@ class TestBatchedMetricOps:
     @pytest.mark.parametrize("spec", BATCH_CASES)
     def test_batched_feasibility_equals_row_by_row_calls(self, spec):
         ops, data_dim, decision_dim = _batch_ops(spec)
-        values = np.random.default_rng(5).uniform(0.0, 3.0, size=(6, data_dim))
+        values = ops.prepare(np.random.default_rng(5).uniform(0.0, 3.0, size=(6, data_dim)))
         decisions = ops.perfect_decisions(values)
         # negative, empty and doubled decisions break the sign, energy and cap constraints
         rows = np.vstack([decisions, -decisions, 0.0 * decisions, 2.0 * decisions])

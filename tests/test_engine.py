@@ -113,9 +113,10 @@ class TestUpdateRepresentatives:
         ops = metric_ops(spec)
         closed = update_representatives(spec, data, partition)[0]
         reps = update_representatives(spec, data, partition, warm_starts=warm)
-        f_warm = math.fsum(ops.utilities(warm, data.values))
-        assert math.fsum(ops.utilities(closed, data.values)) < f_warm
-        assert math.fsum(ops.utilities(reps[0], data.values)) >= f_warm
+        rows = ops.prepare(data.values)
+        f_warm = math.fsum(ops.utilities(warm, rows))
+        assert math.fsum(ops.utilities(closed, rows)) < f_warm
+        assert math.fsum(ops.utilities(reps[0], rows)) >= f_warm
 
 
 class TestSuppliedDecisions:
@@ -510,7 +511,7 @@ class TestUtilityReuse:
                 config = EngineConfig(n_clusters=m, seed=m, tol=0.0, max_iters=6)
                 res = run_dmoc_ops(ops, data, config)
                 fresh = np.concatenate([
-                    ops.utilities(res.representatives[k], data.values[res.partition.members(k)])
+                    ops.utilities(res.representatives[k], ops.prepare(data.values[res.partition.members(k)]))
                     for k in range(m)
                 ])
                 assert res.objective == math.fsum(fresh)

@@ -45,8 +45,9 @@ class TestPerfectBaseline:
         for spec, values in cases:
             data = DataSet(values)
             ops = metric_ops(spec)
-            singles = [ops.perfect_decisions(g[None, :])[0] for g in data.values]
-            loop = math.fsum(ops.utilities(x, g[None, :])[0] for x, g in zip(singles, data.values))
+            rows = ops.prepare(data.values)
+            singles = [ops.perfect_decisions(g[None, :])[0] for g in rows]
+            loop = math.fsum(ops.utilities(x, g[None, :])[0] for x, g in zip(singles, rows))
             assert evaluation.perfect_objective(spec, data) == loop
             np.testing.assert_array_equal(evaluation.perfect_decisions(spec, data), np.stack(singles))
 

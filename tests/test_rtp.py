@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dmoc.core import BLOCK_FLOATS, DimensionError, DmocError, EmptyClusterError, RtpParams
+from dmoc.core import (
+    BLOCK_FLOATS,
+    DimensionError,
+    DmocError,
+    EmptyClusterError,
+    RtpParams,
+    cluster_means,
+    nearest_centers,
+)
 from dmoc import rtp
 
 from oracles import rtp_numeric_representative
@@ -11,6 +20,32 @@ def params(**kwargs):
     defaults = dict(n_consumers=1, n_slots=1, alpha=0.5, a=0.0, b=0.0, c=0.0)
     defaults.update(kwargs)
     return RtpParams(**defaults)
+
+
+def f1_one_shot(x, values, p):
+    """The utility from the consumer responses, in one batch expression."""
+    g = values.reshape(values.shape[0], p.n_slots, p.n_consumers)
+    price = np.atleast_2d(x)[..., None]
+    ell = np.where(price > g, 0.0, (g - price) / p.alpha)
+    quad, sat = g * ell - 0.5 * p.alpha * ell**2, g**2 / (2.0 * p.alpha)
+    u = np.where(ell <= g / p.alpha, quad, sat)
+    load = ell.sum(axis=-1)
+    return (u.sum(axis=-1) - p.a * load**2 - p.b * load - p.c).sum(axis=-1)
+
+
+def f1_literal(x, g, p):
+    """The utility of one price profile for one stacked sample, consumer by consumer."""
+    total = 0.0
+    for t in range(p.n_slots):
+        load = 0.0
+        welfare = 0.0
+        for k in range(p.n_consumers):
+            gk = g[t * p.n_consumers + k]
+            ell = 0.0 if x[t] > gk else (gk - x[t]) / p.alpha
+            welfare += rtp.consumer_utility(ell, gk, p.alpha)
+            load += ell
+        total += welfare - p.a * load**2 - p.b * load - p.c
+    return total
 
 
 class TestConsumerSide:
@@ -64,15 +99,7 @@ class TestF1:
         assert any("over-pricing" in r.message for r in caplog.records)
 
     def test_blocked_batch_equals_one_shot(self):
-        def one_shot(x, values, p):
-            g = values.reshape(values.shape[0], p.n_slots, p.n_consumers)
-            price = np.atleast_2d(x)[..., None]
-            ell = np.where(price > g, 0.0, (g - price) / p.alpha)
-            quad, sat = g * ell - 0.5 * p.alpha * ell**2, g**2 / (2.0 * p.alpha)
-            u = np.where(ell <= g / p.alpha, quad, sat)
-            load = ell.sum(axis=-1)
-            return (u.sum(axis=-1) - p.a * load**2 - p.b * load - p.c).sum(axis=-1)
-
+        one_shot = f1_one_shot
         p = params(n_consumers=5, n_slots=24, a=0.3, b=0.1, c=10.0)
         n = 3 * (BLOCK_FLOATS // p.data_dim) + 5
         rng = np.random.default_rng(12)
@@ -97,25 +124,114 @@ class TestF1:
 
     def test_matches_literal_loop_implementation(self):
         # pins the consumer-fastest stacking (g_1(1)..g_K(1), g_1(2), ...)
-        def f1_literal(x, g, p):
-            total = 0.0
-            for t in range(p.n_slots):
-                load = 0.0
-                welfare = 0.0
-                for k in range(p.n_consumers):
-                    gk = g[t * p.n_consumers + k]
-                    ell = 0.0 if x[t] > gk else (gk - x[t]) / p.alpha
-                    welfare += rtp.consumer_utility(ell, gk, p.alpha)
-                    load += ell
-                total += welfare - p.a * load**2 - p.b * load - p.c
-            return total
-
         p = params(n_consumers=3, n_slots=4, a=0.1, b=0.2, c=5.0)
         rng = np.random.default_rng(6)
         for _ in range(25):
             x = rng.uniform(0.0, 3.5, size=4)
             g = rng.uniform(0.0, 4.0, size=12)
             assert rtp.f1_batch(x, g, p)[0] == pytest.approx(f1_literal(x, g, p), abs=1e-12)
+
+
+@st.composite
+def priced_samples(draw):
+    """Parameters, samples g in [0, 4] and one price profile per sample whose slots
+    sit inside the regime (0 <= x_t <= min_k g), on its edges (x_t = min_k g, x_t = 0),
+    just outside it (x_t = -1e-10) or over-price a consumer (x_t = g of any consumer,
+    or up to 4.5)."""
+    k, t, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p = RtpParams(
+        n_consumers=k, n_slots=t, alpha=draw(st.floats(0.01, 4.0)),
+        a=draw(st.floats(0.0, 4.0)), b=draw(st.floats(0.0, 4.0)), c=draw(st.floats(0.0, 4.0)),
+    )
+    unit = st.floats(0.0, 1.0)
+    g = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n * k * t, max_size=n * k * t)))
+    slots = g.reshape(n, t, k)
+    least = slots.min(axis=-1)
+    x = np.empty((n, t))
+    for i in range(n):
+        for s in range(t):
+            kind = draw(st.sampled_from(("inside", "least", "zero", "negative", "any g", "high")))
+            x[i, s] = {
+                "inside": lambda: draw(unit) * least[i, s],
+                "least": lambda: least[i, s],
+                "zero": lambda: 0.0,
+                "negative": lambda: -1e-10,
+                "any g": lambda: slots[i, s, draw(st.integers(0, k - 1))],
+                "high": lambda: 4.5 * draw(unit),
+            }[kind]()
+    return p, g.reshape(n, k * t), x
+
+
+class TestSampleRows:
+    def test_layout(self):
+        p = params(n_consumers=3, n_slots=4)
+        values = np.random.default_rng(1).uniform(0.0, 4.0, size=(7, 12))
+        rows = rtp.sample_rows(values, p)
+        slots = values.reshape(7, 4, 3)
+        assert rows.shape == (7, 12 + 2 * 4 + 1)
+        np.testing.assert_array_equal(rows[:, :12], values)
+        np.testing.assert_array_equal(rows[:, 12:16], slots.sum(axis=-1))
+        np.testing.assert_array_equal(rows[:, 16:20], slots.min(axis=-1))
+        np.testing.assert_allclose(rows[:, 20], (values**2).sum(axis=1), rtol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(priced_samples())
+    def test_row_utility_matches_literal_loop_inside_and_one_shot_outside(self, case):
+        p, values, x = case
+        rows = rtp.sample_rows(values, p)
+        u = rtp.row_utilities(x, rows, p)
+        slots = values.reshape(values.shape[0], p.n_slots, p.n_consumers)
+        inside = ((x >= 0) & (x <= slots.min(axis=-1))).all(axis=1)
+        for i in np.flatnonzero(inside):
+            load = (slots[i].sum(axis=-1) - p.n_consumers * x[i]) / p.alpha
+            # the size of the terms that cancel in the utility
+            scale = (values[i] ** 2).sum() / (2 * p.alpha) + (
+                p.n_consumers * x[i] ** 2 / (2 * p.alpha) + p.a * load**2 + p.b * load + p.c
+            ).sum()
+            assert abs(u[i] - f1_literal(x[i], values[i], p)) <= 1e-12 * scale
+        np.testing.assert_array_equal(u[~inside], f1_one_shot(x, values, p)[~inside])
+        # one shared price profile, and paired profiles for one sample
+        np.testing.assert_array_equal(
+            rtp.row_utilities(x[0], rows, p), [rtp.row_utilities(x[0], r[None], p)[0] for r in rows]
+        )
+        np.testing.assert_array_equal(
+            rtp.row_utilities(x, rows[:1], p), [rtp.row_utilities(y, rows[:1], p)[0] for y in x]
+        )
+
+    def test_rules_on_rows_are_bit_identical_to_the_slot_means(self):
+        p = params(n_consumers=5, n_slots=24, a=0.3, b=0.2, c=10.0)
+        rng = np.random.default_rng(9)
+        values = rng.uniform(2.0, 3.0, size=(2 * (BLOCK_FLOATS // p.data_dim) + 3, p.data_dim))
+        rows = rtp.sample_rows(values, p)
+        slot_means = values.reshape(-1, 24, 5).mean(axis=-1)
+        reps = rng.uniform(1.0, 2.0, size=(7, 24))
+        assignment = rtp.row_assignment(rows, reps, p)
+        np.testing.assert_array_equal(
+            assignment, nearest_centers(rtp.transform_dataset(values, p), reps)
+        )
+        clusters = np.unique(assignment)
+        np.testing.assert_array_equal(
+            rtp.row_representatives(rows, assignment, clusters, p),
+            rtp._optimal_price(cluster_means(slot_means, assignment, clusters), p),
+        )
+        np.testing.assert_array_equal(rtp.row_prices(rows, p), rtp._optimal_price(slot_means, p))
+
+    def test_raw_samples_rejected_by_the_ops(self):
+        p = params(n_consumers=3, n_slots=4, a=0.1)
+        ops = rtp.metric_ops(p)
+        values = np.random.default_rng(2).uniform(2.0, 3.0, size=(5, 12))
+        x = np.ones(4)
+        for call in (
+            lambda v: ops.utilities(x, v),
+            lambda v: ops.assign(v, x[None]),
+            lambda v: ops.best_representatives(v, np.zeros(5, dtype=int), [0]),
+            ops.perfect_decisions,
+        ):
+            with pytest.raises(DimensionError, match="sample rows have shape"):
+                call(values)
+            call(ops.prepare(values))
+        with pytest.raises(DimensionError, match="2-D"):
+            ops.prepare(values[0])
 
 
 class TestDerivedConstants:
