@@ -10,10 +10,8 @@ representative price admit closed forms.
 When no price exceeds any consumer's parameter, a sample enters the utility,
 the assignment and the tariffs only through its per-slot sums, its per-slot
 minima (the regime test) and its squared norm. ``sample_rows`` computes these
-once per dataset (``MetricOps.prepare``) and the ``row_*`` rules read them; the
-raw-sample functions (``f1_batch``, ``assign_batch``,
-``closed_form_representatives``, ``perfect_prices``) are those rules on
-``sample_rows`` of their input.
+once per run (``MetricOps.prepare``) and the ``row_*`` rules read them;
+``f1_batch`` and ``assign_batch`` are those rules on ``sample_rows`` of raw samples.
 """
 
 from __future__ import annotations
@@ -101,20 +99,23 @@ def _row_parts(rows, params: RtpParams) -> tuple:
     return rows[:, :width], rows[:, width : width + t], rows[:, width + t : width + 2 * t], rows[:, -1]
 
 
-def _direct_utilities(x: np.ndarray, g: np.ndarray, params: RtpParams) -> np.ndarray:
-    """Utility of each (price, sample) pair from the consumer responses, in row blocks:
-    of the one price profile in ``x`` (1, T) or of row i of ``x`` for sample row i."""
+def _direct_utilities(x: np.ndarray, g: np.ndarray, params: RtpParams, which=None) -> np.ndarray:
+    """Utility of (price, sample) pairs from the consumer responses, in row blocks:
+    of the one price profile in ``x`` (1, T) or of row i of ``x`` for sample row i,
+    for every pair or for the pairs ``which`` (an index array), gathered block by block."""
     g = _stack_to_slots(g, params)
-    n = max(g.shape[0], x.shape[0])
+    n = max(g.shape[0], x.shape[0]) if which is None else which.size
     out = np.empty(n)
-    for rows in row_blocks(n, params.data_dim):
+    for block in row_blocks(n, params.data_dim):
+        rows = block if which is None else which[block]
         price = (x if x.shape[0] == 1 else x[rows])[..., None]
-        g_rows = g if g.shape[0] == 1 else g[rows]
+        # a contiguous block: the ufunc loops run slower on the strided g columns of the rows
+        g_rows = g if g.shape[0] == 1 else np.ascontiguousarray(g[rows])
         ell = best_response_load(price, g_rows, params.alpha)
         u = consumer_utility(ell, g_rows, params.alpha)
         load = ell.sum(axis=-1)
         per_slot = u.sum(axis=-1) - params.a * load**2 - params.b * load - params.c
-        out[rows] = per_slot.sum(axis=-1)
+        out[block] = per_slot.sum(axis=-1)
     return out
 
 
@@ -126,26 +127,26 @@ def row_utilities(x, rows: np.ndarray, params: RtpParams) -> np.ndarray:
     ||g||^2/(2 alpha) - sum_t [K x_t^2/(2 alpha) + a L_t^2 + b L_t + c] with the
     load L_t = (S_t - K x_t)/alpha, O(T) work. Every other pair (over-priced, or a
     negative price, where the consumer saturates) goes through the consumer
-    responses on the g columns; an over-priced batch logs one warning per call.
+    responses on the g columns, and a batch with no pair inside goes there
+    whole; an over-priced batch logs one warning per call.
     """
     x = as_decisions(x, params.n_slots, name="price profile")
     g, sums, least, squares = _row_parts(rows, params)
     n = rows.shape[0] if x.shape[0] == 1 else x.shape[0]
     if rows.shape[0] not in (1, n):
         raise DimensionError(f"{x.shape[0]} price profiles for {rows.shape[0]} samples")
-    k, alpha = params.n_consumers, params.alpha
-    load = (sums - k * x) / alpha
-    per_slot = k * x**2 / (2.0 * alpha) + params.a * load**2 + params.b * load + params.c
-    out = squares / (2.0 * alpha) - per_slot.sum(axis=1)
     outside = np.flatnonzero(~((x >= 0) & (x <= least)).all(axis=1))
-    if outside.size:
-        out[outside] = _direct_utilities(
-            x if x.shape[0] == 1 else x[outside], g if g.shape[0] == 1 else g[outside], params
-        )
-        if np.any(x > least):
-            logger.warning(
-                "over-pricing: price exceeds a satisfaction parameter; load clamped to 0"
-            )
+    if outside.size == n:
+        out = _direct_utilities(x, g, params)
+    else:
+        k, alpha = params.n_consumers, params.alpha
+        load = (sums - k * x) / alpha
+        per_slot = k * x**2 / (2.0 * alpha) + params.a * load**2 + params.b * load + params.c
+        out = squares / (2.0 * alpha) - per_slot.sum(axis=1)
+        if outside.size:
+            out[outside] = _direct_utilities(x, g, params, outside)
+    if outside.size and np.any(x > least):
+        logger.warning("over-pricing: price exceeds a satisfaction parameter; load clamped to 0")
     return out
 
 
@@ -227,20 +228,10 @@ def row_representatives(rows: np.ndarray, assignment, clusters, params: RtpParam
     return _optimal_price(cluster_means(slot_means, assignment, clusters), params)
 
 
-def closed_form_representatives(data, assignment, clusters, params: RtpParams) -> np.ndarray:
-    """``row_representatives`` of a DataSet or raw (N, K*T) samples."""
-    return row_representatives(sample_rows(_values_of(data), params), assignment, clusters, params)
-
-
 def row_prices(rows: np.ndarray, params: RtpParams) -> np.ndarray:
     """Per-row optimal price profiles of the ``sample_rows``, as an (N, T) array:
     each row is its own cluster."""
     return _optimal_price(_row_parts(rows, params)[1] / params.n_consumers, params)
-
-
-def perfect_prices(values, params: RtpParams) -> np.ndarray:
-    """``row_prices`` of a DataSet or raw (N, K*T) samples."""
-    return row_prices(sample_rows(_values_of(values), params), params)
 
 
 def generate_rtp_scenario(

@@ -198,6 +198,23 @@ class TestSampleRows:
             rtp.row_utilities(x, rows[:1], p), [rtp.row_utilities(y, rows[:1], p)[0] for y in x]
         )
 
+    def test_blocked_outside_pairs_equal_one_shot(self, caplog):
+        p = params(n_consumers=5, n_slots=24, a=0.3, b=0.2, c=10.0)
+        rng = np.random.default_rng(4)
+        n = 3 * (BLOCK_FLOATS // p.data_dim) + 5
+        values = rng.uniform(2.0, 3.0, size=(n, p.data_dim))
+        rows = rtp.sample_rows(values, p)
+        for outside in (np.ones(n, dtype=bool), rng.random(n) < 0.4):
+            # in-regime prices, with one slot over-priced for every consumer on the outside rows
+            x = rng.uniform(0.0, 1.9, size=(n, 24))
+            x[outside, rng.integers(24)] = 3.5
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="dmoc"):
+                u = rtp.row_utilities(x, rows, p)
+            np.testing.assert_array_equal(u[outside], f1_one_shot(x, values, p)[outside])
+            assert sum("over-pricing" in r.message for r in caplog.records) == 1
+            assert np.all(np.isfinite(u))
+
     def test_rules_on_rows_are_bit_identical_to_the_slot_means(self):
         p = params(n_consumers=5, n_slots=24, a=0.3, b=0.2, c=10.0)
         rng = np.random.default_rng(9)
