@@ -198,7 +198,7 @@ def test_c06_p1_triviality():
         members = rng.uniform(0.0, 3.0, size=(3, t))
         expected = np.zeros(t)
         expected[int(np.argmin(w))] = params.energy
-        out = pcs.solve_representative(members, range(3), params)
+        out = pcs.solve_representative(members, [range(3)], params)[0]
         np.testing.assert_array_equal(out, expected)
     print("[PASS] C6 p=1 cheapest-slot analytic solution")
 

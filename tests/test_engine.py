@@ -331,9 +331,9 @@ class TestSkipUnchangedClusters:
         solve = pcs.solve_representative
         linprog = pcs.linprog
 
-        def counting_solve(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
+        def counting_solve(data, member_indices, params):
+            solves.extend(1 for _ in member_indices)  # one entry per cluster solved
+            return solve(data, member_indices, params)
 
         def counting_linprog(*args, **kwargs):
             highs.append(1)
@@ -353,9 +353,9 @@ class TestSkipUnchangedClusters:
         solves = []
         solve = pcs.solve_representative
 
-        def counting_solve(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
+        def counting_solve(data, member_indices, params):
+            solves.extend(1 for _ in member_indices)  # one entry per cluster solved
+            return solve(data, member_indices, params)
 
         monkeypatch.setattr(pcs, "solve_representative", counting_solve)
         spec = MetricSpec.for_pcs(n_slots=8, p=2, energy=8.0, x_max=3.0)
@@ -475,6 +475,28 @@ class TestSkipUnchangedClusters:
             run_dmoc_ops(metric_ops(spec), data, EngineConfig(n_clusters=2, init=init))
         assert info.value.cluster in (0, 1)
         assert str(info.value).startswith(f"cluster {info.value.cluster}: interior-point method")
+
+    def test_stacked_failure_names_its_engine_cluster(self, monkeypatch):
+        # the solver raises for stack position 1, the lowest failing one; the engine names
+        # the cluster at that position of the clusters it asked for
+        spec = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=40, seed=2)
+        real = pcs._inverse_factors
+        calls = []
+
+        def poisoned(stack):
+            calls.append(1)
+            if len(calls) > 1 and stack.shape[0] == 3:  # the first call factors the start
+                stack = stack.copy()
+                stack[1:] = -np.eye(stack.shape[1])
+            return real(stack)
+
+        monkeypatch.setattr(pcs, "_inverse_factors", poisoned)
+        assignment = np.arange(40) % 4
+        with pytest.raises(SolverError) as info:
+            metric_ops(spec).best_representatives(data.values, assignment, np.array([0, 2, 3]))
+        assert info.value.cluster == 2
+        assert str(info.value).startswith("cluster 2: interior-point method")
 
 
 class TestUtilityReuse:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import logging
 import math
 import warnings
 
@@ -131,8 +133,8 @@ class TestCheapestSlot:
 
     def test_members_are_irrelevant(self):
         p = params(n_slots=2, p=1, energy=1.5, x_max=2.0, weights=[1.0, 4.0])
-        a = pcs.solve_representative(np.array([[3.0, 0.0]]), [0], p)
-        b = pcs.solve_representative(np.array([[0.0, 3.0], [1.0, 1.0]]), [0, 1], p)
+        a = pcs.solve_representative(np.array([[3.0, 0.0]]), [[0]], p)[0]
+        b = pcs.solve_representative(np.array([[0.0, 3.0], [1.0, 1.0]]), [[0, 1]], p)[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -183,7 +185,7 @@ class TestInteriorPoint:
     @staticmethod
     def assert_matches_highs(members, p):
         n = members.shape[0]
-        x = pcs.solve_representative(members, range(n), p)
+        x = pcs.solve_representative(members, [range(n)], p)[0]
         assert pcs.metric_ops(p).feasible(x)
         f = pcs_cluster_objective(x, members, p.weights, math.inf)
         f_lp = pcs_cluster_objective(
@@ -250,7 +252,7 @@ class TestInteriorPoint:
             members = rng.uniform(0.0, 3.0, size=(n, 2))
             w = rng.uniform(0.5, 1.5, size=2)
             p = params(weights=w)
-            x = pcs.solve_representative(members, range(n), p)
+            x = pcs.solve_representative(members, [range(n)], p)[0]
             obj = pcs_cluster_objective(x, members, w, math.inf)
             grid_obj, _ = grid_min_pcs(members, w, math.inf, p.energy, p.x_max)
             assert obj <= grid_obj * (1 + 1e-8)
@@ -258,7 +260,7 @@ class TestInteriorPoint:
 
     def test_empty_members(self):
         with pytest.raises(EmptyClusterError):
-            pcs.solve_representative(np.ones((1, 2)), [], params())
+            pcs.solve_representative(np.ones((1, 2)), [[]], params())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -278,7 +280,7 @@ class TestInteriorPoint:
         t = len(weights)
         p = params(n_slots=t, energy=fill * t * x_max, x_max=x_max, weights=weights)
         members = np.array(members)
-        x = pcs.solve_representative(members, range(members.shape[0]), p)
+        x = pcs.solve_representative(members, [range(members.shape[0])], p)[0]
         assert pcs.metric_ops(p).feasible(x)
 
     def test_routes(self, monkeypatch):
@@ -295,7 +297,7 @@ class TestInteriorPoint:
         for p, energy, stepped in [(1, 2.0, False), (math.inf, 4.0, False), (2, 4.0, False),
                                    (math.inf, 2.0, True), (2, 2.0, True)]:
             steps.clear()
-            x = pcs.solve_representative(members, range(5), params(p=p, energy=energy))
+            x = pcs.solve_representative(members, [range(5)], params(p=p, energy=energy))[0]
             assert pcs.metric_ops(params(p=p, energy=energy)).feasible(x)
             assert bool(steps) == stepped
 
@@ -380,7 +382,7 @@ class TestFinitePInteriorPoint:
             p = params(n_slots=4, p=p_exp, energy=(1 - k * 2.0**-53) * 4 * x_max, x_max=x_max)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                x = pcs.solve_representative(members, range(5), p)
+                x = pcs.solve_representative(members, [range(5)], p)[0]
             assert pcs.metric_ops(p).feasible(x)
 
     @pytest.mark.parametrize("p_exp", [2, 3, 6])
@@ -404,7 +406,7 @@ class TestFinitePInteriorPoint:
         for n in (1, 2, 40, 365):
             counts.update(derivatives=0, steps=0)
             p = params(n_slots=24, p=p_exp, energy=30.0, x_max=3.0, weights=self.weights(rng, 24))
-            pcs.solve_representative(data.values, rng.choice(365, size=n, replace=False), p)
+            pcs.solve_representative(data.values, [rng.choice(365, size=n, replace=False)], p)
             assert counts["steps"] > 0
             assert counts["derivatives"] <= counts["steps"] + 2
 
@@ -425,7 +427,7 @@ class TestFinitePInteriorPoint:
                 weights=self.weights(rng, t),
             )
             g = rng.uniform(0.5, 5.0, size=(1, t))
-            x = pcs.solve_representative(g, [0], p)
+            x = pcs.solve_representative(g, [[0]], p)[0]
             assert pcs.metric_ops(p).feasible(x)
             f = pcs_cluster_objective(x, g, p.weights, p_exp)
             f_wf = pcs_cluster_objective(pcs.perfect_decisions_pcs(g, p)[0], g, p.weights, p_exp)
@@ -438,7 +440,7 @@ class TestFinitePInteriorPoint:
         for n in (2, 40, 365):
             p = params(n_slots=24, p=p_exp, energy=24.0, x_max=3.0, weights=self.weights(rng, 24))
             members = data.values[rng.choice(365, size=n, replace=False)]
-            x = pcs.solve_representative(members, range(n), p)
+            x = pcs.solve_representative(members, [range(n)], p)[0]
             assert pcs.metric_ops(p).feasible(x)
             f = pcs_cluster_objective(x, members, p.weights, p_exp)
             f_sg = pcs_cluster_objective(subgradient_representative(members, p), members, p.weights, p_exp)
@@ -447,7 +449,7 @@ class TestFinitePInteriorPoint:
             n = int(rng.integers(1, 6))
             members = rng.uniform(0.0, 3.0, size=(n, 2))
             p = params(p=p_exp, weights=rng.uniform(0.5, 1.5, size=2))
-            x = pcs.solve_representative(members, range(n), p)
+            x = pcs.solve_representative(members, [range(n)], p)[0]
             f = pcs_cluster_objective(x, members, p.weights, p_exp)
             f_grid, _ = grid_min_pcs(members, p.weights, p_exp, p.energy, p.x_max)
             assert f <= f_grid * (1 + 1e-9)
@@ -457,7 +459,7 @@ class TestFinitePInteriorPoint:
     def test_energy_at_capacity(self, p_exp):
         members = np.random.default_rng(87).uniform(0.0, 5.0, size=(30, 6))
         p = params(n_slots=6, p=p_exp, energy=12.0, x_max=2.0, weights=[1.0, 0.0, 2.0, 0.5, 1.0, 0.0])
-        x = pcs.solve_representative(members, range(30), p)
+        x = pcs.solve_representative(members, [range(30)], p)[0]
         np.testing.assert_array_equal(x, np.full(6, 2.0))
 
     @pytest.mark.parametrize("p_exp", [2, 3, 6])
@@ -466,7 +468,7 @@ class TestFinitePInteriorPoint:
         # its norm reaches 0 at the optimum
         for energy in (0.5, 1.0, 2.0):
             p = params(p=p_exp, energy=energy, x_max=2.0, weights=[0.0, 1.0])
-            x = pcs.solve_representative(np.array([[5.0, 0.0]]), [0], p)
+            x = pcs.solve_representative(np.array([[5.0, 0.0]]), [[0]], p)[0]
             assert np.all(np.isfinite(x)) and pcs.metric_ops(p).feasible(x)
             assert pcs_cluster_objective(x, [[5.0, 0.0]], p.weights, p_exp) <= 1e-9 * p.x_max
 
@@ -488,7 +490,7 @@ class TestFinitePInteriorPoint:
         weights, members, p_exp, fill, x_max = case
         t = len(weights)
         p = params(n_slots=t, p=p_exp, energy=fill * t * x_max, x_max=x_max, weights=weights)
-        x = pcs.solve_representative(np.array(members), range(len(members)), p)
+        x = pcs.solve_representative(np.array(members), [range(len(members))], p)[0]
         assert pcs.metric_ops(p).feasible(x)
 
 
@@ -516,7 +518,7 @@ class TestSubgradientSolver:
         p = params(n_slots=4, p=2, energy=3.0, x_max=2.0)
         members = np.random.default_rng(1).uniform(0, 3, size=(3, 4))
         with pytest.raises(SolverError, match="duality gap"):
-            pcs.solve_representative(members, range(3), p)
+            pcs.solve_representative(members, [range(3)], p)
 
     def test_inf_rejected(self):
         # the finite-p oracle has no p = inf route
@@ -529,17 +531,21 @@ class TestSubgradientSolver:
             p = params(n_slots=4, p=p_exp, energy=2.0, x_max=3.0, weights=[1.0, 0.7, 1.3, 0.0])
             members = rng.uniform(0.5, 3.0, size=(3, 4))
             x = rng.uniform(0.2, 2.5, size=4)
-            problem = pcs._NormSum(members, p)
+            problem = pcs._NormSum(members, np.array([3]), p)  # one cluster of the three members
 
             def objective(z):
                 return pcs_cluster_objective(z, members, problem.w, p_exp)
 
-            value, grad, diagonal, rows = problem.derivatives(x)
+            def derivatives(z):
+                value, grad, diagonal, rows = problem.derivatives(z[None, :])
+                return value[0], grad[0], diagonal[0], rows
+
+            value, grad, diagonal, rows = derivatives(x)
             assert value == pytest.approx(objective(x), rel=1e-12)
             np.testing.assert_allclose(grad, finite_difference_gradient(objective, x), rtol=1e-6)
             hessian = np.diag(diagonal) - rows.T @ rows
             fd = np.stack([
-                finite_difference_gradient(lambda z: problem.derivatives(z)[1][i], x) for i in range(4)
+                finite_difference_gradient(lambda z: derivatives(z)[1][i], x) for i in range(4)
             ])
             np.testing.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-8)
 
@@ -569,6 +575,164 @@ class TestSolveRepresentative:
         f_out = pcs_cluster_objective(out, members, p.weights, math.inf)
         f_warm = pcs_cluster_objective(warm, members, p.weights, math.inf)
         assert f_out <= f_warm
+
+
+
+@contextlib.contextmanager
+def solver_records():
+    """The DEBUG records that dmoc.pcs logs inside the block."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("dmoc.pcs")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+class TestStackedSolve:
+    """One call solves a stack of clusters; each row is what the cluster gets alone."""
+
+    @staticmethod
+    def relative_floor(members, p):
+        # the objective scale under which solver gaps count as absolute (pcs._IPM_ZERO)
+        w = p.weights
+        return pcs._IPM_ZERO * members.shape[0] * ((w * members).max() + w.max() * p.x_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stack_agrees_with_stacks_of_one(self, data):
+        p_exp = data.draw(st.sampled_from([math.inf, 2, 3, 1]), label="p")
+        t = data.draw(st.integers(1, 24), label="T")
+        # the full box, a box that is full to rounding (no interior start at finite p), or inside
+        fill = data.draw(st.sampled_from([1.0, 1.0 - 2.0**-52]) | st.floats(0.05, 0.95), label="fill")
+        kind = st.sampled_from(["random", "single", "identical"])
+        kinds = data.draw(st.lists(kind, min_size=1, max_size=8), label="kinds")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 366, size=len(kinds))  # uniform: hypothesis favours small sizes
+        w = rng.uniform(0.2, 2.0, size=t)
+        w[rng.random(t) < 0.2] = 0.0
+        p = params(n_slots=t, p=p_exp, energy=fill * t * 2.0, x_max=2.0, weights=w)
+        values = rng.uniform(0.0, 5.0, size=(365, t))
+        values[:10] = values[0]  # identical rows
+        clusters = []
+        for kind, n in zip(kinds, sizes):
+            if kind == "single":
+                clusters.append([int(rng.integers(365))])
+            elif kind == "identical":
+                clusters.append(list(range(min(n, 10))))
+            else:
+                clusters.append(rng.choice(365, size=n, replace=False))
+
+        with solver_records() as records:
+            stacked = pcs.solve_representative(values, clusters, p)
+        assert stacked.shape == (len(clusters), t)
+        assert np.all(pcs.metric_ops(p).feasible(stacked))
+        # every cluster is certified within the tolerance; none took the kept-best path
+        gaps = [gap for record in records for gap in record.stack["gaps"]]
+        assert len(gaps) in (0, len(clusters)) and max(gaps, default=0.0) <= 1e-9
+        for row, members in zip(stacked, clusters):
+            alone = pcs.solve_representative(values, [members], p)[0]
+            g = values[np.asarray(members)]
+            f_stacked = pcs_cluster_objective(row, g, w, p_exp)
+            f_alone = pcs_cluster_objective(alone, g, w, p_exp)
+            tolerance = 1e-9 * max(f_alone, self.relative_floor(g, p)) + 1e-12 * f_alone
+            assert abs(f_stacked - f_alone) <= tolerance
+
+    def test_failing_cluster_does_not_stop_the_others(self, monkeypatch):
+        # the Newton matrices of stack positions 1 and 2 (of four) are made indefinite from the
+        # first step on: the stacked factorization fails, the two are found by factoring the
+        # matrices one at a time and retired, and the other two converge
+        real = pcs._inverse_factors
+        calls = []
+
+        def poisoned(stack):
+            calls.append(stack.shape[0])
+            if len(calls) > 1 and stack.shape[0] == 4:  # the first call factors the start
+                stack = stack.copy()
+                stack[1:3] = -np.eye(stack.shape[1])
+            return real(stack)
+
+        monkeypatch.setattr(pcs, "_inverse_factors", poisoned)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=120, seed=7)
+        clusters = np.array_split(np.arange(120), 4)
+        p = params(n_slots=24, energy=30.0, x_max=3.0)
+        with solver_records() as records, pytest.raises(SolverError) as err:
+            pcs.solve_representative(data.values, clusters, p)
+        assert err.value.cluster == 1  # the lowest failing position
+        assert "interior-point method stopped at relative duality gap" in str(err.value)
+        assert 2 in calls  # the two others went on as a stack of two
+        gaps = records[0].stack["gaps"]
+        assert gaps[0] <= 1e-9 and gaps[3] <= 1e-9
+        assert gaps[1] > pcs._IPM_FLOOR and gaps[2] > pcs._IPM_FLOOR
+
+        # a retired cluster whose best iterate is within the floor keeps it
+        monkeypatch.setattr(pcs, "_IPM_FLOOR", 1e300)
+        calls.clear()
+        out = pcs.solve_representative(data.values, clusters, p)
+        assert np.all(pcs.metric_ops(p).feasible(out))
+        monkeypatch.setattr(pcs, "_inverse_factors", real)
+        np.testing.assert_allclose(out[[0, 3]], pcs.solve_representative(data.values, clusters, p)[[0, 3]])
+
+    @pytest.mark.parametrize("p_exp", [math.inf, 2])
+    def test_debug_record(self, caplog, p_exp):
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=90, seed=8)
+        clusters = [range(0, 40), range(40, 41), range(41, 90)]
+        p = params(n_slots=24, p=p_exp, energy=30.0, x_max=3.0)
+        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+            pcs.solve_representative(data.values, clusters, p)
+        records = [r for r in caplog.records if r.name == "dmoc.pcs"]
+        assert len(records) == 1
+        stack = records[0].stack
+        assert stack["members"] == [40, 1, 49]
+        assert len(stack["steps"]) == 3 and min(stack["steps"]) > 0
+        assert max(stack["gaps"]) <= 1e-9
+        message = records[0].getMessage()
+        assert "3 clusters, 90 members" in message
+        assert f"{max(stack['steps'])} stacked steps" in message
+
+    def test_no_record_work_when_debug_is_off(self, monkeypatch, caplog):
+        def no_debug(*args, **kwargs):
+            raise AssertionError("the record is built only when DEBUG is enabled")
+
+        monkeypatch.setattr(pcs.logger, "debug", no_debug)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=30, seed=8)
+        with caplog.at_level(logging.INFO, logger="dmoc.pcs"):
+            p = params(n_slots=24, energy=30.0, x_max=3.0)
+            out = pcs.solve_representative(data.values, [range(15), range(15, 30)], p)
+        assert out.shape == (2, 24)
+
+    def test_stacks_hold_consecutive_clusters_that_fit(self, monkeypatch):
+        monkeypatch.setattr(pcs, "_STACK_FLOATS", 100 * 24)
+        runs = pcs._stacks(np.array([30, 40, 30, 1, 150, 60, 40]), 24)
+        assert [(r.start, r.stop) for r in runs] == [(0, 3), (3, 4), (4, 5), (5, 7)]
+        # a stack split in three solves each cluster as one stack does
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=300, seed=9)
+        clusters = [range(0, 60), range(60, 200), range(200, 230), range(230, 300)]
+        p = params(n_slots=24, energy=30.0, x_max=3.0)
+        with solver_records() as records:
+            out = pcs.solve_representative(data.values, clusters, p)
+        assert [r.stack["members"] for r in records] == [[60], [140], [30, 70]]
+        monkeypatch.setattr(pcs, "_STACK_FLOATS", 1 << 20)
+        for row, members in zip(out, clusters):
+            g = data.values[members]
+            alone = pcs.solve_representative(data.values, [members], p)[0]
+            assert pcs_cluster_objective(row, g, p.weights, math.inf) == pytest.approx(
+                pcs_cluster_objective(alone, g, p.weights, math.inf), rel=1e-9
+            )
+
+    def test_members_must_be_one_sequence_per_cluster(self):
+        with pytest.raises(DimensionError):
+            pcs.solve_representative(np.ones((3, 2)), range(3), params())
+        with pytest.raises(EmptyClusterError) as err:
+            pcs.solve_representative(np.ones((3, 2)), [[0], []], params())
+        assert err.value.cluster == 1
 
 
 class TestPerfectDecision:
