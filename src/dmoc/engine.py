@@ -101,13 +101,8 @@ def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clust
     solved = np.zeros(reps.shape[0], dtype=bool)
     solved[clusters] = True
     rows = np.nonzero(solved[assignment])[0]
-    if rows.size == assignment.size:
-        # every row's cluster was solved (as in every first iteration): no row copies;
-        # the utilities are row-wise, so the values are the same
-        solved_utilities = ops.utilities(candidates[assignment], values)
-    else:
-        solved_utilities = np.empty_like(utilities)
-        solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
+    solved_utilities = np.empty_like(utilities)
+    solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
     for m, members in zip(clusters, cluster_members(assignment, clusters)):
         if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
             utilities[members] = solved_utilities[members]

@@ -307,7 +307,8 @@ class _Stack:
     reduces one per cluster (``reduce``), spreads (k,) per-cluster values over one
     (``spread``) and over the parts of its point z (``spread_parts``), scales each
     cluster's entries of one (``scale``), and selects the entries of chosen clusters of
-    z and of a row vector (``select``)."""
+    z and of a row vector (``select``). A stack of one cluster skips the per-segment
+    loops and broadcasts its per-cluster values, so that it costs what a lone solve does."""
 
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         self.G, self.counts, self.params = G, counts, params
@@ -330,6 +331,8 @@ class _Stack:
 
     def gram(self, rows: np.ndarray) -> np.ndarray:
         """The (k, T, T) stack of each cluster's rows' rows, for an (N, T) per-member array."""
+        if self.k == 1:
+            return (rows.T @ rows)[None]
         out = np.empty((self.k, self.T, self.T))
         for i, members in enumerate(self.slices):
             np.matmul(rows[members].T, rows[members], out=out[i])
@@ -337,6 +340,8 @@ class _Stack:
 
     def weighted_sums(self, u: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Per cluster, u'a over its members, for (N,) u and an (N, T) a."""
+        if self.k == 1:
+            return (u @ a)[None]
         out = np.empty((self.k, self.T))
         for i, members in enumerate(self.slices):
             np.matmul(u[members], a[members], out=out[i])
@@ -344,6 +349,8 @@ class _Stack:
 
     def row_products(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Each member's row of an (N, T) a times its cluster's row of a (k, T) v."""
+        if self.k == 1:
+            return a @ v[0]
         out = np.empty(a.shape[0])
         for i, members in enumerate(self.slices):
             np.matmul(a[members], v[i], out=out[members])
@@ -351,6 +358,8 @@ class _Stack:
 
     def loads(self, wx: np.ndarray, order: str = "C") -> np.ndarray:
         """The weighted loads w (x_m + g_n) of every member n, for the clusters' w x_m in (k, T) wx."""
+        if self.k == 1:
+            return np.add(self.wg, wx, order=order)
         out = np.empty(self.G.shape, order=order)
         for i, members in enumerate(self.slices):
             np.add(self.wg[members], wx[i], out=out[members])
@@ -410,13 +419,15 @@ class _EpigraphLP(_Stack):
         return ufunc(both[: self.k], both[self.k :])
 
     def spread(self, a: np.ndarray) -> np.ndarray:
-        return a[self.row_owner]
+        return a if self.k == 1 else a[self.row_owner]
 
     def spread_parts(self, a: np.ndarray):
-        return a[:, None], a[self.owner]
+        return a[:, None], (a if self.k == 1 else a[self.owner])
 
     def scale(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The row vector v with each cluster's entries times its value in a: spread(a) * v."""
+        if self.k == 1:
+            return a * v
         out = np.empty_like(v)
         (epi, bounds), (epi_out, bounds_out) = self.split(v), self.split(out)
         for i, members in enumerate(self.slices):
@@ -432,8 +443,11 @@ class _EpigraphLP(_Stack):
         out = np.empty(self.b.size)
         epi, bounds = self.split(out)
         wx = self.w * x
-        for i, members in enumerate(self.slices):
-            np.subtract(s[members, None], wx[i], out=epi[members])
+        if self.k == 1:
+            np.subtract(s[:, None], wx, out=epi)
+        else:
+            for i, members in enumerate(self.slices):
+                np.subtract(s[members, None], wx[i], out=epi[members])
         _bound_rows(x, bounds)
         return out
 
@@ -646,10 +660,9 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     rc -= drdy
     v = newton(rc)
     ap, ad = reach(v)
-    trying = np.ones(ap.shape, dtype=bool)
+    trying = np.minimum(ap, ad) < _IPM_SHORT_STEP
     low = high = None
     for _ in range(_IPM_CORRECTORS):
-        trying &= np.minimum(ap, ad) < _IPM_SHORT_STEP
         if not trying.any():
             break
         if low is None:
@@ -672,6 +685,7 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
             keep = (*problem.spread_parts(trying), row, row)
             v = [np.where(m, c, a) for a, c, m in zip(v, corrected, keep)]
         ap, ad = np.where(trying, cap, ap), np.where(trying, cad, ad)
+        trying &= np.minimum(ap, ad) < _IPM_SHORT_STEP
     *dz, dr, dy = v
     primal = problem.spread_parts(ap)
     z = tuple(a + s * b for a, s, b in zip(z, primal, dz))
@@ -725,12 +739,12 @@ def _solve_stack(G: np.ndarray, counts: np.ndarray, params: PcsParams):
         best_gap[live[better]], best_x[live[better]] = gap[better], feasible[better]
         out = (gap <= _IPM_TOL) | ~np.isfinite(gap)
         while True:
-            if out.any():
-                taken[live[out]] = steps
-                problem, state = _drop(problem, state, ~out)
-                live = live[~out]
+            taken[live[out]] = steps
+            live = live[~out]
             if not live.size:
-                break
+                break  # the stack is done: nothing to compact
+            if out.any():
+                problem, state = _drop(problem, state, ~out)
             try:
                 state = _step(problem, *state)
                 steps += 1
