@@ -404,11 +404,10 @@ class _EpigraphLP(_Stack):
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         super().__init__(G, counts, params)
         self.b = np.concatenate([self.wg.ravel(), _bound_row_vector(params, self.k).ravel()])
-        clusters = np.arange(self.k)
-        self.row_owner = np.concatenate([np.repeat(self.owner, self.T), np.repeat(clusters, 2 * self.T + 1)])
+        self.wg = self.split(self.b)[0]  # one copy of the weighted loads, as a view of b
         self.sizes = counts * self.T + 2 * self.T + 1
         # each cluster's epigraph rows and its energy and box rows are two contiguous segments
-        self.segments = np.concatenate([self.starts * self.T, G.size + clusters * (2 * self.T + 1)])
+        self.segments = np.concatenate([self.starts * self.T, G.size + np.arange(self.k) * (2 * self.T + 1)])
 
     def split(self, v: np.ndarray):
         nt = self.G.size
@@ -419,7 +418,9 @@ class _EpigraphLP(_Stack):
         return ufunc(both[: self.k], both[self.k :])
 
     def spread(self, a: np.ndarray) -> np.ndarray:
-        return a if self.k == 1 else a[self.row_owner]
+        if self.k == 1:
+            return a
+        return np.concatenate([np.repeat(a, self.counts * self.T), np.repeat(a, 2 * self.T + 1)])
 
     def spread_parts(self, a: np.ndarray):
         return a[:, None], (a if self.k == 1 else a[self.owner])
@@ -436,7 +437,8 @@ class _EpigraphLP(_Stack):
         return out
 
     def select(self, keep: np.ndarray):
-        return keep, keep[self.owner], keep[self.row_owner]
+        # only a stack of two or more is compacted, so spread repeats keep over the rows
+        return keep, keep[self.owner], self.spread(keep)
 
     def rows(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The product A (x, s)."""
@@ -658,6 +660,7 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     target = problem.spread(total / problem.sizes * (moved / total) ** 3)
     rc = target - ry
     rc -= drdy
+    del ry, dr, dy, drdy  # free the predictor's arrays: a stack holds all its members' rows at once
     v = newton(rc)
     ap, ad = reach(v)
     trying = np.minimum(ap, ad) < _IPM_SHORT_STEP
@@ -699,28 +702,8 @@ def _drop(problem, state, keep: np.ndarray):
     return problem.subset(keep), (tuple(a[m] for a, m in zip(z, parts)), r[rows], y[rows])
 
 
-#: Member floats (members x T) per stack: the clusters of a call are stacked in order
-#: while their members fit, so that each per-member array stays near the processor
-#: caches. A larger stack is slower than its clusters alone: at T = 24, two clusters of
-#: 2,000 members took 256 ms as one stack and 210 ms one at a time, and four of 250
-#: took 46 ms either way.
-_STACK_FLOATS = 1 << 15
-
-
-def _stacks(counts: np.ndarray, T: int) -> list:
-    """Consecutive runs of clusters, each as a slice of ``counts``: a run grows while its
-    members fit in _STACK_FLOATS, and a larger cluster runs alone."""
-    runs, start, floats = [], 0, 0
-    for i, count in enumerate(counts):
-        if i > start and floats + count * T > _STACK_FLOATS:
-            runs.append(slice(start, i))
-            start, floats = i, 0
-        floats += count * T
-    return runs + [slice(start, counts.size)]
-
-
 def _solve_stack(G: np.ndarray, counts: np.ndarray, params: PcsParams):
-    """The interior point on one stack of clusters (p > 1, E < T x_max): each cluster's
+    """The interior point on a stack of clusters (p > 1, E < T x_max): each cluster's
     best certified projection (k, T) and its certified gap (k,), inf for none."""
     k, T = counts.size, params.n_slots
     problem = (_EpigraphLP if params.p == math.inf else _NormSum)(G, counts, params)
@@ -767,24 +750,22 @@ def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
 
     ``member_indices`` is a sequence of k clusters' member index sequences; the result
     is (k, T), one row per cluster. At p = 1 each row is the cheapest-slot fill, and
-    at E >= T x_max the full box. For p > 1 the clusters are solved in stacks by
+    at E >= T x_max the full box. For p > 1 the clusters are solved as one stack by
     Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992) with
     Gondzio's centrality correctors, on the epigraph LP of
     ``epigraph_lp_representative`` at p = inf and on the program over x alone
-    (``_NormSum``) at finite p. The members of a stack sit in one (N, T) array,
-    sorted by cluster, and each iteration factors the stack's T x T Newton matrices
-    as one (k, T, T) stack, so an iteration costs a few passes over the members and a
-    few stacked operations. A stack holds consecutive clusters while their members
-    fit in _STACK_FLOATS (every call at paper scale is one stack). Each cluster
-    keeps its own step lengths and correctors and leaves its stack once its
-    iterate's projection onto the feasible set is certified (by the LP dual at
-    p = inf, by the Frank-Wolfe gap at finite p) within a relative _IPM_TOL, so each
-    returned profile is feasible and within _IPM_TOL (at worst _IPM_FLOOR) of its
-    cluster's optimum. A cluster for which the method does not get there raises
-    SolverError; ``SolverError.cluster`` is the lowest such position in
-    ``member_indices``. Whether a result replaces a cluster's representative is the
-    engine's decision, not the solver's. Each stack logs one DEBUG record under
-    ``dmoc.pcs``.
+    (``_NormSum``) at finite p. The members sit in one (N, T) array, sorted by
+    cluster, and each iteration factors the clusters' T x T Newton matrices as one
+    (k, T, T) stack, so an iteration costs a few passes over the members and a few
+    stacked operations. Each cluster keeps its own step lengths and correctors and
+    leaves the stack once its iterate's projection onto the feasible set is
+    certified (by the LP dual at p = inf, by the Frank-Wolfe gap at finite p) within
+    a relative _IPM_TOL, so each returned profile is feasible and within _IPM_TOL
+    (at worst _IPM_FLOOR) of its cluster's optimum. A cluster for which the method
+    does not get there raises SolverError; ``SolverError.cluster`` is the lowest such
+    position in ``member_indices``. Whether a result replaces a cluster's
+    representative is the engine's decision, not the solver's. Each call logs one
+    DEBUG record under ``dmoc.pcs``.
     """
     G, counts = _stacked_members(data, member_indices)
     k, T = counts.size, params.n_slots
@@ -793,17 +774,13 @@ def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
     # the full box is the only feasible point at E = T x_max
     if params.energy >= T * params.x_max:
         return np.full((k, T), params.x_max)
-    out = np.empty((k, T))
-    bounds = np.cumsum(counts) - counts
-    for run in _stacks(counts, T):
-        first, last = bounds[run.start], bounds[run.stop - 1] + counts[run.stop - 1]
-        out[run], gaps = _solve_stack(G[first:last], counts[run], params)
-        failed = np.nonzero(~(gaps <= _IPM_FLOOR))[0]
-        if failed.size:
-            raise SolverError(
-                f"interior-point method stopped at relative duality gap {gaps[failed[0]]:.2e}",
-                cluster=int(run.start + failed[0]),
-            )
+    out, gaps = _solve_stack(G, counts, params)
+    failed = np.nonzero(~(gaps <= _IPM_FLOOR))[0]
+    if failed.size:
+        raise SolverError(
+            f"interior-point method stopped at relative duality gap {gaps[failed[0]]:.2e}",
+            cluster=int(failed[0]),
+        )
     return out
 
 
