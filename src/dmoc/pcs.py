@@ -308,7 +308,7 @@ class _Stack:
     (``spread``) and over the parts of its point z (``spread_parts``), scales each
     cluster's entries of one (``scale``), and selects the entries of chosen clusters of
     z and of a row vector (``select``). A stack of one cluster skips the per-segment
-    loops and broadcasts its per-cluster values, so that it costs what a lone solve does."""
+    loops and broadcasts its per-cluster values instead of spreading them."""
 
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         self.G, self.counts, self.params = G, counts, params
