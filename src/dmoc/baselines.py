@@ -8,6 +8,7 @@ samples. It is both the comparison baseline and, through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,14 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
+    _nearest_centers,
     as_decisions,
     cluster_means,
     metric_ops,
     nearest_centers,
     row_blocks,
 )
-from .engine import _objective, _repair_empty
+from .engine import _repair_empty
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,9 @@ def kmeans(
 ) -> KmeansResult:
     """Lloyd iterations from a k-means++ (or supplied) start until the assignment fixes.
 
-    Deterministic for a given seed. Inertia is recorded after every
-    assignment step and is nonincreasing.
+    Deterministic for a given seed. ``inertia_trace`` sums each assignment step's kernel
+    distances, clamped at 0 and within the ``core.nearest_centers`` bound (direct after an
+    empty-cluster repair); ``inertia`` is measured directly at the returned centroids.
     """
     if n_clusters > data.n:
         raise DmocError(f"n_clusters = {n_clusters} exceeds N = {data.n}")
@@ -107,25 +110,24 @@ def kmeans(
 
     # the engine's step under this metric is a Lloyd step, with the same empty-cluster repair
     ops = squared_distance_ops(data.dim)
+    v_sq = np.einsum("ij,ij->i", values, values)
     assignment = None
     trace = []
     for _ in range(max_iters):
-        centroids, new_assignment = _repair_empty(
-            ops, values, centroids, nearest_centers(values, centroids)
-        )
-        inertia = _inertia(values, centroids, new_assignment)
-        trace.append(inertia)
+        nearest, best = _nearest_centers(values, centroids, v_sq)
+        centroids, new_assignment = _repair_empty(ops, values, centroids, nearest)
+        if new_assignment is nearest:
+            trace.append(float(np.maximum(best, 0.0).sum()))
+        else:  # a repair reassigned rows
+            trace.append(_inertia(values, centroids, new_assignment))
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         centroids = _centroids(values, assignment, centroids)
-    else:
-        # the cap ended the run after a centroid update: measure the moved centroids
-        inertia = _inertia(values, centroids, assignment)
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
-        inertia=inertia,
+        inertia=_inertia(values, centroids, assignment),
         inertia_trace=tuple(trace),
     )
 
@@ -146,7 +148,7 @@ def kmc_pipeline(
     ops = metric_ops(spec)
     reps = ops.perfect_decisions(ops.prepare(km.centroids))
     assignment = km.assignment.assignment
-    objective = _objective(ops, ops.prepare(data.values), reps, assignment)
+    objective = math.fsum(ops.utilities(reps[assignment], ops.prepare(data.values)))
     return ClusteringResult(
         partition=km.assignment,
         representatives=reps,

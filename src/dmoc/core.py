@@ -127,11 +127,18 @@ def nearest_centers(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     are not farther apart than twice that, with margin, is re-measured with
     ``sq_distances``; every other row's nearest center is unique under both forms.
     """
-    n, dim = values.shape
-    out = np.zeros(n, dtype=np.intp)
     if centers.shape[0] == 1:
-        return out
-    v_sq = np.einsum("ij,ij->i", values, values)
+        return np.zeros(values.shape[0], dtype=np.intp)
+    return _nearest_centers(values, centers, np.einsum("ij,ij->i", values, values))[0]
+
+
+def _nearest_centers(values: np.ndarray, centers: np.ndarray, v_sq: np.ndarray):
+    """``nearest_centers`` given the rows' squared norms ``v_sq``, plus each row's
+    squared distance to its nearest center: the expanded one, within the bound
+    above, or the direct one for a re-measured row."""
+    n, dim = values.shape
+    out = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
     c_sq = np.einsum("ij,ij->i", centers, centers)
     k = (dim + 4) * np.finfo(float).eps / 2
     # the second term covers the absolute rounding error of products that underflow
@@ -143,14 +150,18 @@ def nearest_centers(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
         dist *= -2.0
         dist += v_sq[rows, None]
         dist += c_sq
-        out[rows] = dist.argmin(axis=1)
-        two = np.partition(dist, 1, axis=1)
+        at = np.arange(dist.shape[0])
+        out[rows] = nearest = dist.argmin(axis=1)
+        # a NaN (an overflowed expansion) is the argmin, so its row is re-measured
+        best[rows] = dist[at, nearest]
+        dist[at, nearest] = np.inf
         bound = bound_scale * (np.sqrt(v_sq[rows]) + reach) ** 2 + bound_floor
-        # written so that a NaN gap (an overflowed expansion) is re-measured too
-        near[rows] = ~(two[:, 1] - two[:, 0] > bound)
+        near[rows] = ~(dist.min(axis=1) - best[rows] > bound)
     if near.any():
-        out[near] = sq_distances(values[near], centers).argmin(axis=1)
-    return out
+        direct = sq_distances(values[near], centers)
+        out[near] = direct.argmin(axis=1)
+        best[near] = direct.min(axis=1)
+    return out, best
 
 
 def cluster_members(assignment: np.ndarray, clusters) -> list:

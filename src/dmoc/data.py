@@ -37,6 +37,17 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _parse_row(cells: list[str], row: int) -> np.ndarray:
+    """File row ``row`` as floats; a bad row goes through ``_parse_cell``, which names its cell."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        if 0 <= values.min() and values.max() < math.inf:  # NaN fails the first test
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_cell(c.strip(), row, j) for j, c in enumerate(cells, start=1)])
+
+
 def _is_header(cells: list[str]) -> bool:
     for cell in cells:
         try:
@@ -53,7 +64,7 @@ def load_profiles(path) -> DataSet:
     column) and ragged rows.
     """
     path = Path(path)
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width = None
     with path.open(newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
         lines = ((i, c) for i, c in enumerate(csv.reader(fh), start=1) if c and (len(c) > 1 or c[0].strip()))
@@ -67,7 +78,7 @@ def load_profiles(path) -> DataSet:
                 raise DataFormatError(
                     f"row {i}: expected {width} columns, found {len(cells)}", row=i
                 )
-            rows.append([_parse_cell(c.strip(), i, j) for j, c in enumerate(cells, start=1)])
+            rows.append(_parse_row(cells, i))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return DataSet(np.asarray(rows))

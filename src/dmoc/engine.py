@@ -62,16 +62,6 @@ class EngineConfig:
             )
 
 
-def _objective(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray) -> float:
-    """Correctly rounded sum (math.fsum) of the per-sample utilities.
-
-    The sum does not depend on how samples are grouped into clusters, and it
-    is monotone in every term, so exact ties between representatives can
-    never lower the objective by a rounding step.
-    """
-    return math.fsum(ops.utilities(reps[assignment], values))
-
-
 def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignment: np.ndarray):
     """Re-seed empty clusters from the worst-served samples, then reassign once.
     Returns the given reps and assignment when no cluster is empty."""
@@ -85,15 +75,15 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
     return reps, ops.assign(values, reps)
 
 
-def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters):
+def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters, utilities):
     """Solve the representatives of ``clusters`` (each with members).
 
-    Each cluster keeps its representative in ``reps`` unless the solve strictly
+    ``utilities`` holds every sample's utility at its representative in
+    ``reps``. Each cluster keeps its representative unless the solve strictly
     raises the correctly rounded sum of its members' utilities, so solver
     tolerance can never lower the objective. Returns the representatives and
-    every sample's utility at its representative.
+    ``utilities``, updated in place for the replaced clusters' members.
     """
-    utilities = ops.utilities(reps[assignment], values)
     candidates = reps.copy()
     if len(clusters) == 0:
         return candidates, utilities
@@ -148,7 +138,8 @@ def update_representatives(
     rows = ops.prepare(data.values)
     if warm_starts is None:
         return ops.best_representatives(rows, partition.assignment, clusters)
-    return _keep_or_replace(ops, rows, partition.assignment, warm_starts, clusters)[0]
+    utilities = ops.utilities(warm_starts[partition.assignment], rows)
+    return _keep_or_replace(ops, rows, partition.assignment, warm_starts, clusters, utilities)[0]
 
 
 def _initial_reps(ops: MetricOps, values: np.ndarray, config: EngineConfig) -> np.ndarray:
@@ -169,7 +160,8 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
     nonempty cluster in the first iteration, and after it only those that a
     sample entered or left or whose representative the empty-cluster repair
     replaced, since a representative depends on its cluster's members alone.
-    The samples are prepared (``ops.prepare``) once for the whole run.
+    Samples are prepared (``ops.prepare``) once per run, and utilities carry over: an
+    iteration rescores only the samples that moved or whose representative was re-seeded.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -183,7 +175,8 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
 
     assignment = ops.assign(values, reps)
     reps, assignment = _repair_empty(ops, values, reps, assignment)
-    previous = _objective(ops, values, reps, assignment)
+    utilities = ops.utilities(reps[assignment], values)
+    previous = math.fsum(utilities)
 
     objectives = []
     converged = False
@@ -195,10 +188,13 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
             reps, assignment = _repair_empty(ops, values, reps, assignment)
             moved = assignment != last_assignment
             changed = np.any(reps != last_reps, axis=1)
+            stale = np.nonzero(moved | changed[assignment])[0]
+            if stale.size:
+                utilities[stale] = ops.utilities(reps[assignment[stale]], values[stale])
             changed[assignment[moved]] = True
             changed[last_assignment[moved]] = True
-        solve = (np.bincount(assignment, minlength=config.n_clusters) > 0) & changed
-        reps, utilities = _keep_or_replace(ops, values, assignment, reps, np.nonzero(solve)[0])
+        solve = np.nonzero((np.bincount(assignment, minlength=config.n_clusters) > 0) & changed)[0]
+        reps, utilities = _keep_or_replace(ops, values, assignment, reps, solve, utilities)
         current = math.fsum(utilities)
         objectives.append(current)
         if current - previous <= config.tol:

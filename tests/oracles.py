@@ -1,16 +1,20 @@
 """Independent reference computations used to pin expected values.
 
 These stay deliberately naive (grids, enumeration, finite differences,
-smoothed gradient descent, level subgradient steps) and never call the solver
-paths they are used to check.
+smoothed gradient descent, level subgradient steps, the Lloyd loop as first
+written) and never call the solver paths they are used to check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
+from dmoc import baselines
+from dmoc.core import Partition, row_blocks, sq_distances
+from dmoc.engine import _repair_empty
 from dmoc.pcs import project_feasible
 
 
@@ -204,6 +208,61 @@ def best_two_partition_inertia(values):
         inertia = ((a - a.mean(axis=0)) ** 2).sum() + ((b - b.mean(axis=0)) ** 2).sum()
         best = min(best, inertia)
     return best
+
+
+def partition_nearest_centers(values, centers):
+    """``core.nearest_centers`` as first written: the row norms computed on every
+    call, the runner-up taken by ``np.partition``, and every row whose gap is not
+    above the kernel's margin (or is NaN) re-measured with the direct distances."""
+    n, dim = values.shape
+    out = np.zeros(n, dtype=np.intp)
+    if centers.shape[0] == 1:
+        return out
+    v_sq = np.einsum("ij,ij->i", values, values)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    k = (dim + 4) * np.finfo(float).eps / 2
+    bound_scale, bound_floor = 4 * k / (1 - k), 8 * (dim + 4) * np.finfo(float).smallest_subnormal
+    reach = math.sqrt(c_sq.max())
+    near = np.zeros(n, dtype=bool)
+    for rows in row_blocks(n, centers.shape[0]):
+        dist = values[rows] @ centers.T
+        dist *= -2.0
+        dist += v_sq[rows, None]
+        dist += c_sq
+        out[rows] = dist.argmin(axis=1)
+        two = np.partition(dist, 1, axis=1)
+        bound = bound_scale * (np.sqrt(v_sq[rows]) + reach) ** 2 + bound_floor
+        near[rows] = ~(two[:, 1] - two[:, 0] > bound)
+    if near.any():
+        out[near] = sq_distances(values[near], centers).argmin(axis=1)
+    return out
+
+
+def reference_kmeans(data, n_clusters, seed, max_iters=100):
+    """Lloyd's loop from a k-means++ start with the exact inertia after every
+    assignment step (and at the moved centroids when the cap ends the run), on
+    ``partition_nearest_centers``. Returns a ``baselines.KmeansResult``."""
+    values = data.values
+    centroids = baselines.kmeans_pp_init(values, n_clusters, np.random.default_rng(seed))
+    ops = dataclasses.replace(
+        baselines.squared_distance_ops(data.dim), assign=partition_nearest_centers
+    )
+    assignment, trace = None, []
+    for _ in range(max_iters):
+        centroids, new_assignment = _repair_empty(
+            ops, values, centroids, partition_nearest_centers(values, centroids)
+        )
+        inertia = baselines._inertia(values, centroids, new_assignment)
+        trace.append(inertia)
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        centroids = baselines._centroids(values, assignment, centroids)
+    else:
+        inertia = baselines._inertia(values, centroids, assignment)
+    return baselines.KmeansResult(
+        centroids, Partition(assignment, n_clusters), inertia, tuple(trace)
+    )
 
 
 def finite_difference_gradient(fun, x, h=1e-6):

@@ -2,13 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops
 from dmoc import baselines, evaluation
 from dmoc.core import BLOCK_FLOATS
 from dmoc.data import gen_synthetic_pcs
 
-from oracles import best_two_partition_inertia
+from oracles import best_two_partition_inertia, reference_kmeans
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(data, M, seed, max_iters): rows on a coarse grid (duplicated rows, tied
+    distances) or uniform, at three scales, with M up to N (empty-cluster repair)
+    and caps of 1 to 3 iterations besides the default."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        values = rng.integers(0, 3, size=(n, dim)).astype(float)
+    else:
+        values = rng.uniform(0.0, 3.0, size=(n, dim))
+    values *= draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    m = draw(st.integers(1, n))
+    return DataSet(values), m, draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 3, 100]))
 
 
 class TestKmeans:
@@ -77,6 +94,26 @@ class TestKmeans:
             direct = ((data.values - km.centroids[labels]) ** 2).sum()
             assert km.inertia == pytest.approx(direct, rel=1e-12)
             assert len(km.inertia_trace) <= max_iters
+
+    @settings(max_examples=300, deadline=None)
+    @given(lloyd_cases())
+    def test_matches_reference_lloyd_loop(self, case):
+        data, m, seed, max_iters = case
+        km = baselines.kmeans(data, m, seed=seed, max_iters=max_iters)
+        ref = reference_kmeans(data, m, seed=seed, max_iters=max_iters)
+        np.testing.assert_array_equal(km.centroids, ref.centroids)
+        np.testing.assert_array_equal(km.assignment.assignment, ref.assignment.assignment)
+        assert km.inertia == ref.inertia
+        assert len(km.inertia_trace) == len(ref.inertia_trace)
+        # each centroid is a row or a mean of rows, so max ||c|| <= max ||v||: the kernel's
+        # bound 2 gamma_{d+3} (||v|| + max ||c||)^2 per row, plus the rounding of two sums
+        # of n nonnegative terms
+        u = np.finfo(float).eps / 2
+        gamma = (data.dim + 3) * u / (1 - (data.dim + 3) * u)
+        norms = np.sqrt((data.values**2).sum(axis=1))
+        bound = 2 * gamma * ((norms + norms.max()) ** 2).sum() * (1 + 1e-9)
+        for approx, exact in zip(km.inertia_trace, ref.inertia_trace):
+            assert abs(approx - exact) <= bound + 4 * data.n * u * exact
 
     def test_kmeans_pp_blocked_distances_equal_one_shot(self):
         def one_shot_init(values, n_clusters, rng):

@@ -361,6 +361,37 @@ class TestNearestCenters:
         # ties go to the lowest index
         assert core.nearest_centers(centers[1:2], np.vstack([centers, centers[1]]))[0] == 1
 
+    @given(center_cases())
+    def test_best_distances_within_kernel_bound(self, case):
+        values, centers = case
+        v_sq = np.einsum("ij,ij->i", values, values)
+        nearest, best = core._nearest_centers(values, centers, v_sq)
+        direct = core.sq_distances(values, centers)
+        np.testing.assert_array_equal(nearest, direct.argmin(axis=1))
+        u, dim = np.finfo(float).eps / 2, values.shape[1]
+        gamma = (dim + 3) * u / (1 - (dim + 3) * u)
+        reach = np.sqrt((centers**2).sum(axis=1).max())
+        bound = 2 * gamma * (np.sqrt(v_sq) + reach) ** 2 * (1 + 1e-9)
+        floor = 8 * (dim + 4) * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(best - direct[np.arange(len(values)), nearest]) <= bound + floor)
+
+    def test_overflowed_expansion_is_re_measured(self, monkeypatch):
+        measured = []
+
+        def counting(values, centers):
+            measured.append(values.shape[0])
+            return direct(values, centers)
+
+        direct = core.sq_distances
+        monkeypatch.setattr(core, "sq_distances", counting)
+        # ||v||^2 of the first row overflows, and its expansion is -inf + inf = NaN
+        values = np.array([[1e200, 0.0], [1.0, 1.0]])
+        centers = np.array([[1e200, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            nearest, best = core._nearest_centers(values, centers, np.einsum("ij,ij->i", values, values))
+        assert nearest[0] == 0 and best[0] == 1.0
+        assert measured and measured[0] >= 1
+
     @pytest.mark.parametrize(
         "n_rows, row_floats", [(0, 5), (1, 5), (10, 3000), (9000, 1), (20000, 7)]
     )

@@ -501,25 +501,69 @@ class TestSkipUnchangedClusters:
 
 class TestUtilityReuse:
     @staticmethod
-    def counting(ops, calls):
+    def counting(ops, events):
+        """Log the rows each utility call scores, each assignment call, and the
+        assignment and clusters of each representative call."""
+
         def utilities(x, values):
-            calls.append(1)
+            events.append(("score", np.atleast_2d(values).shape[0]))
             return ops.utilities(x, values)
 
-        return dataclasses.replace(ops, utilities=utilities)
+        def assign(values, reps):
+            events.append(("assign",))
+            return ops.assign(values, reps)
+
+        def best_representatives(values, assignment, clusters):
+            events.append(("solve", assignment.copy(), np.asarray(clusters)))
+            return ops.best_representatives(values, assignment, clusters)
+
+        return dataclasses.replace(
+            ops, utilities=utilities, assign=assign, best_representatives=best_representatives
+        )
 
     def test_solved_clusters_are_evaluated_once_per_iteration(self):
-        spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
-        data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
-        for m in (1, 5):
-            calls = []
-            res = run_dmoc_ops(
-                self.counting(metric_ops(spec), calls), data, EngineConfig(n_clusters=m, seed=0, tol=0.0)
-            )
-            # the starting objective, then one call for the kept and one for the
-            # solved representatives of every cluster in an iteration
-            assert res.trace.iterations_run >= 2
-            assert len(calls) <= 1 + 2 * res.trace.iterations_run
+        pcs_spec = MetricSpec.for_pcs(n_slots=8, p=math.inf, energy=8.0, x_max=3.0)
+        pcs_data = gen_synthetic_pcs(archetypes=3, n_slots=8, n_samples=40, seed=3)
+        rtp_spec = MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.2, b=0.1)
+        rtp_data = rtp.generate_rtp_scenario(3, 2, 60, seed=5)
+        cases = [(pcs_spec, pcs_data, EngineConfig(n_clusters=m, seed=0, tol=0.0), False) for m in (1, 5)]
+        cases += [(rtp_spec, rtp_data, EngineConfig(n_clusters=m, seed=0, tol=0.0), False) for m in (3, 6)]
+        # six clusters on twelve samples: a cluster empties after a solve and is re-seeded
+        cases.append((
+            MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0),
+            gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=12, seed=1),
+            EngineConfig(n_clusters=6, seed=1, tol=0.0),
+            True,
+        ))
+        for spec, data, config, repair in cases:
+            self.check_scored_rows(spec, data, config, repair)
+
+    def check_scored_rows(self, spec, data, config, repair):
+        """Per iteration, the rows scored are at most the rows of the clusters solved,
+        then those of the samples that moved, plus (after an empty-cluster repair)
+        every sample twice."""
+        events = []
+        res = run_dmoc_ops(self.counting(metric_ops(spec), events), data, config)
+        assert res.trace.iterations_run >= 2
+        assert all(e[1] > 0 for e in events if e[0] == "score")
+        solves = [i for i, e in enumerate(events) if e[0] == "solve"]
+        previous = (None, 0)  # the last solve's assignment and solved rows
+        for lo, hi in zip([0] + [i + 1 for i in solves], solves + [len(events)]):
+            span = events[lo:hi]
+            scored = sum(e[1] for e in span if e[0] == "score")
+            # a repair ranks every sample once and may re-seed any representative, which
+            # makes every sample of its cluster stale
+            repaired = sum(e[0] == "assign" for e in span) > 1
+            assignment = events[hi][1] if hi < len(events) else previous[0]
+            if previous[0] is None:  # the starting objective scores every sample once
+                allowed = data.n
+            else:  # the guard's solved rows, then the samples that moved
+                allowed = previous[1] + int((assignment != previous[0]).sum())
+            assert scored <= allowed + (2 * data.n if repaired else 0)
+            if hi < len(events):
+                previous = (assignment, int(np.isin(assignment, events[hi][2]).sum()))
+        spans = zip([i + 1 for i in solves], solves[1:] + [len(events)])
+        assert repair == any(sum(e[0] == "assign" for e in events[lo:hi]) > 1 for lo, hi in spans)
 
     def test_objectives_equal_a_fresh_evaluation(self):
         pcs_data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=60, seed=5)
