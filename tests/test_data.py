@@ -95,6 +95,25 @@ class TestProfileIo:
             load_profiles(path)
         assert err.value.row == 2 and err.value.col == 2
 
+    @pytest.mark.parametrize(
+        "row, col, message",
+        [
+            (" 1.0 ,inf,-1", 2, "non-finite value 'inf'"),
+            ("1.0,-2,abc", 2, "negative value '-2'"),
+            ("1.0, 2.0 ,x", 3, "'x' is not a number"),
+            ("1.0,,2.0", 2, "'' is not a number"),
+        ],
+    )
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path, row, col, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f" 0.5, 1e-3 ,-0\n{row}\n")
+        with pytest.raises(DataFormatError) as err:
+            load_profiles(path)
+        assert (err.value.row, err.value.col) == (2, col)
+        assert str(err.value) == f"row 2, column {col}: {message}"
+        path.write_text(" 0.5, 1e-3 ,-0\n")
+        np.testing.assert_array_equal(load_profiles(path).values, [[0.5, 1e-3, 0.0]])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n1.0,2.0,3.0\n")
