@@ -433,8 +433,9 @@ class MetricOps:
     feasible: Callable
 
 
-def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
-    """Resolve a MetricSpec into the callable bundle for the engine."""
+def metric_ops(spec: MetricSpec, approx_assignment: bool = False, memo: dict | None = None) -> MetricOps:
+    """Resolve a MetricSpec into the callable bundle for the engine; ``memo`` serves the
+    scheduling representatives of one sweep (``pcs.metric_ops``), pricing ignores it."""
     if spec.kind == "rtp":
         if approx_assignment:
             raise DmocError("approximate assignment is a PCS-only variant")
@@ -443,7 +444,7 @@ def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
         return rtp.metric_ops(spec.rtp)
     from . import pcs
 
-    return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment)
+    return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment, memo=memo)
 
 
 # ---------------------------------------------------------------------------

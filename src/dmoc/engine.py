@@ -215,10 +215,13 @@ def run_dmoc(
     data: DataSet,
     config: EngineConfig,
     approx_assignment: bool = False,
+    memo: dict | None = None,
 ) -> ClusteringResult:
     """Run decision-oriented clustering for a pricing or scheduling metric.
 
     ``approx_assignment`` replaces the assignment rule with its p = 2
     surrogate (scheduling only); representatives keep the true metric.
+    ``memo`` is the representative memo of one sweep on ``data`` (see
+    ``pcs.metric_ops``).
     """
-    return run_dmoc_ops(metric_ops(spec, approx_assignment=approx_assignment), data, config)
+    return run_dmoc_ops(metric_ops(spec, approx_assignment, memo), data, config)

@@ -88,13 +88,14 @@ def realized_peaks(spec: MetricSpec, result: ClusteringResult, data: DataSet) ->
     return (spec.pcs.weights * (x + data.values)).max(axis=1)
 
 
-def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig) -> dict:
+def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig, memo=None) -> dict:
     """``{scheme: ClusteringResult}`` for each named scheme at ``config.n_clusters`` clusters.
 
     The k-means pipeline runs at most once, with ``config.seed``: it is the
     kmc result, and with ``config.init == "kmeans"`` its decisions are the
     explicit start of every engine run. At p = 2 the approximate (p = 2)
     assignment is the exact one, so dmoc-approx is the dmoc run, made once.
+    A sweep passes its one ``memo`` to every call (see ``pcs.metric_ops``).
     """
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -107,7 +108,7 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig) 
         config = replace(config, init=kmc.representatives)
     exact = spec.kind == "pcs" and spec.pcs.p == 2
     approx = {s: s == "dmoc-approx" and not exact for s in schemes if s != "kmc"}
-    runs = {a: run_dmoc(spec, data, config, approx_assignment=a) for a in dict.fromkeys(approx.values())}
+    runs = {a: run_dmoc(spec, data, config, a, memo) for a in dict.fromkeys(approx.values())}
     return {s: kmc if s == "kmc" else runs[approx[s]] for s in schemes}
 
 
@@ -143,16 +144,19 @@ def loss_curve(
     """Loss-vs-M sweep over clustering schemes.
 
     The runs at M share seed ``seed + M`` and one ``run_schemes`` call, so
-    the k-means pipeline runs once per M. With ``jobs > 1`` the values of M
-    execute in a thread pool; results are keyed, so the output is identical
-    for any job count.
+    the k-means pipeline runs once per M. Every run shares one representative
+    memo, so each distinct scheduling cluster is solved once per call. With
+    ``jobs > 1`` the values of M execute in a thread pool; results are keyed,
+    and a memo hit equals a fresh solve, so the output is identical for any
+    job count.
     """
     m_values = [int(m) for m in m_values]
     f_perfect = perfect_objective(spec, data)
+    memo = {}
 
     def run_at(m):
         config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init=init)
-        return {s: r.objective for s, r in run_schemes(schemes, spec, data, config).items()}
+        return {s: r.objective for s, r in run_schemes(schemes, spec, data, config, memo).items()}
 
     results = fan_out(run_at, m_values, jobs)
     curves = []
@@ -181,8 +185,9 @@ def clusters_for_targets(
 
     One sweep walks M upward: at each M, one ``run_schemes`` call (seed
     ``seed + M``, k-means start) runs the schemes that still have an open
-    target, until every target is answered. With ``jobs > 1``, M runs in
-    threaded rounds of ``jobs`` values; the answers never depend on jobs.
+    target, until every target is answered; the runs share one representative
+    memo, as in ``loss_curve``. With ``jobs > 1``, M runs in threaded rounds of
+    ``jobs`` values; the answers never depend on jobs.
     """
     if spec.kind != "pcs" or spec.pcs.p != np.inf:
         raise DmocError("the peak-target search requires a pcs spec with p = inf")
@@ -191,10 +196,10 @@ def clusters_for_targets(
         config = EngineConfig(
             n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init="kmeans"
         )
-        results = run_schemes(pending, spec, data, config)
+        results = run_schemes(pending, spec, data, config, memo)
         return {s: realized_peaks(spec, r, data).max() for s, r in results.items()}
 
-    found = {}
+    found, memo = {}, {}
     pending = tuple(schemes)
     step = max(jobs, 1)
     for first in range(1, m_max + 1, step):

@@ -17,9 +17,11 @@ an engine iteration solves) solve a convex program per cluster by
   the stack once certified; a cluster whose method fails raises SolverError.
 
 p alone picks the route; each route's tolerances are module constants, and each
-cluster's answer depends on its members alone (stacking changes only the order
-of floating-point reductions). The engine, not the route, decides whether a
-solve replaces a representative.
+cluster's answer depends on its members alone, bit for bit: every reduction over
+members runs cluster by cluster, so neither a cluster's place in a stack nor its
+neighbours there change a rounding, and a sweep solves each member set once
+(``metric_ops``). The engine, not the route, decides whether a solve replaces a
+representative.
 
 ``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
 reference solver, imported on use: no route calls it, and scipy is needed only
@@ -320,7 +322,8 @@ class _Stack:
         top = params.weights.max()
         self.w = params.weights / top if top > 0 else params.weights  # x is scale-free
         self.wg = self.w * G
-        self.ones = np.ones(self.T)  # row sums of (N, T) arrays as products: faster than sum(axis=1)
+        # row sums of (N, T) arrays as products (row_sums): faster than sum(axis=1)
+        self.ones = np.broadcast_to(np.ones(self.T), (self.k, self.T))
         self.fills = _cheapest_fills(params)
         peaks = np.maximum.reduceat(self.wg.max(axis=1), self.starts)
         self.zero = _IPM_ZERO * counts * (peaks + self.w.max() * params.x_max)
@@ -355,6 +358,12 @@ class _Stack:
         for i, members in enumerate(self.slices):
             np.matmul(a[members], v[i], out=out[members])
         return out
+
+    def row_sums(self, a: np.ndarray) -> np.ndarray:
+        """Each member's row sum of an (N, T) a, one product per cluster as in row_products:
+        a whole-stack product rounds a row by where it sits, and a cluster's sums must not
+        depend on the rest of its stack."""
+        return self.row_products(a, self.ones)
 
     def loads(self, wx: np.ndarray, order: str = "C") -> np.ndarray:
         """The weighted loads w (x_m + g_n) of every member n, for the clusters' w x_m in (k, T) wx."""
@@ -456,7 +465,7 @@ class _EpigraphLP(_Stack):
     def cols(self, y: np.ndarray):
         """The product A'y, as its x part and its s part."""
         epi, bounds = self.split(y)
-        return _bound_cols(bounds) - self.w * self.sums(epi), epi @ self.ones
+        return _bound_cols(bounds) - self.w * self.sums(epi), self.row_sums(epi)
 
     def factor(self, d: np.ndarray):
         """Factor each cluster's normal matrix A'DA, D = diag(d) > 0, by eliminating s.
@@ -471,7 +480,7 @@ class _EpigraphLP(_Stack):
         """
         epi, bounds = self.split(d)
         T = self.T
-        sigma = epi @ self.ones
+        sigma = self.row_sums(epi)
         coupling = self.gram(epi * (1.0 / np.sqrt(sigma))[:, None])
         _diagonal(coupling)[:] = 0.0
         schur = -(self.w[:, None] * coupling * self.w)
@@ -514,9 +523,10 @@ class _EpigraphLP(_Stack):
         # column-major loads: their row maxima are a fast reduction
         peaks = self.sums(self.loads(self.w * x, order="F").max(axis=1))
         epi = self.split(y)[0]
-        scale = 1.0 / (epi @ self.ones)
+        scale = 1.0 / self.row_sums(epi)
         prices = np.sort(self.w * self.weighted_sums(scale, epi), axis=1)
-        bound = self.sums(scale * ((epi * self.wg) @ self.ones)) + prices @ self.fills
+        # row-wise sums, not a (k, T) product, which rounds a row by its place in the stack
+        bound = self.sums(scale * self.row_sums(epi * self.wg)) + (prices * self.fills).sum(axis=1)
         return _relative(peaks - bound, peaks, self.zero)
 
 
@@ -572,7 +582,7 @@ class _NormSum(_Stack):
         N_n = ||u_n||_p; a member with N_n = 0 contributes nothing (0 lies in its
         subdifferential there)."""
         u = self.loads(self.w * x)
-        norms = (u**self.p @ self.ones) ** (1.0 / self.p)
+        norms = self.row_sums(u**self.p) ** (1.0 / self.p)
         inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         ratio = u * inverse[:, None]
         bent = ratio ** (self.p - 2)
@@ -612,7 +622,8 @@ class _NormSum(_Stack):
         cheapest fill in gradient order (the gradient is nonnegative)."""
         self.known = x, self.derivatives(x)
         value, grad, _, _ = self.known[1]
-        return _relative((grad * x).sum(axis=1) - np.sort(grad, axis=1) @ self.fills, value, self.zero)
+        cheapest = (np.sort(grad, axis=1) * self.fills).sum(axis=1)
+        return _relative((grad * x).sum(axis=1) - cheapest, value, self.zero)
 
 
 def _step_length(problem, inverse: np.ndarray, dv: np.ndarray, fraction: float) -> np.ndarray:
@@ -828,8 +839,14 @@ def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
 # Engine interface
 # ---------------------------------------------------------------------------
 
-def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
-    """Callable bundle for the engine; approx_assignment forces p = 2 clusters."""
+def metric_ops(params: PcsParams, approx_assignment: bool = False, memo: dict | None = None) -> MetricOps:
+    """Callable bundle for the engine; approx_assignment forces p = 2 clusters.
+
+    ``memo`` maps a cluster's sorted member indices (as bytes) to its representative,
+    for the rows of one dataset: one sweep's runs share it, at every M and under both
+    assignment rules, and a hit is what a fresh solve returns. ``best_representatives``
+    solves its misses as one stack and logs one DEBUG record per call.
+    """
     assign_params = dataclasses.replace(params, p=2) if approx_assignment else params
 
     def feasible(decisions) -> np.ndarray:
@@ -841,11 +858,24 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
         )
 
     def best_representatives(values, assignment, clusters) -> np.ndarray:
-        try:
-            return solve_representative(values, cluster_members(assignment, clusters), params)
-        except SolverError as err:
-            m = int(clusters[err.cluster])
-            raise SolverError(f"cluster {m}: {err}", cluster=m) from err
+        groups = cluster_members(assignment, clusters)
+        known = {} if memo is None else memo
+        keys = [members.tobytes() for members in groups]
+        missing = [i for i, key in enumerate(keys) if key not in known]
+        if missing:
+            try:
+                solved = solve_representative(values, [groups[i] for i in missing], params)
+            except SolverError as err:
+                m = int(clusters[missing[err.cluster]])
+                raise SolverError(f"cluster {m}: {err}", cluster=m) from err
+            known.update(zip([keys[i] for i in missing], solved))
+        if logger.isEnabledFor(logging.DEBUG):
+            counts = {"asked": len(keys), "reused": len(keys) - len(missing), "solved": len(missing)}
+            logger.debug(
+                "representatives: %(asked)d clusters asked for, %(reused)d reused, %(solved)d solved",
+                counts, extra={"representatives": counts},
+            )
+        return np.stack([known[key] for key in keys])
 
     return MetricOps(
         prepare=lambda values: values,

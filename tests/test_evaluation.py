@@ -1,11 +1,13 @@
+import logging
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
 from dmoc import baselines, evaluation, pcs
-from dmoc.core import ClusteringResult, Partition, RunTrace
+from dmoc.core import ClusteringResult, Partition, RunTrace, SolverError
 from dmoc.data import gen_synthetic_pcs
 
 
@@ -138,22 +140,23 @@ def setup():
 
 
 def counting_runs(monkeypatch):
-    """Patch the sweep's k-means pipeline and engine to record (M, seed) starts
-    and (M, scheme) engine runs."""
-    starts, runs = [], []
+    """Patch the sweep's k-means pipeline and engine to record (M, seed) starts,
+    (M, scheme) engine runs and the representative memo each run was given."""
+    starts, runs, memos = [], [], []
     kmc_pipeline, run_dmoc = evaluation.kmc_pipeline, evaluation.run_dmoc
 
     def counting_kmc_pipeline(spec, data, n_clusters, seed, **kwargs):
         starts.append((n_clusters, seed))
         return kmc_pipeline(spec, data, n_clusters, seed=seed, **kwargs)
 
-    def counting_run_dmoc(spec, data, config, approx_assignment=False):
+    def counting_run_dmoc(spec, data, config, approx_assignment=False, memo=None):
         runs.append((config.n_clusters, "dmoc-approx" if approx_assignment else "dmoc"))
-        return run_dmoc(spec, data, config, approx_assignment=approx_assignment)
+        memos.append(memo)
+        return run_dmoc(spec, data, config, approx_assignment=approx_assignment, memo=memo)
 
     monkeypatch.setattr(evaluation, "kmc_pipeline", counting_kmc_pipeline)
     monkeypatch.setattr(evaluation, "run_dmoc", counting_run_dmoc)
-    return starts, runs
+    return starts, runs, memos
 
 
 class TestClustersForTargets:
@@ -182,7 +185,7 @@ class TestClustersForTargets:
 
     def test_requires_peak_metric(self, setup, monkeypatch):
         _, data = setup
-        starts, runs = counting_runs(monkeypatch)
+        starts, runs, _ = counting_runs(monkeypatch)
         spec2 = MetricSpec.for_pcs(n_slots=6, p=2, energy=6.0, x_max=3.0)
         with pytest.raises(DmocError):
             evaluation.clusters_for_targets(spec2, data, [3.0], ("dmoc",), 3, seed=0)
@@ -216,8 +219,10 @@ class TestClustersForTargets:
         spec, data = setup
         schemes, targets = ("kmc", "dmoc", "dmoc-approx"), [4.2, 3.0]
         found = evaluation.clusters_for_targets(spec, data, targets, schemes, 8, seed=2)
-        starts, runs = counting_runs(monkeypatch)
+        starts, runs, memos = counting_runs(monkeypatch)
         assert evaluation.clusters_for_targets(spec, data, targets, schemes, 8, seed=2) == found
+        # every engine run of the sweep shares its one memo
+        assert isinstance(memos[0], dict) and all(memo is memos[0] for memo in memos)
 
         # the sweep stops at the first M that answers every target, before m_max
         stop = max(found.values())
@@ -232,7 +237,7 @@ class TestClustersForTargets:
         spec, data = setup
         perfect = evaluation.perfect_decisions(spec, data)
         worst = (perfect + data.values).max(axis=1).max()
-        starts, runs = counting_runs(monkeypatch)
+        starts, runs, _ = counting_runs(monkeypatch)
         found = evaluation.clusters_for_targets(
             spec, data, [5.0, worst - 0.25], ("dmoc",), 5, seed=0
         )
@@ -299,9 +304,10 @@ class TestSweeps:
         # at p = 2 the approximate assignment is the exact one, so both names share one run
         spec = MetricSpec.for_pcs(n_slots=6, p=p, energy=6.0, x_max=3.0, weights=[1, 2, 1, 3, 1, 2])
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=18)
-        starts, runs = counting_runs(monkeypatch)
+        starts, runs, memos = counting_runs(monkeypatch)
         curves = {c.scheme: c for c in evaluation.loss_curve(spec, data, [1, 2, 3], seed=2)}
         assert runs == [(m, "dmoc") for m in (1, 2, 3)]
+        assert isinstance(memos[0], dict) and all(memo is memos[0] for memo in memos)
         # the shared run is bit-identical to a run with the approximate assignment
         for m, objective in zip([1, 2, 3], curves["dmoc-approx"].objectives):
             init = baselines.kmc_pipeline(spec, data, m, seed=2 + m).representatives
@@ -315,3 +321,99 @@ class TestSweeps:
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=10, seed=16)
         with pytest.raises(DmocError):
             evaluation.loss_curve(PCS6, data, [1], schemes=("nope",), seed=0)
+
+
+class TestRepresentativeMemo:
+    """One sweep solves each distinct scheduling cluster (member set) once."""
+
+    SPEC = MetricSpec.for_pcs(n_slots=24, p=math.inf, energy=30.0, x_max=3.0)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=120, seed=23)
+
+    @staticmethod
+    def solved_clusters(monkeypatch):
+        """Record the member set of every cluster handed to pcs.solve_representative."""
+        solved = []
+        solve = pcs.solve_representative
+
+        def recording(data, member_indices, params):
+            solved.extend(tuple(np.sort(members).tolist()) for members in member_indices)
+            return solve(data, member_indices, params)
+
+        monkeypatch.setattr(pcs, "solve_representative", recording)
+        return solved
+
+    def test_each_member_set_solved_once_per_sweep(self, data, monkeypatch, caplog):
+        solved = self.solved_clusters(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+            curves = evaluation.loss_curve(self.SPEC, data, range(1, 9), seed=3)
+        assert len(solved) == len(set(solved))
+        counts = [r.representatives for r in caplog.records if hasattr(r, "representatives")]
+        assert sum(c["solved"] for c in counts) == len(solved)
+        assert all(c["asked"] == c["reused"] + c["solved"] for c in counts)
+        assert sum(c["reused"] for c in counts) > 0  # the sweep re-forms some clusters
+        # a reused representative is what a fresh solve returns: every objective equals a
+        # run of its own, outside the sweep
+        for curve in curves:
+            if curve.scheme == "kmc":
+                continue
+            for (m, _), objective in zip(curve.points, curve.objectives):
+                init = baselines.kmc_pipeline(self.SPEC, data, m, seed=3 + m).representatives
+                config = EngineConfig(n_clusters=m, seed=3 + m, init=init)
+                run = run_dmoc(self.SPEC, data, config, approx_assignment=curve.scheme == "dmoc-approx")
+                assert objective == run.objective
+
+    def test_memo_lives_for_one_call(self, data, monkeypatch):
+        solved = self.solved_clusters(monkeypatch)
+        first = evaluation.loss_curve(self.SPEC, data, range(1, 7), seed=3)
+        once = len(solved)
+        assert evaluation.loss_curve(self.SPEC, data, range(1, 7), seed=3) == first
+        assert len(solved) == 2 * once
+        solved.clear()
+        targets = [3.0, 2.5]
+        found = evaluation.clusters_for_targets(self.SPEC, data, targets, ("dmoc", "dmoc-approx"), 6)
+        once = len(solved)
+        assert evaluation.clusters_for_targets(self.SPEC, data, targets, ("dmoc", "dmoc-approx"), 6) == found
+        assert len(solved) == 2 * once == 2 * len(set(solved))
+
+    def test_jobs_do_not_change_results_with_memo_hits(self, data, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+            seq = evaluation.loss_curve(self.SPEC, data, range(1, 9), seed=5, jobs=1)
+        assert sum(r.representatives["reused"] for r in caplog.records if hasattr(r, "representatives")) > 0
+        # four threads fill one memo; switching threads often makes them race for the same keys
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = evaluation.loss_curve(self.SPEC, data, range(1, 9), seed=5, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seq == par
+
+    def test_failing_miss_names_its_engine_cluster(self, data, monkeypatch, caplog):
+        ops = pcs.metric_ops(self.SPEC.pcs, memo={})
+        values = data.values
+        assignment = np.arange(values.shape[0]) % 3
+        ops.best_representatives(values, assignment, np.array([0, 1, 2]))
+        solve = pcs.solve_representative
+
+        def failing_last(data, member_indices, params):
+            solve(data, member_indices, params)
+            raise SolverError("stopped", cluster=len(member_indices) - 1)
+
+        monkeypatch.setattr(pcs, "solve_representative", failing_last)
+        # cluster 0 keeps its members (a hit); clusters 1 and 3 are new, and the solve of
+        # the second miss, engine cluster 3, fails
+        moved = assignment.copy()
+        moved[assignment == 2] = 3
+        moved[1] = 3
+        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"), pytest.raises(SolverError) as err:
+            ops.best_representatives(values, moved, np.array([0, 1, 3]))
+        assert err.value.cluster == 3
+        assert str(err.value).startswith("cluster 3: ")
+        # nothing is memoized from a failed call
+        monkeypatch.setattr(pcs, "solve_representative", solve)
+        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+            ops.best_representatives(values, moved, np.array([0, 1, 3]))
+        assert caplog.records[-1].representatives == {"asked": 3, "reused": 1, "solved": 2}

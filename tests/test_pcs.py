@@ -596,13 +596,7 @@ def solver_records():
 
 
 class TestStackedSolve:
-    """One call solves a stack of clusters; each row is what the cluster gets alone."""
-
-    @staticmethod
-    def relative_floor(members, p):
-        # the objective scale under which solver gaps count as absolute (pcs._IPM_ZERO)
-        w = p.weights
-        return pcs._IPM_ZERO * members.shape[0] * ((w * members).max() + w.max() * p.x_max)
+    """One call solves a stack of clusters; each row is what the cluster gets alone, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -637,13 +631,21 @@ class TestStackedSolve:
         assert max(gaps) <= pcs._IPM_FLOOR
         for row, members, gap in zip(stacked, clusters, gaps):
             alone, (alone_gap,) = self.solve_with_gaps(values, [members], p)
-            g = values[np.asarray(members)]
-            f_stacked = pcs_cluster_objective(row, g, w, p_exp)
-            f_alone = pcs_cluster_objective(alone[0], g, w, p_exp)
-            # both are within their certified gaps of the cluster's optimum, up to rounding
-            floor = self.relative_floor(g, p)
-            tolerance = gap * max(f_stacked, floor) + alone_gap * max(f_alone, floor) + 1e-12 * max(f_alone, floor)
-            assert abs(f_stacked - f_alone) <= tolerance
+            # a cluster's answer depends on its members alone: the same bits and the same gap
+            np.testing.assert_array_equal(row, alone[0])
+            assert gap == alone_gap
+
+    @pytest.mark.parametrize("p_exp", [math.inf, 2, 3])
+    def test_cluster_at_two_stack_positions(self, p_exp):
+        # one cluster first among two neighbours, then last after two others: both rows are
+        # the cluster solved alone, bit for bit
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=365, seed=12)
+        order = np.random.default_rng(12).permutation(365)
+        cluster, first, second = order[:40], [order[40:200], order[200:201]], [order[201:230], order[230:]]
+        p = params(n_slots=24, p=p_exp, energy=30.0, x_max=3.0)
+        alone = pcs.solve_representative(data.values, [cluster], p)[0]
+        np.testing.assert_array_equal(pcs.solve_representative(data.values, [cluster, *first], p)[0], alone)
+        np.testing.assert_array_equal(pcs.solve_representative(data.values, [*second, cluster], p)[2], alone)
 
     @staticmethod
     def solve_with_gaps(values, clusters, p):
@@ -715,6 +717,12 @@ class TestStackedSolve:
         with caplog.at_level(logging.INFO, logger="dmoc.pcs"):
             p = params(n_slots=24, energy=30.0, x_max=3.0)
             out = pcs.solve_representative(data.values, [range(15), range(15, 30)], p)
+            # nor the record of a memo lookup, with hits and misses
+            ops = pcs.metric_ops(p, memo={})
+            ops.best_representatives(data.values, np.arange(30) % 2, np.array([0, 1]))
+            moved = np.arange(30) % 2
+            moved[1] = 2
+            ops.best_representatives(data.values, moved, np.array([0, 1, 2]))
         assert out.shape == (2, 24)
 
     def test_members_must_be_one_sequence_per_cluster(self):
