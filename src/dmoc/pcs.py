@@ -13,8 +13,8 @@ an engine iteration solves) solve a convex program per cluster by
   call are solved as one stack: their members sit in one (N, T) array sorted by
   cluster, per-cluster sums are segment reductions (``np.add.reduceat``), and
   each iteration factors the clusters' T x T Newton matrices with one stacked
-  Cholesky. Each cluster keeps its own step lengths and correctors and leaves
-  the stack once certified; a cluster whose method fails raises SolverError.
+  Cholesky. Each cluster takes its own Mehrotra predictor-corrector steps and
+  leaves the stack once certified; a cluster whose method fails raises SolverError.
 
 p alone picks the route; each route's tolerances are module constants, and each
 cluster's answer depends on its members alone, bit for bit: every reduction over
@@ -254,10 +254,6 @@ _IPM_ZERO = 1e-6
 _IPM_MAX_ITERS = 100
 #: Fraction of the distance to the boundary of the positive orthant taken per step.
 _IPM_STEP = 0.9
-#: Centrality correctors (Gondzio, Comput. Optim. Appl. 6, 1996) tried per iteration,
-#: only while the primal or the dual step length is below _IPM_SHORT_STEP.
-_IPM_CORRECTORS = 2
-_IPM_SHORT_STEP = 0.5
 
 
 class _FactorError(Exception):
@@ -309,8 +305,7 @@ class _Stack:
     reduces one per cluster (``reduce``), spreads (k,) per-cluster values over one
     (``spread``) and over the parts of its point z (``spread_parts``), scales each
     cluster's entries of one (``scale``), and selects the entries of chosen clusters of
-    z and of a row vector (``select``). A stack of one cluster skips the per-segment
-    loops and broadcasts its per-cluster values instead of spreading them."""
+    z and of a row vector (``select``)."""
 
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         self.G, self.counts, self.params = G, counts, params
@@ -334,8 +329,6 @@ class _Stack:
 
     def gram(self, rows: np.ndarray) -> np.ndarray:
         """The (k, T, T) stack of each cluster's rows' rows, for an (N, T) per-member array."""
-        if self.k == 1:
-            return (rows.T @ rows)[None]
         out = np.empty((self.k, self.T, self.T))
         for i, members in enumerate(self.slices):
             np.matmul(rows[members].T, rows[members], out=out[i])
@@ -343,8 +336,6 @@ class _Stack:
 
     def weighted_sums(self, u: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Per cluster, u'a over its members, for (N,) u and an (N, T) a."""
-        if self.k == 1:
-            return (u @ a)[None]
         out = np.empty((self.k, self.T))
         for i, members in enumerate(self.slices):
             np.matmul(u[members], a[members], out=out[i])
@@ -352,8 +343,6 @@ class _Stack:
 
     def row_products(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Each member's row of an (N, T) a times its cluster's row of a (k, T) v."""
-        if self.k == 1:
-            return a @ v[0]
         out = np.empty(a.shape[0])
         for i, members in enumerate(self.slices):
             np.matmul(a[members], v[i], out=out[members])
@@ -367,8 +356,6 @@ class _Stack:
 
     def loads(self, wx: np.ndarray, order: str = "C") -> np.ndarray:
         """The weighted loads w (x_m + g_n) of every member n, for the clusters' w x_m in (k, T) wx."""
-        if self.k == 1:
-            return np.add(self.wg, wx, order=order)
         out = np.empty(self.G.shape, order=order)
         for i, members in enumerate(self.slices):
             np.add(self.wg[members], wx[i], out=out[members])
@@ -427,17 +414,17 @@ class _EpigraphLP(_Stack):
         return ufunc(both[: self.k], both[self.k :])
 
     def spread(self, a: np.ndarray) -> np.ndarray:
+        # a stack of one broadcasts its (1,) value: the general path builds an N*T + 2T + 1
+        # array, 0.65-0.8 ms per call at N = 4,000, and a solve makes about 40 calls
         if self.k == 1:
             return a
         return np.concatenate([np.repeat(a, self.counts * self.T), np.repeat(a, 2 * self.T + 1)])
 
     def spread_parts(self, a: np.ndarray):
-        return a[:, None], (a if self.k == 1 else a[self.owner])
+        return a[:, None], a[self.owner]
 
     def scale(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The row vector v with each cluster's entries times its value in a: spread(a) * v."""
-        if self.k == 1:
-            return a * v
         out = np.empty_like(v)
         (epi, bounds), (epi_out, bounds_out) = self.split(v), self.split(out)
         for i, members in enumerate(self.slices):
@@ -454,11 +441,8 @@ class _EpigraphLP(_Stack):
         out = np.empty(self.b.size)
         epi, bounds = self.split(out)
         wx = self.w * x
-        if self.k == 1:
-            np.subtract(s[:, None], wx, out=epi)
-        else:
-            for i, members in enumerate(self.slices):
-                np.subtract(s[members, None], wx[i], out=epi[members])
+        for i, members in enumerate(self.slices):
+            np.subtract(s[members, None], wx[i], out=epi[members])
         _bound_rows(x, bounds)
         return out
 
@@ -634,10 +618,10 @@ def _step_length(problem, inverse: np.ndarray, dv: np.ndarray, fraction: float) 
 
 
 def _step(problem, z, r: np.ndarray, y: np.ndarray):
-    """One predictor-corrector step (Mehrotra) with centrality correctors (Gondzio) on
-    every cluster of the stack ``min f(z)  s.t.  A z - r = b, r >= 0`` with duals y >= 0;
-    z is a tuple of parts. Each cluster has its own centering target, step lengths and
-    corrector decisions, as if it were solved alone."""
+    """One predictor-corrector step (Mehrotra, SIAM J. Optim. 2(4), 1992) on every
+    cluster of the stack ``min f(z)  s.t.  A z - r = b, r >= 0`` with duals y >= 0; z is
+    a tuple of parts. Each cluster has its own centering target and step lengths, as if
+    it were solved alone."""
     rp = problem.rows(*z)  # primal residual A z - r - b
     rp -= r
     rp -= problem.b
@@ -646,61 +630,31 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     rd, factored = problem.linearize(z, y, d)
     d_rp = d * rp
 
-    def newton(rc, residuals=True):
-        # move the residuals (when asked) to zero and the products r*y by rc:
+    def newton(rc):
+        # move the residuals to zero and the products r*y by rc:
         # (grad^2 f + A'DA) dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr
         rc_r = rc * inv_r
-        q = problem.cols(rc_r - d_rp if residuals else rc_r)
-        dz = problem.solve(factored, *(a + b for a, b in zip(rd, q)) if residuals else q)
+        dz = problem.solve(factored, *(a + b for a, b in zip(rd, problem.cols(rc_r - d_rp))))
         dr = problem.rows(*dz)
-        if residuals:
-            dr += rp
-        return *dz, dr, rc_r - d * dr
+        dr += rp
+        return dz, dr, rc_r - d * dr
 
-    def reach(v, fraction=_IPM_STEP):
-        return _step_length(problem, inv_r, v[-2], fraction), _step_length(problem, inv_y, v[-1], fraction)
+    def reach(dr, dy, fraction=_IPM_STEP):
+        return _step_length(problem, inv_r, dr, fraction), _step_length(problem, inv_y, dy, fraction)
 
     ry = r * y
     total = problem.reduce(np.add, ry)
-    *_, dr, dy = newton(-ry)
-    ap, ad = reach((dr, dy), 1.0)
+    _, dr, dy = newton(-ry)
+    ap, ad = reach(dr, dy, 1.0)
     drdy = dr * dy
     # the sum of the products (r + ap dr)(y + ad dy), expanded
     moved = total + ap * problem.reduce(np.add, dr * y) + ad * problem.reduce(np.add, r * dy)
     moved += ap * ad * problem.reduce(np.add, drdy)
-    target = problem.spread(total / problem.sizes * (moved / total) ** 3)
-    rc = target - ry
+    rc = problem.spread(total / problem.sizes * (moved / total) ** 3) - ry
     rc -= drdy
     del ry, dr, dy, drdy  # free the predictor's arrays: a stack holds all its members' rows at once
-    v = newton(rc)
-    ap, ad = reach(v)
-    trying = np.minimum(ap, ad) < _IPM_SHORT_STEP
-    low = high = None
-    for _ in range(_IPM_CORRECTORS):
-        if not trying.any():
-            break
-        if low is None:
-            low, high = 0.1 * target, 10.0 * target
-        # pull the products r*y of a step 0.3 longer into [0.1, 10] x target
-        trial = (r + problem.scale(np.minimum(1.0, ap + 0.3), v[-2])) * (
-            y + problem.scale(np.minimum(1.0, ad + 0.3), v[-1])
-        )
-        fix = np.clip(trial, low, high)
-        fix -= trial
-        np.maximum(fix, -high, out=fix)
-        corrected = [a + c for a, c in zip(v, newton(fix, residuals=False))]
-        cap, cad = reach(corrected)
-        # kept only where it lengthens the steps by a tenth of the trial
-        trying &= cap + cad >= ap + ad + 0.03
-        if trying.all():
-            v = corrected
-        else:
-            row = problem.spread(trying)
-            keep = (*problem.spread_parts(trying), row, row)
-            v = [np.where(m, c, a) for a, c, m in zip(v, corrected, keep)]
-        ap, ad = np.where(trying, cap, ap), np.where(trying, cad, ad)
-        trying &= np.minimum(ap, ad) < _IPM_SHORT_STEP
-    *dz, dr, dy = v
+    dz, dr, dy = newton(rc)
+    ap, ad = reach(dr, dy)
     primal = problem.spread_parts(ap)
     z = tuple(a + s * b for a, s, b in zip(z, primal, dz))
     return z, r + problem.scale(ap, dr), y + problem.scale(ad, dy)
@@ -762,14 +716,13 @@ def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
     ``member_indices`` is a sequence of k clusters' member index sequences; the result
     is (k, T), one row per cluster. At p = 1 each row is the cheapest-slot fill, and
     at E >= T x_max the full box. For p > 1 the clusters are solved as one stack by
-    Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992) with
-    Gondzio's centrality correctors, on the epigraph LP of
-    ``epigraph_lp_representative`` at p = inf and on the program over x alone
-    (``_NormSum``) at finite p. The members sit in one (N, T) array, sorted by
-    cluster, and each iteration factors the clusters' T x T Newton matrices as one
-    (k, T, T) stack, so an iteration costs a few passes over the members and a few
-    stacked operations. Each cluster keeps its own step lengths and correctors and
-    leaves the stack once its iterate's projection onto the feasible set is
+    Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992), on
+    the epigraph LP of ``epigraph_lp_representative`` at p = inf and on the program
+    over x alone (``_NormSum``) at finite p. The members sit in one (N, T) array,
+    sorted by cluster, and each iteration factors the clusters' T x T Newton matrices
+    as one (k, T, T) stack, so an iteration costs a few passes over the members and a
+    few stacked operations. Each cluster keeps its own step lengths and leaves the
+    stack once its iterate's projection onto the feasible set is
     certified (by the LP dual at p = inf, by the Frank-Wolfe gap at finite p) within
     a relative _IPM_TOL, so each returned profile is feasible and within _IPM_TOL
     (at worst _IPM_FLOOR) of its cluster's optimum. A cluster for which the method

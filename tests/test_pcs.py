@@ -703,10 +703,25 @@ class TestStackedSolve:
         stack = records[0].stack
         assert stack["members"] == [40, 1, 49]
         assert len(stack["steps"]) == 3 and min(stack["steps"]) > 0
+        # a step budget: plain Mehrotra steps take 17-18 here at p = inf and 11-12 at p = 2
+        assert max(stack["steps"]) <= 30
         assert max(stack["gaps"]) <= 1e-9
         message = records[0].getMessage()
         assert "3 clusters, 90 members" in message
         assert f"{max(stack['steps'])} stacked steps" in message
+
+    @pytest.mark.parametrize("p_exp", [math.inf, 2])
+    def test_large_cluster_step_budget(self, p_exp):
+        # one cluster of 4,000 members, the size the large-N benchmark solves: certified
+        # within 50 steps (38 at p = inf and 12 at p = 2 when this test was written)
+        data = gen_synthetic_pcs(n_samples=4000, seed=0)
+        p = params(n_slots=24, p=p_exp, energy=30.0, x_max=3.0)
+        with solver_records() as records:
+            out = pcs.solve_representative(data.values, [range(4000)], p)
+        assert np.all(pcs.metric_ops(p).feasible(out))
+        stack = records[0].stack
+        assert stack["gaps"][0] <= 1e-9
+        assert stack["steps"][0] <= 50
 
     def test_no_record_work_when_debug_is_off(self, monkeypatch, caplog):
         def no_debug(*args, **kwargs):
