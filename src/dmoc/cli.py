@@ -9,7 +9,6 @@ seed; outputs are byte-identical for identical configurations.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import inspect
 import logging
@@ -23,7 +22,7 @@ import yaml
 
 from . import evaluation, rtp
 from .core import DataFormatError, DataSet, DmocError, MetricSpec, PcsParams, RtpParams, SolverError
-from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles
+from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles, write_csv as _write_csv
 from .engine import EngineConfig
 
 EXIT_OK = 0
@@ -40,32 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [format_float(v) if isinstance(v, float) else str(v) for v in row]
-            )
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _from_section(fn, section: dict, name: str):
-    """``fn(**section)``; a section that does not fit fn's parameters is a usage error."""
-    try:
-        inspect.signature(fn).bind(**section)
-    except TypeError as err:
-        raise CliUsageError(f"{name}: {err}") from None
-    return fn(**section)
+def _mapping(value, name: str) -> dict:
+    """A config section; an absent one is empty, one that is not a mapping a usage error."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise CliUsageError(f"{name}: expected a mapping, got {value!r}")
+    return value
 
 
-def _metric_from_mapping(cfg: dict) -> MetricSpec:
-    cfg = dict(cfg)
+def _metric_from_mapping(cfg) -> MetricSpec:
+    cfg = dict(_mapping(cfg, "metric"))
     kind = cfg.pop("kind", None)
     if kind == "pcs":
         if str(cfg.get("p", "")).lower() in ("inf", "infinity"):
@@ -75,16 +63,15 @@ def _metric_from_mapping(cfg: dict) -> MetricSpec:
                 cfg["p"] = float(cfg.get("p", math.inf))
             except (TypeError, ValueError):
                 raise CliUsageError(f"p must be a number or 'inf', got {cfg['p']!r}") from None
-        return MetricSpec(kind="pcs", pcs=_from_section(PcsParams, cfg, "metric (pcs)"))
+        return MetricSpec(kind="pcs", pcs=_read(PcsParams, cfg, "metric (pcs)"))
     if kind == "rtp":
-        return MetricSpec(kind="rtp", rtp=_from_section(RtpParams, cfg, "metric (rtp)"))
+        return MetricSpec(kind="rtp", rtp=_read(RtpParams, cfg, "metric (rtp)"))
     raise CliUsageError(f"metric kind must be 'pcs' or 'rtp', got {kind!r}")
 
 
 def _read(fn, section: dict | None, name: str):
-    """``fn(**section)`` through a reader whose keyword defaults are its defaults; an
-    unknown key, or a value that fn cannot convert or rejects, is a usage error naming
-    the section."""
+    """``fn(**section)``: a section that is not a mapping, an unknown key, or a value that
+    fn cannot take (a TypeError or ValueError) is a usage error naming the section."""
     try:
         return fn(**inspect.signature(fn).bind(**(section or {})).arguments)
     except (TypeError, ValueError) as err:
@@ -130,18 +117,17 @@ GENERATORS = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}
 
 
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
-    data_cfg = config.get("data") or {}
+    data_cfg = _mapping(config.get("data"), "data")
     if "path" in data_cfg:
         return load_profiles(data_cfg["path"])
-    synth = data_cfg.get("synthetic")
-    if synth is None:
+    if data_cfg.get("synthetic") is None:
         raise CliUsageError("config must provide data.path or data.synthetic")
-    synth = dict(synth)
+    synth = dict(_mapping(data_cfg["synthetic"], "data.synthetic"))
     kind = synth.pop("kind", "pcs")
     synth.setdefault("seed", seed)
     if kind not in GENERATORS:
         raise CliUsageError(f"unknown synthetic data kind {kind!r}")
-    return _from_section(GENERATORS[kind], synth, f"data.synthetic ({kind})")
+    return _read(GENERATORS[kind], synth, f"data.synthetic ({kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +138,7 @@ def _cmd_gen(args) -> int:
     # the data flags are the given flags besides --kind and --out
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
     params["seed"] = _integer(args.seed, "--seed", 0)
-    data = _from_section(GENERATORS[args.kind], params, f"gen --kind {args.kind}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    data = _read(GENERATORS[args.kind], params, f"gen --kind {args.kind}")
     save_profiles(data, args.out)
     print(f"wrote {data.n} x {data.dim} profiles to {args.out}")
     return EXIT_OK
@@ -208,7 +193,7 @@ def _cmd_eval(args) -> int:
         rows.append(["peak_entropy_bits", entropy])
         print(f"peak entropy: {format_float(entropy)} bits")
     if args.out:
-        _write_csv(Path(args.out), ["metric", "value"], rows)
+        _write_csv(args.out, ["metric", "value"], rows)
     return EXIT_OK
 
 
@@ -337,7 +322,7 @@ def _cmd_experiment(args) -> int:
     if config_path is None:
         raise CliUsageError("experiment requires a config file (positional or --config)")
     with open(config_path) as fh:
-        config = yaml.safe_load(fh) or {}
+        config = _mapping(yaml.safe_load(fh), "config")
     seed = args.seed if args.seed is not None else config.get("seed")
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
     out_dir = Path(args.out_dir or config.get("out_dir", "out"))

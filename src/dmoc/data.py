@@ -1,4 +1,4 @@
-"""Profile ingestion and synthetic generation.
+"""Profile ingestion and writing, and synthetic generation.
 
 Data files are plain CSV, one sample per row, with an optional header row
 (auto-detected and skipped). Floats are written with 9 significant digits.
@@ -84,13 +84,22 @@ def load_profiles(path) -> DataSet:
     return DataSet(np.asarray(rows))
 
 
-def save_profiles(data: DataSet, path) -> None:
-    """Write a DataSet as CSV (no header, 9 significant digits)."""
+def write_csv(path, header: list[str] | None, rows) -> None:
+    """Write rows as CSV under an optional header, floats with 9 significant digits;
+    missing parent directories are created."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in data.values:
-            writer.writerow([format_float(v) for v in row])
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_float(v) if isinstance(v, float) else str(v) for v in row])
+
+
+def save_profiles(data: DataSet, path) -> None:
+    """Write a DataSet as CSV (no header, 9 significant digits)."""
+    write_csv(path, None, data.values)
 
 
 def gen_synthetic_pcs(

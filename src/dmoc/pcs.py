@@ -302,10 +302,10 @@ class _Stack:
     """The members of k clusters as one (N, T) array, sorted by cluster, and what both
     cluster programs derive from it. A row vector of either program is one flat array
     (the epigraph LP) or one (k, 2T + 1) array (the finite-p program); each program
-    reduces one per cluster (``reduce``), spreads (k,) per-cluster values over one
-    (``spread``) and over the parts of its point z (``spread_parts``), scales each
-    cluster's entries of one (``scale``), and selects the entries of chosen clusters of
-    z and of a row vector (``select``)."""
+    reduces one per cluster (``reduce``), combines (k,) per-cluster values a with one,
+    v, by a ufunc (``spread(ufunc, a, v)``: ufunc(a_i, v) on cluster i's entries),
+    spreads per-cluster values over the parts of its point z (``spread_parts``), and
+    selects the entries of chosen clusters of z and of a row vector (``select``)."""
 
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         self.G, self.counts, self.params = G, counts, params
@@ -413,28 +413,22 @@ class _EpigraphLP(_Stack):
         both = ufunc.reduceat(v, self.segments)
         return ufunc(both[: self.k], both[self.k :])
 
-    def spread(self, a: np.ndarray) -> np.ndarray:
-        # a stack of one broadcasts its (1,) value: the general path builds an N*T + 2T + 1
-        # array, 0.65-0.8 ms per call at N = 4,000, and a solve makes about 40 calls
-        if self.k == 1:
-            return a
-        return np.concatenate([np.repeat(a, self.counts * self.T), np.repeat(a, 2 * self.T + 1)])
+    def spread(self, ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """ufunc(a_i, v) on each cluster i's entries of the row vector v: one scalar op per
+        cluster's epigraph rows, one broadcast over the energy and box rows."""
+        out = np.empty_like(v)
+        (epi, bounds), (epi_out, bounds_out) = self.split(v), self.split(out)
+        for i, members in enumerate(self.slices):
+            ufunc(a[i], epi[members], out=epi_out[members])
+        ufunc(a[:, None], bounds, out=bounds_out)
+        return out
 
     def spread_parts(self, a: np.ndarray):
         return a[:, None], a[self.owner]
 
-    def scale(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The row vector v with each cluster's entries times its value in a: spread(a) * v."""
-        out = np.empty_like(v)
-        (epi, bounds), (epi_out, bounds_out) = self.split(v), self.split(out)
-        for i, members in enumerate(self.slices):
-            np.multiply(epi[members], a[i], out=epi_out[members])
-        np.multiply(bounds, a[:, None], out=bounds_out)
-        return out
-
     def select(self, keep: np.ndarray):
-        # only a stack of two or more is compacted, so spread repeats keep over the rows
-        return keep, keep[self.owner], self.spread(keep)
+        rows = self.spread(np.logical_and, keep, np.ones(self.b.size, dtype=bool))
+        return keep, keep[self.owner], rows
 
     def rows(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The product A (x, s)."""
@@ -490,11 +484,11 @@ class _EpigraphLP(_Stack):
         x, s = self.solve(unit, *self.cols(self.b))
         y = self.rows(*self.solve(unit, np.zeros((self.k, self.T)), np.ones(self.G.shape[0])))
         r = self.rows(x, s) - self.b
-        r += self.spread(np.maximum(-1.5 * self.reduce(np.minimum, r), 0.0))
-        y += self.spread(np.maximum(-1.5 * self.reduce(np.minimum, y), 0.0))
+        r = self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, r), 0.0), r)
+        y = self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, y), 0.0), y)
         ry = self.reduce(np.add, r * y)
         shift_r, shift_y = 0.5 * ry / self.reduce(np.add, y), 0.5 * ry / self.reduce(np.add, r)
-        return (x, s), r + self.spread(shift_r), y + self.spread(shift_y)
+        return (x, s), self.spread(np.add, shift_r, r), self.spread(np.add, shift_y, y)
 
     def gap(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Certified relative duality gaps of feasible points x (k, T) and the epigraph duals in y.
@@ -533,14 +527,11 @@ class _NormSum(_Stack):
     def reduce(self, ufunc, v: np.ndarray) -> np.ndarray:
         return ufunc.reduce(v, axis=1)
 
-    def spread(self, a: np.ndarray) -> np.ndarray:
-        return a[:, None]
+    def spread(self, ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return ufunc(a[:, None], v)
 
     def spread_parts(self, a: np.ndarray):
         return (a[:, None],)
-
-    def scale(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return a[:, None] * v
 
     def select(self, keep: np.ndarray):
         return keep, keep
@@ -650,14 +641,14 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     # the sum of the products (r + ap dr)(y + ad dy), expanded
     moved = total + ap * problem.reduce(np.add, dr * y) + ad * problem.reduce(np.add, r * dy)
     moved += ap * ad * problem.reduce(np.add, drdy)
-    rc = problem.spread(total / problem.sizes * (moved / total) ** 3) - ry
+    rc = problem.spread(np.subtract, total / problem.sizes * (moved / total) ** 3, ry)
     rc -= drdy
     del ry, dr, dy, drdy  # free the predictor's arrays: a stack holds all its members' rows at once
     dz, dr, dy = newton(rc)
     ap, ad = reach(dr, dy)
     primal = problem.spread_parts(ap)
     z = tuple(a + s * b for a, s, b in zip(z, primal, dz))
-    return z, r + problem.scale(ap, dr), y + problem.scale(ad, dy)
+    return z, r + problem.spread(np.multiply, ap, dr), y + problem.spread(np.multiply, ad, dy)
 
 
 def _drop(problem, state, keep: np.ndarray):

@@ -92,6 +92,18 @@ class TestGen:
             assert capsys.readouterr().err.startswith("usage error: --seed: expected an integer >= 0")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--archetypes", "0"], "gen --kind pcs: archetypes"),
+         (["--kind", "rtp", "--g-low", "3", "--g-high", "2"], "gen --kind rtp: g_low")],
+        ids=["archetypes", "g-range"],
+    )
+    def test_value_the_generator_rejects_is_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x.csv"
+        assert run_cli("gen", *flags, "--out", str(out), "--seed", "1") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {named}")
+        assert not out.exists()
+
     def test_log_level_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMOC_LOG", "DEBUG")
         out = tmp_path / "v.csv"
@@ -167,6 +179,14 @@ class TestCluster:
         assert err.startswith(f"usage error: {named}") and flag.lstrip("-").replace("-", "_") in err
         assert not (tmp_path / "o").exists()
 
+    def test_value_the_metric_rejects_is_data_error(self, pcs_data_file, tmp_path, capsys):
+        code = run_cli(
+            "cluster", "--data", str(pcs_data_file), "--clusters", "2", "--seed", "0",
+            "--slots", "6", "--energy", "-1", "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: energy must be > 0")
+
     def test_metric_flags_parsed_before_the_data_is_read(self, tmp_path, capsys):
         absent = str(tmp_path / "absent.csv")
         for argv in (
@@ -186,6 +206,21 @@ class TestEval:
         out = capsys.readouterr().out
         assert "perfect objective" in out
         assert "peak entropy" in out
+
+    def test_out_file_rows(self, pcs_data_file, tmp_path):
+        out = tmp_path / "eval" / "metrics.csv"
+        code = run_cli(
+            "eval", "--data", str(pcs_data_file), "--slots", "6", "--energy", "6.0", "--out", str(out),
+        )
+        assert code == cli.EXIT_OK
+        data = load_profiles(pcs_data_file)
+        spec = MetricSpec.for_pcs(n_slots=6, p=float("inf"), energy=6.0, x_max=3.0)
+        entropy = evaluation.peak_entropy(evaluation.peak_histogram(data))
+        assert out.read_text().splitlines() == [
+            "metric,value",
+            f"f_perfect,{evaluation.perfect_objective(spec, data):.9g}",
+            f"peak_entropy_bits,{entropy:.9g}",
+        ]
 
 
 class TestFlags:
@@ -297,6 +332,29 @@ class TestExperiment:
         ) + "\n"
         assert path.read_text() == rewritten
 
+    def test_rtp_loss_curve_from_data_path(self, tmp_path):
+        data_path, out_dir = tmp_path / "pricing.csv", tmp_path / "out"
+        assert run_cli(
+            "gen", "--kind", "rtp", "--out", str(data_path), "--seed", "3",
+            "--consumers", "2", "--slots", "3", "--samples", "30",
+        ) == cli.EXIT_OK
+        config = {
+            "experiment": "rtp_loss_curve",
+            "seed": 1,
+            "out_dir": str(out_dir),
+            "metric": {"kind": "rtp", "n_consumers": 2, "n_slots": 3, "alpha": 0.5, "a": 0.1},
+            "data": {"path": str(data_path)},
+            "rtp_loss_curve": {"m_min": 1, "m_max": 3, "schemes": ["dmoc", "kmc"]},
+        }
+        path = tmp_path / "rtp.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_OK
+        lines = (out_dir / "rtp_loss_curve.csv").read_text().splitlines()
+        assert lines[0] == "scheme,m,objective,rho_percent,f_perfect"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [s, str(m)] for s in ("dmoc", "kmc") for m in (1, 2, 3)
+        ]
+
     def test_geometry2d(self, tmp_path):
         out_dir = tmp_path / "geo"
         config = {
@@ -372,6 +430,51 @@ class TestExperiment:
     def test_missing_config_is_data_error(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "absent.yaml")) == cli.EXIT_DATA
 
+    def test_no_config_is_usage_error(self, capsys):
+        assert run_cli("experiment") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: experiment requires a config file")
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"data": {}}, "config must provide data.path or data.synthetic"),
+            ({"data": {"synthetic": {"kind": "nope"}}}, "unknown synthetic data kind 'nope'"),
+            ({"metric": {"kind": "nope"}}, "metric kind must be 'pcs' or 'rtp'"),
+            ({"experiment": "rtp_loss_curve"}, "rtp_loss_curve requires an rtp metric"),
+            ({"experiment": "peak_target", "peak_target": {"m_max": 2}}, "peak_target experiment requires"),
+            ({"experiment": "geometry2d"}, "geometry2d requires 2-slot data and metric"),
+            ({"data": 5}, "data: expected a mapping"),
+        ],
+    )
+    def test_config_that_does_not_describe_a_run_is_usage_error(self, tmp_path, capsys, patch, message):
+        config = {
+            "experiment": "loss_curve",
+            "seed": 1,
+            "out_dir": str(tmp_path / "o"),
+            "metric": {"kind": "pcs", "n_slots": 4, "p": "inf", "energy": 4.0},
+            "data": {"synthetic": {"kind": "pcs", "archetypes": 2, "n_slots": 4, "n_samples": 10}},
+            **patch,
+        }
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_a_mapping_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- experiment: loss_curve\n- seed: 1\n")
+        assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: config: expected a mapping")
+
+    def test_value_the_metric_rejects_is_data_error(self, tmp_path, capsys):
+        config = yaml.safe_load(loss_curve_config(tmp_path, tmp_path / "o").read_text())
+        config["metric"]["energy"] = -1
+        path = tmp_path / "negative_energy.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("experiment", str(path)) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: energy must be > 0")
+
     def test_solver_section_is_usage_error(self, tmp_path, capsys):
         config = {
             "experiment": "loss_curve",
@@ -399,6 +502,13 @@ class TestExperiment:
                       "archetypes": 2}, {}, "data.synthetic", "archetypes"),
             ({**metric, "n_slot": 4}, synthetic, {}, "metric", "n_slot"),
             (metric, synthetic, {"max_iter": 1, "seed": 99}, "engine", "max_iter"),
+            # a section that is not a mapping; values of the wrong type (YAML 1.1 reads an
+            # unquoted 3e1 as the string "3e1")
+            (5, synthetic, {}, "metric", "mapping"),
+            (metric, 5, {}, "data.synthetic", "mapping"),
+            ({**metric, "n_slots": "4"}, synthetic, {}, "metric (pcs)", "'str'"),
+            ({**metric, "energy": "3e1", "x_max": 9.0}, synthetic, {}, "metric (pcs)", "'str'"),
+            (metric, {**synthetic, "n_samples": "20"}, {}, "data.synthetic (pcs)", ""),  # numpy's message
         )
         for metric_section, synthetic_section, engine_section, section, named in cases:
             config = {
@@ -414,6 +524,7 @@ class TestExperiment:
             assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith(f"usage error: {section}") and named in err
+            assert "Traceback" not in err
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

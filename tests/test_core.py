@@ -11,6 +11,8 @@ from dmoc import (
     InfeasibleDecisionError,
     MetricSpec,
     Partition,
+    PcsParams,
+    RtpParams,
     RunTrace,
     ClusteringResult,
     evaluate_utility,
@@ -286,6 +288,53 @@ class TestTypes:
                 objective=0.0,
                 trace=RunTrace((0.0,), True),
             )
+
+    def test_partition_converts_integral_float_labels(self):
+        part = Partition(np.array([1.0, 0.0, 1.0]), 2)
+        assert np.issubdtype(part.assignment.dtype, np.integer)
+        np.testing.assert_array_equal(part.assignment, [1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            pytest.param(lambda: core.as_vector([[1.0, 2.0]]), DimensionError, "must be 1-D", id="vector-2d"),
+            pytest.param(lambda: core.as_vector([1.0, np.inf]), DmocError, "non-finite", id="vector-inf"),
+            pytest.param(lambda: Partition([], 1), DimensionError, "nonempty 1-D", id="partition-empty"),
+            pytest.param(lambda: Partition([[0, 1]], 2), DimensionError, "nonempty 1-D", id="partition-2d"),
+            pytest.param(lambda: Partition([0.0, 0.5], 2), DmocError, "must be integers", id="partition-fraction"),
+            pytest.param(lambda: Partition([0], 0), DmocError, "n_clusters must be >= 1", id="partition-no-clusters"),
+            pytest.param(lambda: RtpParams(n_consumers=0, n_slots=2, alpha=0.5), DmocError,
+                         "n_consumers and n_slots", id="rtp-no-consumers"),
+            pytest.param(lambda: RtpParams(n_consumers=2, n_slots=0, alpha=0.5), DmocError,
+                         "n_consumers and n_slots", id="rtp-no-slots"),
+            pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.0), DmocError,
+                         "alpha must be > 0", id="rtp-alpha"),
+            pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.5, a=-0.1), DmocError,
+                         "a and b", id="rtp-negative-a"),
+            pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.5, b=-0.1), DmocError,
+                         "a and b", id="rtp-negative-b"),
+            pytest.param(lambda: PcsParams(n_slots=0, p=math.inf, energy=1.0), DmocError,
+                         "n_slots must be >= 1", id="pcs-no-slots"),
+            pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=0.0), DmocError,
+                         "energy must be > 0", id="pcs-energy"),
+            pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=1.0, x_max=0.0), DmocError,
+                         "x_max must be > 0", id="pcs-x-max"),
+            pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=1.0, weights=[1.0, 1.0, 1.0]),
+                         DimensionError, "weights has length 3, expected 2", id="pcs-weights-length"),
+            pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=1.0, weights=[1.0, -1.0]),
+                         DmocError, "weights must be nonnegative", id="pcs-negative-weights"),
+            pytest.param(lambda: MetricSpec(kind="pcs", rtp=RtpParams(n_consumers=1, n_slots=2, alpha=0.5)),
+                         DmocError, "kind 'pcs' requires pcs params only", id="spec-pcs-given-rtp"),
+            pytest.param(lambda: ClusteringResult(partition=Partition([0], 1), representatives=[1.0, 1.0],
+                                                  objective=0.0, trace=RunTrace((0.0,), True)),
+                         DimensionError, "2-D", id="result-1d-representatives"),
+            pytest.param(lambda: evaluate_utility(pcs_spec(), [0.0, 0.0], [-1.0, 1.0]), DmocError,
+                         "sample contains negative entries", id="utility-negative-sample"),
+        ],
+    )
+    def test_invalid_input_raises_its_structured_error(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
 
 
 @st.composite

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
+from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
 from dmoc import baselines, evaluation, pcs
 from dmoc.core import ClusteringResult, Partition, RunTrace, SolverError
 from dmoc.data import gen_synthetic_pcs
@@ -100,6 +100,11 @@ class TestPeakStatistics:
         hist = evaluation.peak_histogram(DataSet(values))
         assert evaluation.peak_entropy(hist) == pytest.approx(math.log2(t), abs=1e-12)
 
+    @pytest.mark.parametrize("p_hat", [[0.5, 0.4], [1.5, -0.5]])
+    def test_histogram_of_no_probability_vector_rejected(self, p_hat):
+        with pytest.raises(DmocError, match="probability vector"):
+            evaluation.PeakHistogram(p_hat=np.array(p_hat), counts=np.array([1, 1]))
+
     def test_entropy_bounds(self):
         data = gen_synthetic_pcs(archetypes=3, n_slots=12, n_samples=60, seed=0)
         h = evaluation.peak_entropy(evaluation.peak_histogram(data))
@@ -107,6 +112,18 @@ class TestPeakStatistics:
 
 
 class TestRealizedPeaks:
+    def test_result_of_another_n_rejected(self):
+        result = ClusteringResult(
+            partition=Partition([0, 0, 0], 1),
+            representatives=[[1.0, 1.0]],
+            objective=0.0,
+            trace=RunTrace((0.0,), True),
+        )
+        with pytest.raises(DimensionError, match="disagree on N"):
+            evaluation.realized_peaks(
+                MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0), result, DataSet([[1.0, 1.0]])
+            )
+
     def test_hand_case(self):
         spec = MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0)
         data = DataSet([[3.0, 0.0], [0.0, 1.0]])

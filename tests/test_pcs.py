@@ -106,6 +106,14 @@ class TestAssignment:
         norm_params = pp if override is None else dataclasses.replace(pp, p=override)
         np.testing.assert_array_equal(pcs.weighted_norms(values, reps, norm_params), one_shot)
 
+    def test_profiles_of_the_wrong_length_rejected(self):
+        pp = params(n_slots=3, energy=2.0)
+        for values, decisions in ((np.ones((4, 2)), np.ones((2, 3))), (np.ones((4, 3)), np.ones((2, 2)))):
+            with pytest.raises(DimensionError, match="profiles must have length 3"):
+                pcs.weighted_norms(values, decisions, pp)
+            with pytest.raises(DimensionError, match="profiles must have length 3"):
+                pcs.paired_norms(values, decisions[0], pp)
+
     def test_weight_scaling_keeps_argmin(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -249,6 +249,8 @@ class TestSampleRows:
             call(ops.prepare(values))
         with pytest.raises(DimensionError, match="2-D"):
             ops.prepare(values[0])
+        with pytest.raises(DimensionError, match=r"expected K\*T = 12"):
+            rtp.sample_rows(values[:, :10], p)
 
 
 class TestDerivedConstants:
@@ -371,6 +373,10 @@ class TestScenario:
     def test_rejects_inverted_support(self):
         with pytest.raises(ValueError):
             rtp.generate_rtp_scenario(2, 2, 5, seed=0, g_low=3.0, g_high=2.0)
+
+    def test_rejects_negative_support(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rtp.generate_rtp_scenario(2, 2, 5, seed=0, g_low=-1.0, g_high=2.0)
 
 
 class TestDecompositionProperty:
