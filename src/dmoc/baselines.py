@@ -26,6 +26,7 @@ from .core import (
     cluster_means,
     metric_ops,
     nearest_centers,
+    prepared_rows,
     row_blocks,
 )
 from .engine import _repair_empty
@@ -47,14 +48,6 @@ def _inertia(values: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) 
     for rows in row_blocks(values.shape[0], values.shape[1]):
         per_row[rows] = ((values[rows] - centroids[assignment[rows]]) ** 2).sum(axis=1)
     return float(per_row.sum())
-
-
-def _centroids(values: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Cluster means; a cluster left empty after repair keeps its previous centroid."""
-    out = previous.copy()
-    used = np.unique(assignment)
-    out[used] = cluster_means(values, assignment, used)
-    return out
 
 
 def _distances_to(values: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -93,6 +86,11 @@ def kmeans(
     Deterministic for a given seed. ``inertia_trace`` sums each assignment step's kernel
     distances, clamped at 0 and within the ``core.nearest_centers`` bound (direct after an
     empty-cluster repair); ``inertia`` is measured directly at the returned centroids.
+    The rows' norms are computed once per call. Each update step refreshes only the
+    centroids of the clusters that a row entered or left: an untouched cluster's centroid
+    is the mean of the same rows, already in the bits a recompute would give. The first
+    update, and one after an empty-cluster repair, refreshes every nonempty cluster; a
+    cluster that the repair left empty keeps its re-seeded centroid.
     """
     if n_clusters > data.n:
         raise DmocError(f"n_clusters = {n_clusters} exceeds N = {data.n}")
@@ -111,19 +109,27 @@ def kmeans(
     # the engine's step under this metric is a Lloyd step, with the same empty-cluster repair
     ops = squared_distance_ops(data.dim)
     v_sq = np.einsum("ij,ij->i", values, values)
+    v_norm = np.sqrt(v_sq)
     assignment = None
     trace = []
     for _ in range(max_iters):
-        nearest, best = _nearest_centers(values, centroids, v_sq)
+        nearest, best = _nearest_centers(values, centroids, v_sq, v_norm)
         centroids, new_assignment = _repair_empty(ops, values, centroids, nearest)
         if new_assignment is nearest:
             trace.append(float(np.maximum(best, 0.0).sum()))
         else:  # a repair reassigned rows
             trace.append(_inertia(values, centroids, new_assignment))
-        if assignment is not None and np.array_equal(new_assignment, assignment):
-            break
+        if assignment is not None:
+            moved = new_assignment != assignment
+            if not moved.any():
+                break
+        if assignment is None or new_assignment is not nearest:
+            refresh = np.unique(new_assignment)
+        else:
+            refresh = np.unique(np.concatenate([assignment[moved], new_assignment[moved]]))
         assignment = new_assignment
-        centroids = _centroids(values, assignment, centroids)
+        centroids = centroids.copy()
+        centroids[refresh] = cluster_means(values, assignment, refresh)
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
@@ -137,18 +143,20 @@ def kmc_pipeline(
     data: DataSet,
     n_clusters: int,
     seed: int,
+    memo: dict | None = None,
 ) -> ClusteringResult:
     """Conventional pipeline: k-means partition + per-centroid optimal decisions.
 
     The centroid of each cluster is treated as if it were the observed sample
     and the decision problem is solved for it; the reported objective uses the
-    true utility of those decisions on the actual samples.
+    true utility of those decisions on the actual samples, prepared once per
+    sweep when the sweep's ``memo`` is given (``core.prepared_rows``).
     """
     km = kmeans(data, n_clusters, seed=seed)
     ops = metric_ops(spec)
     reps = ops.perfect_decisions(ops.prepare(km.centroids))
     assignment = km.assignment.assignment
-    objective = math.fsum(ops.utilities(reps[assignment], ops.prepare(data.values)))
+    objective = math.fsum(ops.utilities(reps[assignment], prepared_rows(ops, data, memo)))
     return ClusteringResult(
         partition=km.assignment,
         representatives=reps,

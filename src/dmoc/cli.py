@@ -98,6 +98,13 @@ def _schemes(value) -> tuple:
     return schemes
 
 
+def _path(value, name: str) -> Path:
+    """A file or directory setting; a value that is not a string is a usage error."""
+    if not isinstance(value, str):
+        raise CliUsageError(f"{name}: expected a path, got {value!r}")
+    return Path(value)
+
+
 def _integer(value, name: str, least: int) -> int:
     """An integer setting of at least ``least``; a bool or a float such as 2.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -119,13 +126,13 @@ GENERATORS = {"pcs": gen_synthetic_pcs, "rtp": rtp.generate_rtp_scenario}
 def _dataset_from_config(config: dict, seed: int) -> DataSet:
     data_cfg = _mapping(config.get("data"), "data")
     if "path" in data_cfg:
-        return load_profiles(data_cfg["path"])
+        return load_profiles(_path(data_cfg["path"], "data.path"))
     if data_cfg.get("synthetic") is None:
         raise CliUsageError("config must provide data.path or data.synthetic")
     synth = dict(_mapping(data_cfg["synthetic"], "data.synthetic"))
     kind = synth.pop("kind", "pcs")
     synth.setdefault("seed", seed)
-    if kind not in GENERATORS:
+    if not isinstance(kind, str) or kind not in GENERATORS:
         raise CliUsageError(f"unknown synthetic data kind {kind!r}")
     return _read(GENERATORS[kind], synth, f"data.synthetic ({kind})")
 
@@ -305,7 +312,7 @@ EXPERIMENTS = {
 
 def _run_experiment(config: dict, seed: int, jobs: int, out_dir: Path) -> list[Path]:
     name = config.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise CliUsageError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {name!r}")
     if "solver" in config:
         raise CliUsageError(
@@ -325,7 +332,7 @@ def _cmd_experiment(args) -> int:
         config = _mapping(yaml.safe_load(fh), "config")
     seed = args.seed if args.seed is not None else config.get("seed")
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-    out_dir = Path(args.out_dir or config.get("out_dir", "out"))
+    out_dir = _path(args.out_dir or config.get("out_dir", "out"), "out_dir")
     files = _run_experiment(config, _integer(seed, "seed", 0), _integer(jobs, "jobs", 1), out_dir)
     for f in files:
         print(f"wrote {f}")

@@ -129,13 +129,14 @@ def nearest_centers(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     if centers.shape[0] == 1:
         return np.zeros(values.shape[0], dtype=np.intp)
-    return _nearest_centers(values, centers, np.einsum("ij,ij->i", values, values))[0]
+    v_sq = np.einsum("ij,ij->i", values, values)
+    return _nearest_centers(values, centers, v_sq, np.sqrt(v_sq))[0]
 
 
-def _nearest_centers(values: np.ndarray, centers: np.ndarray, v_sq: np.ndarray):
-    """``nearest_centers`` given the rows' squared norms ``v_sq``, plus each row's
-    squared distance to its nearest center: the expanded one, within the bound
-    above, or the direct one for a re-measured row."""
+def _nearest_centers(values: np.ndarray, centers: np.ndarray, v_sq: np.ndarray, v_norm: np.ndarray):
+    """``nearest_centers`` given the rows' squared norms ``v_sq`` and norms
+    ``v_norm = sqrt(v_sq)``, plus each row's squared distance to its nearest center:
+    the expanded one, within the bound above, or the direct one for a re-measured row."""
     n, dim = values.shape
     out = np.empty(n, dtype=np.intp)
     best = np.empty(n)
@@ -155,7 +156,7 @@ def _nearest_centers(values: np.ndarray, centers: np.ndarray, v_sq: np.ndarray):
         # a NaN (an overflowed expansion) is the argmin, so its row is re-measured
         best[rows] = dist[at, nearest]
         dist[at, nearest] = np.inf
-        bound = bound_scale * (np.sqrt(v_sq[rows]) + reach) ** 2 + bound_floor
+        bound = bound_scale * (v_norm[rows] + reach) ** 2 + bound_floor
         near[rows] = ~(dist.min(axis=1) - best[rows] > bound)
     if near.any():
         direct = sq_distances(values[near], centers)
@@ -165,8 +166,12 @@ def _nearest_centers(values: np.ndarray, centers: np.ndarray, v_sq: np.ndarray):
 
 
 def cluster_members(assignment: np.ndarray, clusters) -> list:
-    """Sorted member indices of each of ``clusters``, from one stable grouping of ``assignment``."""
-    order = np.argsort(assignment, kind="stable")
+    """Sorted member indices (``intp``) of each of ``clusters``, from one stable grouping of
+    ``assignment``. The grouping sorts the assignment cast to the narrowest unsigned type
+    that holds its largest index: numpy's stable sort is a radix sort for integers of at
+    most 16 bits, and a stable sort's order does not depend on the key type."""
+    narrow = np.min_scalar_type(int(assignment.max(initial=0)))
+    order = np.argsort(assignment.astype(narrow, copy=False), kind="stable")
     grouped = assignment[order]
     starts = np.searchsorted(grouped, clusters, side="left")
     ends = np.searchsorted(grouped, clusters, side="right")
@@ -445,6 +450,19 @@ def metric_ops(spec: MetricSpec, approx_assignment: bool = False, memo: dict | N
     from . import pcs
 
     return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment, memo=memo)
+
+
+def prepared_rows(ops: MetricOps, data: DataSet, memo: dict | None = None) -> np.ndarray:
+    """``ops.prepare(data.values)``, made once per ``memo``, the memo of one sweep on
+    ``data`` under one metric: its first call stores the rows and every later call returns
+    them. The rows are read-only, since every run of the sweep shares them."""
+    if memo is None:
+        return ops.prepare(data.values)
+    if "rows" not in memo:
+        rows = ops.prepare(data.values)
+        rows.flags.writeable = False
+        memo.setdefault("rows", rows)
+    return memo["rows"]
 
 
 # ---------------------------------------------------------------------------

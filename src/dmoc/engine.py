@@ -25,6 +25,7 @@ from .core import (
     RunTrace,
     cluster_members,
     metric_ops,
+    prepared_rows,
     require_feasible,
 )
 
@@ -82,7 +83,9 @@ def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clust
     ``reps``. Each cluster keeps its representative unless the solve strictly
     raises the correctly rounded sum of its members' utilities, so solver
     tolerance can never lower the objective. Returns the representatives and
-    ``utilities``, updated in place for the replaced clusters' members.
+    ``utilities``, updated in place for the replaced clusters' members. The
+    solved clusters' members are scored in one call; when they are every row,
+    through a basic slice, so the rows are read in place and not gathered.
     """
     candidates = reps.copy()
     if len(clusters) == 0:
@@ -91,6 +94,8 @@ def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clust
     solved = np.zeros(reps.shape[0], dtype=bool)
     solved[clusters] = True
     rows = np.nonzero(solved[assignment])[0]
+    if rows.size == assignment.size:
+        rows = slice(None)
     solved_utilities = np.empty_like(utilities)
     solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
     for m, members in zip(clusters, cluster_members(assignment, clusters)):
@@ -150,7 +155,9 @@ def _initial_reps(ops: MetricOps, values: np.ndarray, config: EngineConfig) -> n
     return ops.perfect_decisions(values[picks])
 
 
-def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> ClusteringResult:
+def run_dmoc_ops(
+    ops: MetricOps, data: DataSet, config: EngineConfig, memo: dict | None = None
+) -> ClusteringResult:
     """Alternating-optimization run against an arbitrary metric-ops bundle.
 
     The baseline objective of the starting decisions is measured after a
@@ -160,7 +167,8 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
     nonempty cluster in the first iteration, and after it only those that a
     sample entered or left or whose representative the empty-cluster repair
     replaced, since a representative depends on its cluster's members alone.
-    Samples are prepared (``ops.prepare``) once per run, and utilities carry over: an
+    Samples are prepared (``ops.prepare``) once per run, or once per sweep when the
+    sweep's ``memo`` is given (``core.prepared_rows``), and utilities carry over: an
     iteration rescores only the samples that moved or whose representative was re-seeded.
     """
     if config.n_clusters > data.n:
@@ -170,7 +178,7 @@ def run_dmoc_ops(ops: MetricOps, data: DataSet, config: EngineConfig) -> Cluster
             "init 'kmeans' is resolved by evaluation.run_schemes; "
             "the engine takes 'random' or explicit decisions"
         )
-    values = ops.prepare(data.values)
+    values = prepared_rows(ops, data, memo)
     reps = _initial_reps(ops, values, config)
 
     assignment = ops.assign(values, reps)
@@ -221,7 +229,7 @@ def run_dmoc(
 
     ``approx_assignment`` replaces the assignment rule with its p = 2
     surrogate (scheduling only); representatives keep the true metric.
-    ``memo`` is the representative memo of one sweep on ``data`` (see
-    ``pcs.metric_ops``).
+    ``memo`` is the memo of one sweep on ``data``: its prepared rows
+    (``core.prepared_rows``) and scheduling representatives (``pcs.metric_ops``).
     """
-    return run_dmoc_ops(metric_ops(spec, approx_assignment, memo), data, config)
+    return run_dmoc_ops(metric_ops(spec, approx_assignment, memo), data, config, memo)

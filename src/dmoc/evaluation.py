@@ -21,6 +21,7 @@ from .core import (
     DmocError,
     MetricSpec,
     metric_ops,
+    prepared_rows,
 )
 from .engine import EngineConfig, run_dmoc
 from .baselines import kmc_pipeline
@@ -34,10 +35,11 @@ def perfect_decisions(spec: MetricSpec, data: DataSet) -> np.ndarray:
     return ops.perfect_decisions(ops.prepare(data.values))
 
 
-def perfect_objective(spec: MetricSpec, data: DataSet) -> float:
-    """Total utility when every sample gets its own optimal decision (a correctly rounded sum)."""
+def perfect_objective(spec: MetricSpec, data: DataSet, memo: dict | None = None) -> float:
+    """Total utility when every sample gets its own optimal decision (a correctly rounded sum);
+    a sweep's ``memo`` keeps the prepared rows for its runs (``core.prepared_rows``)."""
     ops = metric_ops(spec)
-    rows = ops.prepare(data.values)
+    rows = prepared_rows(ops, data, memo)
     return math.fsum(ops.utilities(ops.perfect_decisions(rows), rows))
 
 
@@ -95,7 +97,8 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig, 
     kmc result, and with ``config.init == "kmeans"`` its decisions are the
     explicit start of every engine run. At p = 2 the approximate (p = 2)
     assignment is the exact one, so dmoc-approx is the dmoc run, made once.
-    A sweep passes its one ``memo`` to every call (see ``pcs.metric_ops``).
+    A sweep passes its one ``memo`` to every call: it keeps the sweep's prepared
+    rows (``core.prepared_rows``) and scheduling representatives (``pcs.metric_ops``).
     """
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -103,7 +106,7 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig, 
     kmeans_init = isinstance(config.init, str) and config.init == "kmeans"
     kmc = None
     if kmeans_init or "kmc" in schemes:
-        kmc = kmc_pipeline(spec, data, config.n_clusters, seed=config.seed)
+        kmc = kmc_pipeline(spec, data, config.n_clusters, seed=config.seed, memo=memo)
     if kmeans_init:
         config = replace(config, init=kmc.representatives)
     exact = spec.kind == "pcs" and spec.pcs.p == 2
@@ -144,15 +147,16 @@ def loss_curve(
     """Loss-vs-M sweep over clustering schemes.
 
     The runs at M share seed ``seed + M`` and one ``run_schemes`` call, so
-    the k-means pipeline runs once per M. Every run shares one representative
-    memo, so each distinct scheduling cluster is solved once per call. With
+    the k-means pipeline runs once per M. Every run shares one memo, so the
+    samples are prepared once per call, by the perfect baseline before any
+    run, and each distinct scheduling cluster is solved once per call. With
     ``jobs > 1`` the values of M execute in a thread pool; results are keyed,
     and a memo hit equals a fresh solve, so the output is identical for any
     job count.
     """
     m_values = [int(m) for m in m_values]
-    f_perfect = perfect_objective(spec, data)
     memo = {}
+    f_perfect = perfect_objective(spec, data, memo)
 
     def run_at(m):
         config = EngineConfig(n_clusters=m, max_iters=max_iters, tol=tol, seed=seed + m, init=init)

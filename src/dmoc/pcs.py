@@ -788,7 +788,8 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False, memo: dict | 
 
     ``memo`` maps a cluster's sorted member indices (as bytes) to its representative,
     for the rows of one dataset: one sweep's runs share it, at every M and under both
-    assignment rules, and a hit is what a fresh solve returns. ``best_representatives``
+    assignment rules, and a hit is what a fresh solve returns. (The same memo keeps the
+    sweep's prepared rows under the key "rows", ``core.prepared_rows``.) ``best_representatives``
     solves its misses as one stack and logs one DEBUG record per call.
     """
     assign_params = dataclasses.replace(params, p=2) if approx_assignment else params

@@ -238,31 +238,43 @@ def partition_nearest_centers(values, centers):
     return out
 
 
-def reference_kmeans(data, n_clusters, seed, max_iters=100):
-    """Lloyd's loop from a k-means++ start with the exact inertia after every
-    assignment step (and at the moved centroids when the cap ends the run), on
-    ``partition_nearest_centers``. Returns a ``baselines.KmeansResult``."""
+def reference_kmeans(data, n_clusters, seed, max_iters=100, init=None):
+    """Lloyd's loop from a k-means++ start (or the centroids ``init``) with the exact
+    inertia after every assignment step (and at the moved centroids when the cap ends the
+    run), on ``partition_nearest_centers``. Every update step recomputes the mean of every
+    nonempty cluster, each from a boolean mask of its rows. Returns a
+    ``baselines.KmeansResult`` and, per assignment step, ``(centroids, repaired, moved)``:
+    the centroids it assigned against, whether an empty-cluster repair reassigned rows,
+    and how many rows changed cluster (None in the first step)."""
     values = data.values
-    centroids = baselines.kmeans_pp_init(values, n_clusters, np.random.default_rng(seed))
+    if init is None:
+        centroids = baselines.kmeans_pp_init(values, n_clusters, np.random.default_rng(seed))
+    else:
+        centroids = np.array(init, dtype=float)
     ops = dataclasses.replace(
         baselines.squared_distance_ops(data.dim), assign=partition_nearest_centers
     )
-    assignment, trace = None, []
+    assignment, trace, steps = None, [], []
     for _ in range(max_iters):
-        centroids, new_assignment = _repair_empty(
-            ops, values, centroids, partition_nearest_centers(values, centroids)
-        )
+        nearest = partition_nearest_centers(values, centroids)
+        before = centroids
+        centroids, new_assignment = _repair_empty(ops, values, centroids, nearest)
         inertia = baselines._inertia(values, centroids, new_assignment)
         trace.append(inertia)
-        if assignment is not None and np.array_equal(new_assignment, assignment):
+        moved = None if assignment is None else int(np.count_nonzero(new_assignment != assignment))
+        steps.append((before, new_assignment is not nearest, moved))
+        if moved == 0:
             break
         assignment = new_assignment
-        centroids = baselines._centroids(values, assignment, centroids)
+        centroids = centroids.copy()
+        for m in np.unique(assignment):
+            centroids[m] = values[assignment == m].mean(axis=0)
     else:
         inertia = baselines._inertia(values, centroids, assignment)
-    return baselines.KmeansResult(
+    result = baselines.KmeansResult(
         centroids, Partition(assignment, n_clusters), inertia, tuple(trace)
     )
+    return result, steps
 
 
 def finite_difference_gradient(fun, x, h=1e-6):

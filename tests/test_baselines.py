@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops
 from dmoc import baselines, evaluation
-from dmoc.core import BLOCK_FLOATS
+from dmoc.core import BLOCK_FLOATS, _nearest_centers
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import best_two_partition_inertia, reference_kmeans
@@ -14,18 +14,46 @@ from oracles import best_two_partition_inertia, reference_kmeans
 
 @st.composite
 def lloyd_cases(draw):
-    """(data, M, seed, max_iters): rows on a coarse grid (duplicated rows, tied
-    distances) or uniform, at three scales, with M up to N (empty-cluster repair)
-    and caps of 1 to 3 iterations besides the default."""
-    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    """(data, M, seed, max_iters, init) from three families:
+    - k-means++ starts (init None): rows on a coarse grid (duplicated rows, tied
+      distances) or uniform, at three scales, with M up to N (empty-cluster repair)
+      and caps of 1 to 3 iterations besides the default;
+    - grid starts: rows and M starting centroids on the coarse grid, whose tied and
+      coinciding centroids empty clusters after the first iteration too (about half of
+      the draws repair a cluster after it);
+    - row starts on 40 uniform rows at M = 2..6, run to the fixed point: most draws end
+      in iterations where one or two rows move."""
+    family = draw(st.sampled_from(["kmeans++", "grid", "late moves"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    if draw(st.booleans()):
+    seed, max_iters = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 3, 100]))
+    if family == "late moves":
+        values = rng.uniform(0.0, 3.0, size=(40, draw(st.integers(1, 3))))
+        m = draw(st.integers(2, 6))
+        return DataSet(values), m, seed, 100, values[rng.choice(40, m, replace=False)]
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    grid = family == "grid" or draw(st.booleans())
+    if grid:
         values = rng.integers(0, 3, size=(n, dim)).astype(float)
     else:
         values = rng.uniform(0.0, 3.0, size=(n, dim))
-    values *= draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
     m = draw(st.integers(1, n))
-    return DataSet(values), m, draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 3, 100]))
+    init = None
+    if family == "grid":
+        init = rng.integers(0, 3, size=(m, dim)) * scale
+    return DataSet(values * scale), m, seed, max_iters, init
+
+
+def kernel_trace(data, steps, exact_trace) -> tuple:
+    """The ``inertia_trace`` that ``baselines.kmeans`` reports for the reference loop's
+    steps: the clamped sum of the kernel's distances to the centroids of each step, or
+    the exact inertia of a step whose empty-cluster repair reassigned rows."""
+    v_sq = np.einsum("ij,ij->i", data.values, data.values)
+    return tuple(
+        exact if repaired
+        else float(np.maximum(_nearest_centers(data.values, c, v_sq, np.sqrt(v_sq))[1], 0.0).sum())
+        for (c, repaired, _), exact in zip(steps, exact_trace)
+    )
 
 
 class TestKmeans:
@@ -98,13 +126,15 @@ class TestKmeans:
     @settings(max_examples=300, deadline=None)
     @given(lloyd_cases())
     def test_matches_reference_lloyd_loop(self, case):
-        data, m, seed, max_iters = case
-        km = baselines.kmeans(data, m, seed=seed, max_iters=max_iters)
-        ref = reference_kmeans(data, m, seed=seed, max_iters=max_iters)
+        # the reference recomputes every centroid in every update step; kmeans refreshes only
+        # the clusters that a row entered or left, and must give the same bits
+        data, m, seed, max_iters, init = case
+        km = baselines.kmeans(data, m, seed=seed, max_iters=max_iters, init=init)
+        ref, steps = reference_kmeans(data, m, seed=seed, max_iters=max_iters, init=init)
         np.testing.assert_array_equal(km.centroids, ref.centroids)
         np.testing.assert_array_equal(km.assignment.assignment, ref.assignment.assignment)
         assert km.inertia == ref.inertia
-        assert len(km.inertia_trace) == len(ref.inertia_trace)
+        assert km.inertia_trace == kernel_trace(data, steps, ref.inertia_trace)
         # each centroid is a row or a mean of rows, so max ||c|| <= max ||v||: the kernel's
         # bound 2 gamma_{d+3} (||v|| + max ||c||)^2 per row, plus the rounding of two sums
         # of n nonnegative terms
@@ -114,6 +144,26 @@ class TestKmeans:
         bound = 2 * gamma * ((norms + norms.max()) ** 2).sum() * (1 + 1e-9)
         for approx, exact in zip(km.inertia_trace, ref.inertia_trace):
             assert abs(approx - exact) <= bound + 4 * data.n * u * exact
+
+    def test_lloyd_refresh_after_late_repair_and_small_moves(self):
+        # one draw of each started family above: a grid start whose second assignment step
+        # repairs an empty cluster, and a row start whose late steps move one or two rows
+        grid = np.array([[2, 1], [1, 0], [0, 0], [0, 0], [0, 2], [1, 2]], dtype=float)
+        grid_init = np.array([[1, 1], [2, 2], [1, 1], [1, 2]], dtype=float)
+        uniform = np.random.default_rng(6).uniform(0.0, 3.0, size=(40, 2))
+        runs = {}
+        for name, data, init in (
+            ("grid", DataSet(grid), grid_init), ("late moves", DataSet(uniform), uniform[:5])
+        ):
+            km = baselines.kmeans(data, len(init), seed=0, init=init)
+            ref, steps = reference_kmeans(data, len(init), seed=0, init=init)
+            np.testing.assert_array_equal(km.centroids, ref.centroids)
+            np.testing.assert_array_equal(km.assignment.assignment, ref.assignment.assignment)
+            assert km.inertia == ref.inertia
+            assert km.inertia_trace == kernel_trace(data, steps, ref.inertia_trace)
+            runs[name] = steps
+        assert runs["grid"][1][1]  # repaired in the second step
+        assert sum(moved in (1, 2) for _, _, moved in runs["late moves"][2:]) >= 3
 
     def test_kmeans_pp_blocked_distances_equal_one_shot(self):
         def one_shot_init(values, n_clusters, rng):

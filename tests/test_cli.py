@@ -510,18 +510,27 @@ class TestExperiment:
             ({**metric, "energy": "3e1", "x_max": 9.0}, synthetic, {}, "metric (pcs)", "'str'"),
             (metric, {**synthetic, "n_samples": "20"}, {}, "data.synthetic (pcs)", ""),  # numpy's message
         )
-        for metric_section, synthetic_section, engine_section, section, named in cases:
+        configs = [
+            ({"metric": m, "engine": e, "data": {"synthetic": d}}, section, named)
+            for m, d, e, section, named in cases
+        ] + [
+            # a path that is not a string; a name that is a list, not a key of its table
+            ({"metric": metric, "data": {"path": 5}}, "data.path", "5"),
+            ({"metric": metric, "data": {"synthetic": synthetic}, "out_dir": 5}, "out_dir", "5"),
+            ({"metric": metric, "data": {"synthetic": synthetic}, "experiment": [1]}, "experiment", "[1]"),
+            ({"metric": metric, "data": {"synthetic": {**synthetic, "kind": ["pcs"]}}},
+             "unknown synthetic data kind", "['pcs']"),
+        ]
+        for patch, section, named in configs:
             config = {
                 "experiment": "loss_curve",
                 "seed": 1,
                 "out_dir": str(tmp_path / "o"),
-                "metric": metric_section,
-                "engine": engine_section,
-                "data": {"synthetic": synthetic_section},
+                **patch,
             }
             path = tmp_path / "sections.yaml"
             path.write_text(yaml.safe_dump(config))
-            assert run_cli("experiment", str(path)) == cli.EXIT_USAGE
+            assert run_cli("experiment", str(path)) == cli.EXIT_USAGE, patch
             err = capsys.readouterr().err
             assert err.startswith(f"usage error: {section}") and named in err
             assert "Traceback" not in err

@@ -414,7 +414,7 @@ class TestNearestCenters:
     def test_best_distances_within_kernel_bound(self, case):
         values, centers = case
         v_sq = np.einsum("ij,ij->i", values, values)
-        nearest, best = core._nearest_centers(values, centers, v_sq)
+        nearest, best = core._nearest_centers(values, centers, v_sq, np.sqrt(v_sq))
         direct = core.sq_distances(values, centers)
         np.testing.assert_array_equal(nearest, direct.argmin(axis=1))
         u, dim = np.finfo(float).eps / 2, values.shape[1]
@@ -437,7 +437,8 @@ class TestNearestCenters:
         values = np.array([[1e200, 0.0], [1.0, 1.0]])
         centers = np.array([[1e200, 1.0], [0.0, 0.0], [1.0, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            nearest, best = core._nearest_centers(values, centers, np.einsum("ij,ij->i", values, values))
+            v_sq = np.einsum("ij,ij->i", values, values)
+            nearest, best = core._nearest_centers(values, centers, v_sq, np.sqrt(v_sq))
         assert nearest[0] == 0 and best[0] == 1.0
         assert measured and measured[0] >= 1
 
@@ -450,3 +451,25 @@ class TestNearestCenters:
         assert covered == list(range(n_rows))
         sizes = [len(range(n_rows)[b]) for b in blocks]
         assert all(1 <= s <= max(1, core.BLOCK_FLOATS // row_floats) for s in sizes)
+
+
+class TestClusterMembers:
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 65_536, 65_537])
+    def test_equals_int64_stable_grouping(self, m):
+        # the grouping sorts an 8-, 16- or 32-bit copy of the assignment; at each width's edge
+        # it must equal the int64 stable grouping, in intp, with the largest index present
+        rng = np.random.default_rng(m)
+        n = max(3 * m, 50) if m < 1000 else m + 5_000
+        assignment = rng.integers(0, m, size=n)
+        assignment[rng.integers(n)] = m - 1
+        order = np.argsort(assignment.astype(np.int64), kind="stable")
+        grouped = assignment[order]
+        clusters = np.unique(np.concatenate([[0, m - 1], rng.integers(0, m, size=5)]))
+        members = core.cluster_members(assignment, clusters)
+        for c, got in zip(clusters, members):
+            expected = order[np.searchsorted(grouped, c):np.searchsorted(grouped, c, side="right")]
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, np.nonzero(assignment == c)[0])
+        # a cluster above the largest index present has no members
+        assert core.cluster_members(np.zeros(4, dtype=np.intp), [0, m])[1].size == 0

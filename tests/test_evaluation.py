@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
-from dmoc import baselines, evaluation, pcs
+from dmoc import baselines, evaluation, pcs, rtp
 from dmoc.core import ClusteringResult, Partition, RunTrace, SolverError
 from dmoc.data import gen_synthetic_pcs
 
@@ -333,6 +333,33 @@ class TestSweeps:
         assert curves["dmoc-approx"].objectives == curves["dmoc"].objectives
         results = evaluation.run_schemes(("dmoc", "dmoc-approx"), spec, data, config)
         assert results["dmoc"] is results["dmoc-approx"]
+
+    def test_pricing_sweep_prepares_the_samples_once(self, monkeypatch):
+        # the perfect baseline prepares the full data into the sweep's memo, and every
+        # k-means pipeline and engine run of the sweep reads it there: one full-size
+        # rtp.sample_rows per loss_curve call, where each M used to prepare it twice
+        spec = MetricSpec.for_rtp(n_consumers=3, n_slots=4, alpha=0.5, a=0.1, c=1.0)
+        data = rtp.generate_rtp_scenario(3, 4, 60, seed=3)
+        sample_rows, sizes = rtp.sample_rows, []
+
+        def counting(values, params):
+            sizes.append(np.shape(values)[0])
+            return sample_rows(values, params)
+
+        monkeypatch.setattr(rtp, "sample_rows", counting)
+        curves = {}
+        for jobs in (1, 2):
+            sizes.clear()
+            curves[jobs] = evaluation.loss_curve(
+                spec, data, range(1, 7), schemes=("dmoc", "kmc"), seed=2, jobs=jobs
+            )
+            assert sizes.count(data.n) == 1 and len(sizes) > 1
+        assert curves[1] == curves[2]
+        # the same objectives as runs that prepare the samples themselves
+        for m, objective in zip(range(1, 7), curves[1][0].objectives):
+            init = baselines.kmc_pipeline(spec, data, m, seed=2 + m).representatives
+            run = run_dmoc(spec, data, EngineConfig(n_clusters=m, seed=2 + m, init=init))
+            assert objective == run.objective
 
     def test_unknown_scheme_rejected(self):
         data = gen_synthetic_pcs(archetypes=2, n_slots=6, n_samples=10, seed=16)
