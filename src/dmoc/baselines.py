@@ -22,12 +22,12 @@ from .core import (
     Partition,
     RunTrace,
     _nearest_centers,
+    _row_sq_distances,
     as_decisions,
     cluster_means,
     metric_ops,
     nearest_centers,
     prepared_rows,
-    row_blocks,
 )
 from .engine import _repair_empty
 
@@ -42,27 +42,11 @@ class KmeansResult:
     inertia_trace: tuple = ()
 
 
-def _inertia(values: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
-    """Sum over rows of the squared distance to the assigned centroid, measured in row blocks."""
-    per_row = np.empty(values.shape[0])
-    for rows in row_blocks(values.shape[0], values.shape[1]):
-        per_row[rows] = ((values[rows] - centroids[assignment[rows]]) ** 2).sum(axis=1)
-    return float(per_row.sum())
-
-
-def _distances_to(values: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Squared distance ``((v - point) ** 2).sum()`` of every row, measured in row blocks."""
-    out = np.empty(values.shape[0])
-    for rows in row_blocks(values.shape[0], values.shape[1]):
-        out[rows] = ((values[rows] - point) ** 2).sum(axis=1)
-    return out
-
-
 def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared-distance sampling."""
     n = values.shape[0]
     picks = [int(rng.integers(n))]
-    d2 = _distances_to(values, values[picks[0]])
+    d2 = _row_sq_distances(values, values[picks[0]])
     for _ in range(1, n_clusters):
         total = d2.sum()
         if total <= 0:
@@ -70,7 +54,7 @@ def kmeans_pp_init(values: np.ndarray, n_clusters: int, rng: np.random.Generator
         else:
             pick = int(rng.choice(n, p=d2 / total))
         picks.append(pick)
-        d2 = np.minimum(d2, _distances_to(values, values[pick]))
+        d2 = np.minimum(d2, _row_sq_distances(values, values[pick]))
     return values[picks].copy()
 
 
@@ -118,7 +102,7 @@ def kmeans(
         if new_assignment is nearest:
             trace.append(float(np.maximum(best, 0.0).sum()))
         else:  # a repair reassigned rows
-            trace.append(_inertia(values, centroids, new_assignment))
+            trace.append(float(_row_sq_distances(values, centroids, new_assignment).sum()))
         if assignment is not None:
             moved = new_assignment != assignment
             if not moved.any():
@@ -133,7 +117,7 @@ def kmeans(
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
-        inertia=_inertia(values, centroids, assignment),
+        inertia=float(_row_sq_distances(values, centroids, assignment).sum()),
         inertia_trace=tuple(trace),
     )
 
@@ -173,9 +157,9 @@ def squared_distance_ops(dim: int) -> MetricOps:
     """
     return MetricOps(
         prepare=lambda values: values,
-        utilities=lambda x, values: -(
-            (np.atleast_2d(np.asarray(values, dtype=float)) - np.asarray(x, dtype=float)) ** 2
-        ).sum(axis=1),
+        utilities=lambda x, values: -_row_sq_distances(
+            np.atleast_2d(np.asarray(values, dtype=float)), np.asarray(x, dtype=float)
+        ),
         assign=lambda values, reps: nearest_centers(
             np.atleast_2d(np.asarray(values, dtype=float)),
             np.atleast_2d(np.asarray(reps, dtype=float)),

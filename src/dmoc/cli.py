@@ -235,6 +235,9 @@ def _experiment_loss_curve(config, spec, data, engine, seed, jobs, out_dir, key=
 
 
 def _experiment_peak_target(config, spec, data, engine, seed, jobs, out_dir):
+    if spec.kind != "pcs" or spec.pcs.p != math.inf:
+        raise CliUsageError("peak_target requires a pcs metric with p = inf")
+
     def peak_target(targets=(), m_max=20, schemes=("dmoc", "kmc")):
         targets = [float(t) for t in _listed(targets, "targets")]
         return targets, _integer(m_max, "m_max", 1), _schemes(schemes)
@@ -325,10 +328,9 @@ def _run_experiment(config: dict, seed: int, jobs: int, out_dir: Path) -> list[P
 
 
 def _cmd_experiment(args) -> int:
-    config_path = args.config_pos or args.config
-    if config_path is None:
-        raise CliUsageError("experiment requires a config file (positional or --config)")
-    with open(config_path) as fh:
+    if args.config is None:
+        raise CliUsageError("experiment requires a config file")
+    with open(args.config) as fh:
         config = _mapping(yaml.safe_load(fh), "config")
     seed = args.seed if args.seed is not None else config.get("seed")
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
@@ -400,8 +402,7 @@ def build_parser() -> _Parser:
     ev.set_defaults(func=_cmd_eval)
 
     exp = sub.add_parser("experiment", help="run a configured experiment sweep")
-    exp.add_argument("config_pos", nargs="?", metavar="CONFIG")
-    exp.add_argument("--config")
+    exp.add_argument("config", nargs="?", metavar="CONFIG")
     exp.add_argument("--seed", type=int)
     exp.add_argument("--jobs", type=int)
     exp.add_argument("--out-dir")

@@ -108,9 +108,21 @@ def row_blocks(n_rows: int, row_floats: int) -> list:
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
+def _row_sq_distances(values: np.ndarray, points: np.ndarray, index=None) -> np.ndarray:
+    """Squared distance ``((v - p) ** 2).sum()`` of each row v of the (N, d) ``values``, in
+    row blocks, to p: the one point ``points`` ((d,) or (1, d)), row i of the (N, d) ``points``,
+    or row ``index[i]`` of ``points``, gathered block by block."""
+    one = index is None and (points.ndim == 1 or points.shape[0] == 1)
+    out = np.empty(values.shape[0])
+    for rows in row_blocks(values.shape[0], values.shape[1]):
+        point = points if one else points[rows if index is None else index[rows]]
+        out[rows] = ((values[rows] - point) ** 2).sum(axis=1)
+    return out
+
+
 def sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(N, M) squared Euclidean distances ``((v - c)**2).sum()``, one center at a time."""
-    return np.stack([((values - c) ** 2).sum(axis=1) for c in centers], axis=1)
+    return np.stack([_row_sq_distances(values, c) for c in centers], axis=1)
 
 
 def nearest_centers(values: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -155,6 +155,8 @@ def loss_curve(
     job count.
     """
     m_values = [int(m) for m in m_values]
+    if max(m_values, default=0) > data.n:
+        raise DmocError(f"n_clusters = {max(m_values)} exceeds N = {data.n}")
     memo = {}
     f_perfect = perfect_objective(spec, data, memo)
 
@@ -185,7 +187,7 @@ def clusters_for_targets(
     jobs: int = 1,
 ) -> dict:
     """``{(scheme, target): M}``: the smallest M whose worst realized peak is at
-    most the target, or None if no M up to ``m_max`` reaches it.
+    most the target, or None if no M up to ``m_max`` (at most N) reaches it.
 
     One sweep walks M upward: at each M, one ``run_schemes`` call (seed
     ``seed + M``, k-means start) runs the schemes that still have an open
@@ -205,11 +207,11 @@ def clusters_for_targets(
 
     found, memo = {}, {}
     pending = tuple(schemes)
-    step = max(jobs, 1)
-    for first in range(1, m_max + 1, step):
+    step, top = max(jobs, 1), min(m_max, data.n)
+    for first in range(1, top + 1, step):
         if not pending:
             break
-        peaks = fan_out(worst_peaks, range(first, min(first + step, m_max + 1)), jobs)
+        peaks = fan_out(worst_peaks, range(first, min(first + step, top + 1)), jobs)
         for m, peak in peaks.items():
             for s in pending:
                 for t in targets:

@@ -10,8 +10,9 @@ representative price admit closed forms.
 When no price exceeds any consumer's parameter, a sample enters the utility,
 the assignment and the tariffs only through its per-slot sums, its per-slot
 minima (the regime test) and its squared norm. ``sample_rows`` computes these
-once per run (``MetricOps.prepare``) and the ``row_*`` rules read them;
-``f1_batch`` and ``assign_batch`` are those rules on ``sample_rows`` of raw samples.
+once per run (``MetricOps.prepare``) and the ``row_*`` rules read them. The four
+raw-sample forms ``f1_batch``, ``assign_batch``, ``transform_dataset`` and
+``closed_form_representative`` are those rules on ``sample_rows`` of their samples.
 """
 
 from __future__ import annotations
@@ -174,29 +175,27 @@ def derived_constants(params: RtpParams) -> RtpDerivedConstants:
     return RtpDerivedConstants(a_tilde=a_tilde, kappa=kappa, beta=beta, n_slots=params.n_slots)
 
 
+def _transformed_sums(rows: np.ndarray, params: RtpParams, constants=None) -> np.ndarray:
+    """kappa * S + beta of the ``sample_rows``, (n, T): the space of the closed-form assignment."""
+    c = derived_constants(params) if constants is None else constants
+    return c.kappa * _row_parts(rows, params)[1] + c.beta
+
+
 def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
     """Affine transform applied row-wise: (N, K*T) -> (N, T), kappa * S + beta."""
-    c = derived_constants(params) if constants is None else constants
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    slot_sums = _stack_to_slots(v, params).sum(axis=-1)
-    return c.kappa * slot_sums + c.beta
+    return _transformed_sums(sample_rows(np.atleast_2d(values), params), params, constants)
 
 
 def row_assignment(rows: np.ndarray, reps, params: RtpParams) -> np.ndarray:
     """Closed-form assignment of the ``sample_rows``: nearest representative to
     kappa * S + beta (ties to the lowest index)."""
-    c = derived_constants(params)
-    sums = _row_parts(rows, params)[1]
-    return nearest_centers(c.kappa * sums + c.beta, np.atleast_2d(np.asarray(reps, dtype=float)))
+    reps = np.atleast_2d(np.asarray(reps, dtype=float))
+    return nearest_centers(_transformed_sums(rows, params), reps)
 
 
 def assign_batch(values, reps, params: RtpParams) -> np.ndarray:
     """``row_assignment`` of raw (N, K*T) samples (or one (K*T,) sample)."""
     return row_assignment(sample_rows(np.atleast_2d(values), params), reps, params)
-
-
-def _values_of(data) -> np.ndarray:
-    return data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
 
 
 def _optimal_price(gbar: np.ndarray, params: RtpParams) -> np.ndarray:
@@ -216,8 +215,9 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
     members = np.asarray(list(member_indices), dtype=int)
     if members.size == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
-    gbar = _stack_to_slots(_values_of(data)[members], params).mean(axis=-1).mean(axis=0)
-    return _optimal_price(gbar, params)
+    values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
+    rows = sample_rows(values[members], params)
+    return row_representatives(rows, np.zeros(members.size, dtype=np.intp), [0], params)[0]
 
 
 def row_representatives(rows: np.ndarray, assignment, clusters, params: RtpParams) -> np.ndarray:

@@ -238,6 +238,12 @@ def partition_nearest_centers(values, centers):
     return out
 
 
+def one_shot_inertia(values, centroids, assignment):
+    """Sum over rows of the squared distance to the assigned centroid, from one (N, d)
+    array: the row-blocked kernel must give the same bits."""
+    return float(((values - centroids[assignment]) ** 2).sum(axis=1).sum())
+
+
 def reference_kmeans(data, n_clusters, seed, max_iters=100, init=None):
     """Lloyd's loop from a k-means++ start (or the centroids ``init``) with the exact
     inertia after every assignment step (and at the moved centroids when the cap ends the
@@ -259,7 +265,7 @@ def reference_kmeans(data, n_clusters, seed, max_iters=100, init=None):
         nearest = partition_nearest_centers(values, centroids)
         before = centroids
         centroids, new_assignment = _repair_empty(ops, values, centroids, nearest)
-        inertia = baselines._inertia(values, centroids, new_assignment)
+        inertia = one_shot_inertia(values, centroids, new_assignment)
         trace.append(inertia)
         moved = None if assignment is None else int(np.count_nonzero(new_assignment != assignment))
         steps.append((before, new_assignment is not nearest, moved))
@@ -270,7 +276,7 @@ def reference_kmeans(data, n_clusters, seed, max_iters=100, init=None):
         for m in np.unique(assignment):
             centroids[m] = values[assignment == m].mean(axis=0)
     else:
-        inertia = baselines._inertia(values, centroids, assignment)
+        inertia = one_shot_inertia(values, centroids, assignment)
     result = baselines.KmeansResult(
         centroids, Partition(assignment, n_clusters), inertia, tuple(trace)
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops
 from dmoc import baselines, evaluation
-from dmoc.core import BLOCK_FLOATS, _nearest_centers
+from dmoc.core import BLOCK_FLOATS, _nearest_centers, _row_sq_distances
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import best_two_partition_inertia, reference_kmeans
@@ -180,9 +180,15 @@ class TestKmeans:
         dim = 120
         n = 3 * (BLOCK_FLOATS // dim) + 7  # four row blocks, the last one partial
         values = np.random.default_rng(8).uniform(2.0, 3.0, size=(n, dim))
-        np.testing.assert_array_equal(
-            baselines._distances_to(values, values[5]), ((values - values[5]) ** 2).sum(axis=1)
-        )
+        # the one distance kernel: to one point, to paired rows, and to gathered rows
+        centers, assignment = values[:20], np.arange(n) % 20
+        for args, one_shot in (
+            ((values[5],), (values - values[5]) ** 2),
+            ((values[5:6],), (values - values[5:6]) ** 2),
+            ((values[::-1],), (values - values[::-1]) ** 2),
+            ((centers, assignment), (values - centers[assignment]) ** 2),
+        ):
+            np.testing.assert_array_equal(_row_sq_distances(values, *args), one_shot.sum(axis=1))
         for seed in range(3):
             np.testing.assert_array_equal(
                 baselines.kmeans_pp_init(values, 20, np.random.default_rng(seed)),

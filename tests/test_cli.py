@@ -444,6 +444,16 @@ class TestExperiment:
             ({"experiment": "peak_target", "peak_target": {"m_max": 2}}, "peak_target experiment requires"),
             ({"experiment": "geometry2d"}, "geometry2d requires 2-slot data and metric"),
             ({"data": 5}, "data: expected a mapping"),
+            (
+                {"experiment": "peak_target", "peak_target": {"targets": [3.0]},
+                 "metric": {"kind": "pcs", "n_slots": 4, "p": 2, "energy": 4.0}},
+                "peak_target requires a pcs metric with p = inf",
+            ),
+            (
+                {"experiment": "peak_target", "peak_target": {"targets": [3.0]},
+                 "metric": {"kind": "rtp", "n_consumers": 2, "n_slots": 2, "alpha": 0.5, "a": 0.1}},
+                "peak_target requires a pcs metric with p = inf",
+            ),
         ],
     )
     def test_config_that_does_not_describe_a_run_is_usage_error(self, tmp_path, capsys, patch, message):

@@ -262,8 +262,31 @@ class TestClustersForTargets:
         assert starts == [(m, m) for m in range(1, 6)]
         assert runs == [(m, "dmoc") for m in range(1, 6)]
 
+    def test_search_stops_at_n(self, setup, monkeypatch):
+        # no M above N = 40 can run: an open target is answered None, in any round of jobs
+        spec, data = setup
+        starts, _, _ = counting_runs(monkeypatch)
+        found = evaluation.clusters_for_targets(spec, data, [0.0], ("kmc",), 50, seed=0, jobs=3)
+        assert found == {("kmc", 0.0): None}
+        assert sorted(starts) == [(m, m) for m in range(1, 41)]
+
 
 class TestSweeps:
+    def test_m_beyond_n_rejected_before_any_run(self, setup, monkeypatch):
+        spec, data = setup
+        starts, runs, _ = counting_runs(monkeypatch)
+        baselines_run = []
+        perfect_objective = evaluation.perfect_objective
+
+        def counting_perfect_objective(*args, **kwargs):
+            baselines_run.append(args)
+            return perfect_objective(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "perfect_objective", counting_perfect_objective)
+        with pytest.raises(DmocError, match="n_clusters = 41 exceeds N = 40"):
+            evaluation.loss_curve(spec, data, [39, 40, 41], seed=0)
+        assert starts == runs == baselines_run == []
+
     def test_loss_curve_shape_and_nonnegative(self):
         data = gen_synthetic_pcs(archetypes=3, n_slots=6, n_samples=30, seed=12)
         curves = evaluation.loss_curve(PCS6, data, [1, 2, 3], seed=5)

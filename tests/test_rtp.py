@@ -222,15 +222,23 @@ class TestSampleRows:
         rows = rtp.sample_rows(values, p)
         slot_means = values.reshape(-1, 24, 5).mean(axis=-1)
         reps = rng.uniform(1.0, 2.0, size=(7, 24))
+        c = rtp.derived_constants(p)
+        transformed = c.kappa * values.reshape(-1, 24, 5).sum(axis=-1) + c.beta
+        np.testing.assert_array_equal(rtp.transform_dataset(values, p), transformed)
+        np.testing.assert_array_equal(rtp.transform_dataset(values[3], p), transformed[3:4])
         assignment = rtp.row_assignment(rows, reps, p)
-        np.testing.assert_array_equal(
-            assignment, nearest_centers(rtp.transform_dataset(values, p), reps)
-        )
+        np.testing.assert_array_equal(assignment, nearest_centers(transformed, reps))
         clusters = np.unique(assignment)
-        np.testing.assert_array_equal(
-            rtp.row_representatives(rows, assignment, clusters, p),
-            rtp._optimal_price(cluster_means(slot_means, assignment, clusters), p),
-        )
+        expected = rtp._optimal_price(cluster_means(slot_means, assignment, clusters), p)
+        np.testing.assert_array_equal(rtp.row_representatives(rows, assignment, clusters, p), expected)
+        # the per-cluster entry point, with members in any order and repeated
+        for m, price in zip(clusters, expected):
+            members = np.flatnonzero(assignment == m)
+            np.testing.assert_array_equal(rtp.closed_form_representative(values, members, p), price)
+            np.testing.assert_array_equal(
+                rtp.closed_form_representative(values, np.r_[members[::-1], members[0]], p),
+                rtp._optimal_price(slot_means[np.r_[members[::-1], members[0]]].mean(axis=0), p),
+            )
         np.testing.assert_array_equal(rtp.row_prices(rows, p), rtp._optimal_price(slot_means, p))
 
     def test_raw_samples_rejected_by_the_ops(self):
