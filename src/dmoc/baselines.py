@@ -25,6 +25,7 @@ from .core import (
     _row_sq_distances,
     as_decisions,
     cluster_means,
+    cluster_members,
     metric_ops,
     nearest_centers,
     prepared_rows,
@@ -113,7 +114,7 @@ def kmeans(
             refresh = np.unique(np.concatenate([assignment[moved], new_assignment[moved]]))
         assignment = new_assignment
         centroids = centroids.copy()
-        centroids[refresh] = cluster_means(values, assignment, refresh)
+        centroids[refresh] = cluster_means(values, cluster_members(assignment, refresh))
     return KmeansResult(
         centroids=centroids,
         assignment=Partition(assignment, n_clusters),
@@ -164,8 +165,8 @@ def squared_distance_ops(dim: int) -> MetricOps:
             np.atleast_2d(np.asarray(values, dtype=float)),
             np.atleast_2d(np.asarray(reps, dtype=float)),
         ),
-        best_representatives=lambda values, assignment, clusters: cluster_means(
-            np.atleast_2d(np.asarray(values, dtype=float)), assignment, clusters
+        best_representatives=lambda values, groups: cluster_means(
+            np.atleast_2d(np.asarray(values, dtype=float)), groups
         ),
         perfect_decisions=lambda values: np.atleast_2d(np.array(values, dtype=float)),
         feasible=lambda decisions: np.ones(as_decisions(decisions, dim).shape[0], dtype=bool),

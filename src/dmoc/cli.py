@@ -115,7 +115,7 @@ def _integer(value, name: str, least: int) -> int:
 def _engine(max_iters=10, tol=1e-3, init="kmeans"):
     """The engine settings, from the ``engine`` section or the ``cluster`` flags."""
     tol = float(tol)  # PyYAML reads a float such as 1e-3 as a string
-    if init not in ("random", "kmeans") or tol < 0:
+    if init not in ("random", "kmeans") or not tol >= 0:
         raise ValueError(f"need init 'random' or 'kmeans' and tol >= 0, got {init!r} and {tol!r}")
     return {"max_iters": _integer(max_iters, "max_iters", 1), "tol": tol, "init": init}
 

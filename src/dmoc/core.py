@@ -190,9 +190,9 @@ def cluster_members(assignment: np.ndarray, clusters) -> list:
     return [order[s:e] for s, e in zip(starts, ends)]
 
 
-def cluster_means(values: np.ndarray, assignment: np.ndarray, clusters) -> np.ndarray:
-    """(k, d) means of the rows of ``values`` in each of ``clusters`` (each nonempty)."""
-    return np.stack([values[rows].mean(axis=0) for rows in cluster_members(assignment, clusters)])
+def cluster_means(values: np.ndarray, groups) -> np.ndarray:
+    """(k, d) means of the rows of ``values`` in each of the k ``groups`` of row indices (each nonempty)."""
+    return np.stack([values[rows].mean(axis=0) for rows in groups])
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +429,12 @@ class MetricOps:
     assign(rows, reps) -> (N,) int array
         Index of the best representative for every one of ``rows`` (argmax of
         the utility, ties to the lowest index).
-    best_representatives(rows, assignment, clusters) -> (k, T) array
+    best_representatives(rows, groups) -> (k, T) array
         Row i: the feasible decision maximizing the summed utility over the rows
-        with ``assignment == clusters[i]`` (at least one). It depends on those
+        ``groups[i]`` (sorted member indices, at least one). It depends on those
         rows alone, so the engine re-solves only the clusters that a sample
-        entered or left or whose representative changed. A SolverError names
-        the cluster.
+        entered or left or whose representative changed. ``SolverError.cluster``
+        is a position in ``groups``.
     perfect_decisions(rows) -> (n, T) array
         Per-row optimal decisions x*(g_n).
     feasible(decisions) -> (k,) bool array
@@ -450,9 +450,8 @@ class MetricOps:
     feasible: Callable
 
 
-def metric_ops(spec: MetricSpec, approx_assignment: bool = False, memo: dict | None = None) -> MetricOps:
-    """Resolve a MetricSpec into the callable bundle for the engine; ``memo`` serves the
-    scheduling representatives of one sweep (``pcs.metric_ops``), pricing ignores it."""
+def metric_ops(spec: MetricSpec, approx_assignment: bool = False) -> MetricOps:
+    """Resolve a MetricSpec into the callable bundle for the engine."""
     if spec.kind == "rtp":
         if approx_assignment:
             raise DmocError("approximate assignment is a PCS-only variant")
@@ -461,7 +460,7 @@ def metric_ops(spec: MetricSpec, approx_assignment: bool = False, memo: dict | N
         return rtp.metric_ops(spec.rtp)
     from . import pcs
 
-    return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment, memo=memo)
+    return pcs.metric_ops(spec.pcs, approx_assignment=approx_assignment)
 
 
 def prepared_rows(ops: MetricOps, data: DataSet, memo: dict | None = None) -> np.ndarray:

@@ -9,6 +9,7 @@ improvement drops to the tolerance or the iteration cap is reached.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,11 +24,14 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
+    SolverError,
     cluster_members,
     metric_ops,
     prepared_rows,
     require_feasible,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class EngineConfig:
             raise DmocError("n_clusters must be >= 1")
         if self.max_iters < 1:
             raise DmocError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise DmocError("tol must be >= 0")
         if isinstance(self.init, str):
             if self.init not in ("random", "kmeans"):
@@ -76,8 +80,31 @@ def _repair_empty(ops: MetricOps, values: np.ndarray, reps: np.ndarray, assignme
     return reps, ops.assign(values, reps)
 
 
-def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters, utilities):
-    """Solve the representatives of ``clusters`` (each with members).
+def _best_representatives(ops: MetricOps, values, groups, clusters, memo: dict | None = None):
+    """(k, T) best representatives of ``clusters``, whose sorted members are ``groups``, looked
+    up by member set in the sweep's ``memo`` (a hit is what a fresh solve returns, since a
+    representative depends on its members alone). The misses are solved in one call; a
+    SolverError names its cluster, and a failed call memoizes nothing. Logs one DEBUG record."""
+    known = {} if memo is None else memo
+    keys = [members.tobytes() for members in groups]
+    missing = [i for i, key in enumerate(keys) if key not in known]
+    if missing:
+        try:
+            solved = ops.best_representatives(values, [groups[i] for i in missing])
+        except SolverError as err:
+            m = int(clusters[missing[err.cluster]])
+            raise SolverError(f"cluster {m}: {err}", cluster=m) from err
+        known.update(zip([keys[i] for i in missing], solved))
+    if logger.isEnabledFor(logging.DEBUG):
+        counts = {"asked": len(keys), "reused": len(keys) - len(missing), "solved": len(missing)}
+        message = "representatives: %(asked)d clusters asked for, %(reused)d reused, %(solved)d solved"
+        logger.debug(message, counts, extra={"representatives": counts})
+    return np.stack([known[key] for key in keys])
+
+
+def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clusters, utilities, memo=None):
+    """Solve the representatives of ``clusters`` (each with members), grouping the
+    assignment once for the solve (through the sweep's ``memo``) and the guard.
 
     ``utilities`` holds every sample's utility at its representative in
     ``reps``. Each cluster keeps its representative unless the solve strictly
@@ -90,15 +117,14 @@ def _keep_or_replace(ops: MetricOps, values, assignment, reps: np.ndarray, clust
     candidates = reps.copy()
     if len(clusters) == 0:
         return candidates, utilities
-    candidates[clusters] = ops.best_representatives(values, assignment, clusters)
-    solved = np.zeros(reps.shape[0], dtype=bool)
-    solved[clusters] = True
-    rows = np.nonzero(solved[assignment])[0]
+    groups = cluster_members(assignment, clusters)
+    candidates[clusters] = _best_representatives(ops, values, groups, clusters, memo)
+    rows = np.sort(np.concatenate(groups))
     if rows.size == assignment.size:
         rows = slice(None)
     solved_utilities = np.empty_like(utilities)
     solved_utilities[rows] = ops.utilities(candidates[assignment[rows]], values[rows])
-    for m, members in zip(clusters, cluster_members(assignment, clusters)):
+    for m, members in zip(clusters, groups):
         if math.fsum(solved_utilities[members]) > math.fsum(utilities[members]):
             utilities[members] = solved_utilities[members]
         else:
@@ -142,7 +168,7 @@ def update_representatives(
     clusters = np.arange(partition.n_clusters)
     rows = ops.prepare(data.values)
     if warm_starts is None:
-        return ops.best_representatives(rows, partition.assignment, clusters)
+        return _best_representatives(ops, rows, cluster_members(partition.assignment, clusters), clusters)
     utilities = ops.utilities(warm_starts[partition.assignment], rows)
     return _keep_or_replace(ops, rows, partition.assignment, warm_starts, clusters, utilities)[0]
 
@@ -170,6 +196,8 @@ def run_dmoc_ops(
     Samples are prepared (``ops.prepare``) once per run, or once per sweep when the
     sweep's ``memo`` is given (``core.prepared_rows``), and utilities carry over: an
     iteration rescores only the samples that moved or whose representative was re-seeded.
+    The same ``memo`` keeps the sweep's representatives by member set
+    (``_best_representatives``), so a cluster that recurs in the sweep is solved once.
     """
     if config.n_clusters > data.n:
         raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
@@ -202,7 +230,7 @@ def run_dmoc_ops(
             changed[assignment[moved]] = True
             changed[last_assignment[moved]] = True
         solve = np.nonzero((np.bincount(assignment, minlength=config.n_clusters) > 0) & changed)[0]
-        reps, utilities = _keep_or_replace(ops, values, assignment, reps, solve, utilities)
+        reps, utilities = _keep_or_replace(ops, values, assignment, reps, solve, utilities, memo)
         current = math.fsum(utilities)
         objectives.append(current)
         if current - previous <= config.tol:
@@ -229,7 +257,6 @@ def run_dmoc(
 
     ``approx_assignment`` replaces the assignment rule with its p = 2
     surrogate (scheduling only); representatives keep the true metric.
-    ``memo`` is the memo of one sweep on ``data``: its prepared rows
-    (``core.prepared_rows``) and scheduling representatives (``pcs.metric_ops``).
+    ``memo`` is the memo of one sweep on ``data`` (``run_dmoc_ops``).
     """
-    return run_dmoc_ops(metric_ops(spec, approx_assignment, memo), data, config, memo)
+    return run_dmoc_ops(metric_ops(spec, approx_assignment), data, config, memo)

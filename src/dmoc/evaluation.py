@@ -98,7 +98,7 @@ def run_schemes(schemes, spec: MetricSpec, data: DataSet, config: EngineConfig, 
     explicit start of every engine run. At p = 2 the approximate (p = 2)
     assignment is the exact one, so dmoc-approx is the dmoc run, made once.
     A sweep passes its one ``memo`` to every call: it keeps the sweep's prepared
-    rows (``core.prepared_rows``) and scheduling representatives (``pcs.metric_ops``).
+    rows and its representatives by member set (``engine.run_dmoc_ops``).
     """
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -149,7 +149,7 @@ def loss_curve(
     The runs at M share seed ``seed + M`` and one ``run_schemes`` call, so
     the k-means pipeline runs once per M. Every run shares one memo, so the
     samples are prepared once per call, by the perfect baseline before any
-    run, and each distinct scheduling cluster is solved once per call. With
+    run, and each distinct cluster is solved once per call. With
     ``jobs > 1`` the values of M execute in a thread pool; results are keyed,
     and a memo hit equals a fresh solve, so the output is identical for any
     job count.

@@ -19,9 +19,9 @@ an engine iteration solves) solve a convex program per cluster by
 p alone picks the route; each route's tolerances are module constants, and each
 cluster's answer depends on its members alone, bit for bit: every reduction over
 members runs cluster by cluster, so neither a cluster's place in a stack nor its
-neighbours there change a rounding, and a sweep solves each member set once
-(``metric_ops``). The engine, not the route, decides whether a solve replaces a
-representative.
+neighbours there change a rounding, and a sweep's memo of member sets returns what a
+fresh solve would. The engine, not the route, decides which clusters reach a solve
+and whether a solve replaces a representative.
 
 ``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
 reference solver, imported on use: no route calls it, and scipy is needed only
@@ -54,7 +54,6 @@ from .core import (
     SolverError,
     as_decisions,
     as_vector,
-    cluster_members,
     row_blocks,
 )
 
@@ -783,15 +782,9 @@ def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
 # Engine interface
 # ---------------------------------------------------------------------------
 
-def metric_ops(params: PcsParams, approx_assignment: bool = False, memo: dict | None = None) -> MetricOps:
+def metric_ops(params: PcsParams, approx_assignment: bool = False) -> MetricOps:
     """Callable bundle for the engine; approx_assignment forces p = 2 clusters.
-
-    ``memo`` maps a cluster's sorted member indices (as bytes) to its representative,
-    for the rows of one dataset: one sweep's runs share it, at every M and under both
-    assignment rules, and a hit is what a fresh solve returns. (The same memo keeps the
-    sweep's prepared rows under the key "rows", ``core.prepared_rows``.) ``best_representatives``
-    solves its misses as one stack and logs one DEBUG record per call.
-    """
+    ``best_representatives`` is ``solve_representative``."""
     assign_params = dataclasses.replace(params, p=2) if approx_assignment else params
 
     def feasible(decisions) -> np.ndarray:
@@ -802,31 +795,11 @@ def metric_ops(params: PcsParams, approx_assignment: bool = False, memo: dict | 
             & (x.sum(axis=1) >= params.energy - FEASIBILITY_TOL)
         )
 
-    def best_representatives(values, assignment, clusters) -> np.ndarray:
-        groups = cluster_members(assignment, clusters)
-        known = {} if memo is None else memo
-        keys = [members.tobytes() for members in groups]
-        missing = [i for i, key in enumerate(keys) if key not in known]
-        if missing:
-            try:
-                solved = solve_representative(values, [groups[i] for i in missing], params)
-            except SolverError as err:
-                m = int(clusters[missing[err.cluster]])
-                raise SolverError(f"cluster {m}: {err}", cluster=m) from err
-            known.update(zip([keys[i] for i in missing], solved))
-        if logger.isEnabledFor(logging.DEBUG):
-            counts = {"asked": len(keys), "reused": len(keys) - len(missing), "solved": len(missing)}
-            logger.debug(
-                "representatives: %(asked)d clusters asked for, %(reused)d reused, %(solved)d solved",
-                counts, extra={"representatives": counts},
-            )
-        return np.stack([known[key] for key in keys])
-
     return MetricOps(
         prepare=lambda values: values,
         utilities=lambda x, values: -paired_norms(values, x, params),
         assign=lambda values, reps: np.argmin(weighted_norms(values, reps, assign_params), axis=1),
-        best_representatives=best_representatives,
+        best_representatives=lambda values, groups: solve_representative(values, groups, params),
         perfect_decisions=lambda values: perfect_decisions_pcs(values, params),
         feasible=feasible,
     )

@@ -217,15 +217,15 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
     values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
     rows = sample_rows(values[members], params)
-    return row_representatives(rows, np.zeros(members.size, dtype=np.intp), [0], params)[0]
+    return row_representatives(rows, [np.arange(members.size)], params)[0]
 
 
-def row_representatives(rows: np.ndarray, assignment, clusters, params: RtpParams) -> np.ndarray:
-    """(k, T) array of ``closed_form_representative`` for each of ``clusters``, whose
-    members are the ``sample_rows`` with ``assignment == clusters[i]``: the optimal
-    price of the cluster mean of S / K."""
+def row_representatives(rows: np.ndarray, groups, params: RtpParams) -> np.ndarray:
+    """(k, T) array of ``closed_form_representative`` for each of the k clusters, whose
+    members are the ``sample_rows`` indexed by ``groups[i]``: the optimal price of the
+    cluster mean of S / K."""
     slot_means = _row_parts(rows, params)[1] / params.n_consumers
-    return _optimal_price(cluster_means(slot_means, assignment, clusters), params)
+    return _optimal_price(cluster_means(slot_means, groups), params)
 
 
 def row_prices(rows: np.ndarray, params: RtpParams) -> np.ndarray:
@@ -264,9 +264,7 @@ def metric_ops(params: RtpParams) -> MetricOps:
         prepare=lambda values: sample_rows(values, params),
         utilities=lambda x, rows: row_utilities(x, rows, params),
         assign=lambda rows, reps: row_assignment(rows, reps, params),
-        best_representatives=lambda rows, assignment, clusters: (
-            row_representatives(rows, assignment, clusters, params)
-        ),
+        best_representatives=lambda rows, groups: row_representatives(rows, groups, params),
         perfect_decisions=lambda rows: row_prices(rows, params),
         feasible=feasible,
     )

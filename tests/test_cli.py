@@ -163,7 +163,7 @@ class TestCluster:
     @pytest.mark.parametrize(
         "flag, value, named",
         [("--max-iters", "0", "cluster: max_iters"), ("--tol", "-1", "cluster: "), ("--clusters", "0", "--clusters"),
-         ("--seed", "-1", "--seed")],
+         ("--seed", "-1", "--seed"), ("--tol", "nan", "cluster: ")],
     )
     def test_out_of_range_engine_flag_is_usage_error(
         self, pcs_data_file, tmp_path, capsys, flag, value, named
@@ -585,6 +585,7 @@ class TestExperiment:
             ("engine", {"max_iters": True}),
             ("engine", {"max_iters": 0}),
             ("engine", {"tol": -1}),
+            ("engine", {"tol": float("nan")}),
         ],
     )
     def test_malformed_experiment_section_is_usage_error(

@@ -213,12 +213,12 @@ class TestBatchedMetricOps:
         values = ops.prepare(rng.uniform(0.0, 3.0, size=(12, data_dim)))
         assignment = np.array([2, 0, 4, 2, 2, 0, 4, 4, 0, 2, 4, 0])  # cluster 1 and 3 empty
         clusters = np.array([4, 0, 2])
-        batch = ops.best_representatives(values, assignment, clusters)
+        batch = ops.best_representatives(values, core.cluster_members(assignment, clusters))
         assert batch.shape == (3, decision_dim)
         for i, m in enumerate(clusters):
             members = np.nonzero(assignment == m)[0]
-            one = ops.best_representatives(values, assignment, [m])
-            alone = ops.best_representatives(values[members], np.zeros(members.size, int), [0])
+            one = ops.best_representatives(values, [members])
+            alone = ops.best_representatives(values[members], [np.arange(members.size)])
             np.testing.assert_array_equal(batch[i], one[0])
             np.testing.assert_array_equal(batch[i], alone[0])
 

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from dmoc import (
     total_utility,
     update_representatives,
 )
-from dmoc import baselines, evaluation, pcs, rtp
+from dmoc import baselines, core, engine, evaluation, pcs, rtp
+from dmoc.core import cluster_members
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import rtp_numeric_representative
@@ -285,6 +287,8 @@ class TestConfig:
         with pytest.raises(DmocError):
             EngineConfig(n_clusters=1, tol=-1.0)
         with pytest.raises(DmocError):
+            EngineConfig(n_clusters=1, tol=float("nan"))
+        with pytest.raises(DmocError):
             EngineConfig(n_clusters=1, init="nope")
 
     def test_defaults_follow_reference_settings(self):
@@ -372,11 +376,13 @@ class TestSkipUnchangedClusters:
         assigned = []
 
         def assign(values, reps):
-            assigned[:] = [reps]
-            return ops.assign(values, reps)
+            assigned[:] = [reps, ops.assign(values, reps)]
+            return assigned[1]
 
-        def best_representatives(values, assignment, clusters):
-            reps = ops.best_representatives(values, assignment, clusters)
+        def best_representatives(values, groups):
+            reps = ops.best_representatives(values, groups)
+            assignment = assigned[1]
+            clusters = [assignment[members[0]] for members in groups]
             for m, rep in zip(clusters, reps):
                 rows = values[assignment == m]
                 kept = assigned[0][m]
@@ -492,18 +498,134 @@ class TestSkipUnchangedClusters:
             return real(stack)
 
         monkeypatch.setattr(pcs, "_inverse_factors", poisoned)
-        assignment = np.arange(40) % 4
+        assignment, clusters = np.arange(40) % 4, np.array([0, 2, 3])
         with pytest.raises(SolverError) as info:
-            metric_ops(spec).best_representatives(data.values, assignment, np.array([0, 2, 3]))
+            TestRepresentativeMemo.solve(metric_ops(spec), data.values, assignment, clusters)
         assert info.value.cluster == 2
         assert str(info.value).startswith("cluster 2: interior-point method")
+
+    @pytest.mark.parametrize(
+        "spec, data, solver",
+        [
+            pytest.param(
+                MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=6.0, x_max=3.0),
+                DataSet(np.random.default_rng(0).uniform(0.0, 3.0, size=(40, 6))),
+                (pcs, "solve_representative"),
+                id="pcs",
+            ),
+            pytest.param(
+                MetricSpec.for_rtp(n_consumers=3, n_slots=2, alpha=0.5, a=0.2, b=0.1),
+                rtp.generate_rtp_scenario(3, 2, 40, seed=5),
+                (rtp, "row_representatives"),
+                id="rtp",
+            ),
+        ],
+    )
+    def test_one_grouping_per_solving_iteration(self, monkeypatch, spec, data, solver):
+        # the engine groups an iteration's assignment once, for the solve and the guard
+        groupings, solves = [], []
+        members, solve = core.cluster_members, getattr(*solver)
+
+        def counting_members(assignment, clusters):
+            groupings.append(1)
+            return members(assignment, clusters)
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        for module in (core, engine, pcs, rtp, baselines):
+            if getattr(module, "cluster_members", None) is members:
+                monkeypatch.setattr(module, "cluster_members", counting_members)
+        monkeypatch.setattr(*solver, counting_solve)
+        ops = metric_ops(spec)
+        init = ops.perfect_decisions(ops.prepare(data.values[[0, 9, 17]]))
+        run_dmoc(spec, data, EngineConfig(n_clusters=3, max_iters=6, tol=0.0, init=init))
+        assert len(solves) >= 2
+        assert len(groupings) == len(solves)
+
+
+class TestRepresentativeMemo:
+    """The engine's representative step through a sweep's memo of member sets."""
+
+    SPEC = MetricSpec.for_pcs(n_slots=24, p=math.inf, energy=30.0, x_max=3.0)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=120, seed=23)
+
+    @staticmethod
+    def solve(ops, values, assignment, clusters, memo=None):
+        """The representatives of ``clusters`` of ``assignment``, as an engine iteration solves them."""
+        return engine._best_representatives(ops, values, cluster_members(assignment, clusters), clusters, memo)
+
+    def test_failing_miss_names_its_engine_cluster(self, data, monkeypatch, caplog):
+        ops, memo = metric_ops(self.SPEC), {}
+        values = data.values
+        assignment = np.arange(values.shape[0]) % 3
+        self.solve(ops, values, assignment, np.array([0, 1, 2]), memo)
+        solve = pcs.solve_representative
+
+        def failing_last(data, member_indices, params):
+            solve(data, member_indices, params)
+            raise SolverError("stopped", cluster=len(member_indices) - 1)
+
+        monkeypatch.setattr(pcs, "solve_representative", failing_last)
+        # cluster 0 keeps its members (a hit); clusters 1 and 3 are new, and the solve of
+        # the second miss, engine cluster 3, fails
+        moved = assignment.copy()
+        moved[assignment == 2] = 3
+        moved[1] = 3
+        with caplog.at_level(logging.DEBUG, logger="dmoc.engine"), pytest.raises(SolverError) as err:
+            self.solve(ops, values, moved, np.array([0, 1, 3]), memo)
+        assert err.value.cluster == 3
+        assert str(err.value).startswith("cluster 3: ")
+        # nothing is memoized from a failed call
+        monkeypatch.setattr(pcs, "solve_representative", solve)
+        with caplog.at_level(logging.DEBUG, logger="dmoc.engine"):
+            self.solve(ops, values, moved, np.array([0, 1, 3]), memo)
+        assert caplog.records[-1].representatives == {"asked": 3, "reused": 1, "solved": 2}
+
+    def test_no_record_work_when_debug_is_off(self, monkeypatch, caplog):
+        def no_debug(*args, **kwargs):
+            raise AssertionError("the record is built only when DEBUG is enabled")
+
+        monkeypatch.setattr(engine.logger, "debug", no_debug)
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=30, seed=8)
+        with caplog.at_level(logging.INFO, logger="dmoc.engine"):
+            # the record of a memo lookup, with hits and misses
+            ops, memo = metric_ops(self.SPEC), {}
+            self.solve(ops, data.values, np.arange(30) % 2, np.array([0, 1]), memo)
+            moved = np.arange(30) % 2
+            moved[1] = 2
+            out = self.solve(ops, data.values, moved, np.array([0, 1, 2]), memo)
+        assert out.shape == (3, 24)
+
+    def test_pricing_runs_reuse_the_sweep_memo(self, caplog):
+        # a pricing representative depends on its members alone: a second run through the
+        # first run's memo solves nothing and returns the bits of a run without one
+        spec = MetricSpec.for_rtp(n_consumers=3, n_slots=4, alpha=0.5, a=0.2, b=0.1)
+        data = rtp.generate_rtp_scenario(3, 4, 80, seed=6)
+        config = EngineConfig(n_clusters=4, seed=2, tol=0.0)
+        memo = {}
+        run_dmoc(spec, data, config, memo=memo)
+        with caplog.at_level(logging.DEBUG, logger="dmoc.engine"):
+            second = run_dmoc(spec, data, config, memo=memo)
+        counts = [r.representatives for r in caplog.records if hasattr(r, "representatives")]
+        assert second.trace.iterations_run >= 2 and len(counts) >= 2
+        assert all(c["reused"] == c["asked"] for c in counts)
+        fresh = run_dmoc(spec, data, config)
+        np.testing.assert_array_equal(second.representatives, fresh.representatives)
+        np.testing.assert_array_equal(second.partition.assignment, fresh.partition.assignment)
+        assert second.trace == fresh.trace
 
 
 class TestUtilityReuse:
     @staticmethod
     def counting(ops, events):
         """Log the rows each utility call scores, each assignment call, and the
-        assignment and clusters of each representative call."""
+        assignment (the last one made) and clusters of each representative call."""
+        assigned = []
 
         def utilities(x, values):
             events.append(("score", np.atleast_2d(values).shape[0]))
@@ -511,11 +633,13 @@ class TestUtilityReuse:
 
         def assign(values, reps):
             events.append(("assign",))
-            return ops.assign(values, reps)
+            assigned[:] = [ops.assign(values, reps)]
+            return assigned[0]
 
-        def best_representatives(values, assignment, clusters):
-            events.append(("solve", assignment.copy(), np.asarray(clusters)))
-            return ops.best_representatives(values, assignment, clusters)
+        def best_representatives(values, groups):
+            clusters = [assigned[0][members[0]] for members in groups]
+            events.append(("solve", assigned[0].copy(), np.asarray(clusters)))
+            return ops.best_representatives(values, groups)
 
         return dataclasses.replace(
             ops, utilities=utilities, assign=assign, best_representatives=best_representatives

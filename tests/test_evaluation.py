@@ -7,7 +7,7 @@ import pytest
 
 from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
 from dmoc import baselines, evaluation, pcs, rtp
-from dmoc.core import ClusteringResult, Partition, RunTrace, SolverError
+from dmoc.core import ClusteringResult, Partition, RunTrace
 from dmoc.data import gen_synthetic_pcs
 
 
@@ -414,7 +414,7 @@ class TestRepresentativeMemo:
 
     def test_each_member_set_solved_once_per_sweep(self, data, monkeypatch, caplog):
         solved = self.solved_clusters(monkeypatch)
-        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+        with caplog.at_level(logging.DEBUG, logger="dmoc.engine"):
             curves = evaluation.loss_curve(self.SPEC, data, range(1, 9), seed=3)
         assert len(solved) == len(set(solved))
         counts = [r.representatives for r in caplog.records if hasattr(r, "representatives")]
@@ -446,7 +446,7 @@ class TestRepresentativeMemo:
         assert len(solved) == 2 * once == 2 * len(set(solved))
 
     def test_jobs_do_not_change_results_with_memo_hits(self, data, caplog):
-        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
+        with caplog.at_level(logging.DEBUG, logger="dmoc.engine"):
             seq = evaluation.loss_curve(self.SPEC, data, range(1, 9), seed=5, jobs=1)
         assert sum(r.representatives["reused"] for r in caplog.records if hasattr(r, "representatives")) > 0
         # four threads fill one memo; switching threads often makes them race for the same keys
@@ -457,30 +457,3 @@ class TestRepresentativeMemo:
         finally:
             sys.setswitchinterval(interval)
         assert seq == par
-
-    def test_failing_miss_names_its_engine_cluster(self, data, monkeypatch, caplog):
-        ops = pcs.metric_ops(self.SPEC.pcs, memo={})
-        values = data.values
-        assignment = np.arange(values.shape[0]) % 3
-        ops.best_representatives(values, assignment, np.array([0, 1, 2]))
-        solve = pcs.solve_representative
-
-        def failing_last(data, member_indices, params):
-            solve(data, member_indices, params)
-            raise SolverError("stopped", cluster=len(member_indices) - 1)
-
-        monkeypatch.setattr(pcs, "solve_representative", failing_last)
-        # cluster 0 keeps its members (a hit); clusters 1 and 3 are new, and the solve of
-        # the second miss, engine cluster 3, fails
-        moved = assignment.copy()
-        moved[assignment == 2] = 3
-        moved[1] = 3
-        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"), pytest.raises(SolverError) as err:
-            ops.best_representatives(values, moved, np.array([0, 1, 3]))
-        assert err.value.cluster == 3
-        assert str(err.value).startswith("cluster 3: ")
-        # nothing is memoized from a failed call
-        monkeypatch.setattr(pcs, "solve_representative", solve)
-        with caplog.at_level(logging.DEBUG, logger="dmoc.pcs"):
-            ops.best_representatives(values, moved, np.array([0, 1, 3]))
-        assert caplog.records[-1].representatives == {"asked": 3, "reused": 1, "solved": 2}

@@ -740,12 +740,6 @@ class TestStackedSolve:
         with caplog.at_level(logging.INFO, logger="dmoc.pcs"):
             p = params(n_slots=24, energy=30.0, x_max=3.0)
             out = pcs.solve_representative(data.values, [range(15), range(15, 30)], p)
-            # nor the record of a memo lookup, with hits and misses
-            ops = pcs.metric_ops(p, memo={})
-            ops.best_representatives(data.values, np.arange(30) % 2, np.array([0, 1]))
-            moved = np.arange(30) % 2
-            moved[1] = 2
-            ops.best_representatives(data.values, moved, np.array([0, 1, 2]))
         assert out.shape == (2, 24)
 
     def test_members_must_be_one_sequence_per_cluster(self):

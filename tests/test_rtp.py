@@ -9,6 +9,7 @@ from dmoc.core import (
     EmptyClusterError,
     RtpParams,
     cluster_means,
+    cluster_members,
     nearest_centers,
 )
 from dmoc import rtp
@@ -229,8 +230,9 @@ class TestSampleRows:
         assignment = rtp.row_assignment(rows, reps, p)
         np.testing.assert_array_equal(assignment, nearest_centers(transformed, reps))
         clusters = np.unique(assignment)
-        expected = rtp._optimal_price(cluster_means(slot_means, assignment, clusters), p)
-        np.testing.assert_array_equal(rtp.row_representatives(rows, assignment, clusters, p), expected)
+        groups = cluster_members(assignment, clusters)
+        expected = rtp._optimal_price(cluster_means(slot_means, groups), p)
+        np.testing.assert_array_equal(rtp.row_representatives(rows, groups, p), expected)
         # the per-cluster entry point, with members in any order and repeated
         for m, price in zip(clusters, expected):
             members = np.flatnonzero(assignment == m)
@@ -249,7 +251,7 @@ class TestSampleRows:
         for call in (
             lambda v: ops.utilities(x, v),
             lambda v: ops.assign(v, x[None]),
-            lambda v: ops.best_representatives(v, np.zeros(5, dtype=int), [0]),
+            lambda v: ops.best_representatives(v, [np.arange(5)]),
             ops.perfect_decisions,
         ):
             with pytest.raises(DimensionError, match="sample rows have shape"):
