@@ -86,7 +86,10 @@ def _best_representatives(ops: MetricOps, values, groups, clusters, memo: dict |
     representative depends on its members alone). The misses are solved in one call; a
     SolverError names its cluster, and a failed call memoizes nothing. Logs one DEBUG record."""
     known = {} if memo is None else memo
-    keys = [members.tobytes() for members in groups]
+    # the narrowest type that holds every row index of the run: one width for every key,
+    # so that the keys of two member sets differ whenever the sets do
+    width = np.min_scalar_type(len(values) - 1)
+    keys = [members.astype(width).tobytes() for members in groups]
     missing = [i for i, key in enumerate(keys) if key not in known]
     if missing:
         try:

@@ -103,28 +103,33 @@ def _norms(loads: np.ndarray, params: PcsParams) -> np.ndarray:
 # Feasible set
 # ---------------------------------------------------------------------------
 
-#: Rows per block of _levels: bounds its (rows, 2T, T) fill table to about 10 MB at T = 24.
-_FILL_ROWS = 1024
-
-
 def _levels(points, v, g, x_max: float, need: float) -> np.ndarray:
     """Per row n, the lowest level lam whose fill sum_t clip(lam / v_t - g_nt, 0, x_max)
     meets ``need`` (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3). The fill is
-    monotone and piecewise linear in lam, so lam is interpolated exactly between the
-    row's sorted breakpoints ``points[n]``; it is the last one when rounding leaves even
-    the full box a hair short."""
-    lam = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], _FILL_ROWS):
-        pts, gs = points[s : s + _FILL_ROWS], g[s : s + _FILL_ROWS]
-        fills = np.clip(pts[:, :, None] / v - gs[:, None, :], 0.0, x_max).sum(axis=2)
-        i = np.clip((fills < need).sum(axis=1), 1, pts.shape[1] - 1)
-        r = np.arange(pts.shape[0])
-        lo, hi, flo, fhi = pts[r, i - 1], pts[r, i], fills[r, i - 1], fills[r, i]
-        rise = fhi > flo
-        lam[s : s + _FILL_ROWS] = np.where(
-            rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi
-        )
-    return lam
+    monotone and piecewise linear in lam, so lam is interpolated exactly between the two
+    of the row's sorted breakpoints ``points[n]`` that bracket ``need``; it is the last one
+    when rounding leaves even the full box a hair short.
+
+    The bracket is found by bisection over the sorted breakpoints: about log2(2T) + 2
+    fill evaluations, each one (n, T) pass, so O(n T log T) work in all. The computed fill
+    is monotone along the sorted breakpoints even under rounding (division, subtraction,
+    clip and pairwise addition are each monotone), so bisection finds the bracket that
+    evaluating the fill at every breakpoint would, with the same bits."""
+    rows = np.arange(points.shape[0])
+
+    def fill(i):
+        return np.clip(points[rows, i][:, None] / v - g, 0.0, x_max).sum(axis=1)
+
+    # below counts the breakpoints 1 .. last - 1 whose fill is short of need (a prefix: the
+    # fill is monotone), so below + 1 is the first one from 1 on that meets need, or the last
+    last = points.shape[1] - 1
+    below = np.zeros(rows.size, dtype=np.intp)
+    for step in 1 << np.arange((last - 1).bit_length())[::-1]:
+        i = np.minimum(below + step, last - 1)
+        below = np.where(fill(i) < need, i, below)
+    lo, hi, flo, fhi = points[rows, below], points[rows, below + 1], fill(below), fill(below + 1)
+    rise = fhi > flo
+    return np.where(rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi)
 
 
 def project_feasible(y, params: PcsParams) -> np.ndarray:
@@ -302,9 +307,16 @@ class _Stack:
     cluster programs derive from it. A row vector of either program is one flat array
     (the epigraph LP) or one (k, 2T + 1) array (the finite-p program); each program
     reduces one per cluster (``reduce``), combines (k,) per-cluster values a with one,
-    v, by a ufunc (``spread(ufunc, a, v)``: ufunc(a_i, v) on cluster i's entries),
-    spreads per-cluster values over the parts of its point z (``spread_parts``), and
-    selects the entries of chosen clusters of z and of a row vector (``select``)."""
+    v, by a ufunc in place (``spread(ufunc, a, v)``: ufunc(a_i, v) on cluster i's
+    entries), spreads per-cluster values over the parts of its point z
+    (``spread_parts``), and selects the entries of chosen clusters of z and of a row
+    vector (``select``).
+
+    The row vectors of a step live in buffers shaped like the right-hand side b, made
+    once per stack (``make_buffers``): ``buffers`` for the values that ``_step`` keeps
+    through a step, and ``scratch`` for a value that lives within one pass. A stack
+    holds all its members' rows at once, so a fresh temporary per operation would be
+    several (N, T) allocations per step, each on pages the allocator maps anew."""
 
     def __init__(self, G: np.ndarray, counts: np.ndarray, params: PcsParams):
         self.G, self.counts, self.params = G, counts, params
@@ -353,15 +365,20 @@ class _Stack:
         depend on the rest of its stack."""
         return self.row_products(a, self.ones)
 
-    def loads(self, wx: np.ndarray, order: str = "C") -> np.ndarray:
-        """The weighted loads w (x_m + g_n) of every member n, for the clusters' w x_m in (k, T) wx."""
-        out = np.empty(self.G.shape, order=order)
+    def loads(self, wx: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The weighted loads w (x_m + g_n) of every member n, for the clusters' w x_m in
+        (k, T) wx, into (N, T) ``out``."""
         for i, members in enumerate(self.slices):
             np.add(self.wg[members], wx[i], out=out[members])
         return out
 
+    def make_buffers(self):
+        """The step's buffers, shaped like b and made in one allocation: seven that
+        ``_step`` keeps through a step, and ``scratch``."""
+        *self.buffers, self.scratch = np.empty((8,) + self.b.shape)
+
     def subset(self, keep: np.ndarray):
-        """The same program over the clusters marked ``keep``."""
+        """The same program over the clusters marked ``keep``, with its own buffers."""
         return type(self)(self.G[keep[self.owner]], self.counts[keep], self.params)
 
 
@@ -403,6 +420,7 @@ class _EpigraphLP(_Stack):
         self.sizes = counts * self.T + 2 * self.T + 1
         # each cluster's epigraph rows and its energy and box rows are two contiguous segments
         self.segments = np.concatenate([self.starts * self.T, G.size + np.arange(self.k) * (2 * self.T + 1)])
+        self.make_buffers()
 
     def split(self, v: np.ndarray):
         nt = self.G.size
@@ -413,14 +431,13 @@ class _EpigraphLP(_Stack):
         return ufunc(both[: self.k], both[self.k :])
 
     def spread(self, ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """ufunc(a_i, v) on each cluster i's entries of the row vector v: one scalar op per
-        cluster's epigraph rows, one broadcast over the energy and box rows."""
-        out = np.empty_like(v)
-        (epi, bounds), (epi_out, bounds_out) = self.split(v), self.split(out)
+        """ufunc(a_i, v) on each cluster i's entries of the row vector v, in place: one scalar
+        op per cluster's epigraph rows, one broadcast over the energy and box rows."""
+        epi, bounds = self.split(v)
         for i, members in enumerate(self.slices):
-            ufunc(a[i], epi[members], out=epi_out[members])
-        ufunc(a[:, None], bounds, out=bounds_out)
-        return out
+            ufunc(a[i], epi[members], out=epi[members])
+        ufunc(a[:, None], bounds, out=bounds)
+        return v
 
     def spread_parts(self, a: np.ndarray):
         return a[:, None], a[self.owner]
@@ -429,9 +446,8 @@ class _EpigraphLP(_Stack):
         rows = self.spread(np.logical_and, keep, np.ones(self.b.size, dtype=bool))
         return keep, keep[self.owner], rows
 
-    def rows(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The product A (x, s)."""
-        out = np.empty(self.b.size)
+    def rows(self, x: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The product A (x, s), into the row vector ``out``."""
         epi, bounds = self.split(out)
         wx = self.w * x
         for i, members in enumerate(self.slices):
@@ -458,7 +474,8 @@ class _EpigraphLP(_Stack):
         epi, bounds = self.split(d)
         T = self.T
         sigma = self.row_sums(epi)
-        coupling = self.gram(epi * (1.0 / np.sqrt(sigma))[:, None])
+        scaled = np.multiply(epi, (1.0 / np.sqrt(sigma))[:, None], out=self.split(self.scratch)[0])
+        coupling = self.gram(scaled)
         _diagonal(coupling)[:] = 0.0
         schur = -(self.w[:, None] * coupling * self.w)
         _diagonal(schur)[:] = self.w**2 * coupling.sum(axis=2) + bounds[:, 1 : T + 1] + bounds[:, T + 1 :]
@@ -479,13 +496,17 @@ class _EpigraphLP(_Stack):
 
     def start(self):
         """Mehrotra's starting point: least-squares primal, least-norm dual, shifted inside."""
-        unit = self.factor(np.ones(self.b.size))
+        ones = self.buffers[0]  # free until the first step
+        ones.fill(1.0)
+        unit = self.factor(ones)
         x, s = self.solve(unit, *self.cols(self.b))
-        y = self.rows(*self.solve(unit, np.zeros((self.k, self.T)), np.ones(self.G.shape[0])))
-        r = self.rows(x, s) - self.b
-        r = self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, r), 0.0), r)
-        y = self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, y), 0.0), y)
-        ry = self.reduce(np.add, r * y)
+        dual = self.solve(unit, np.zeros((self.k, self.T)), np.ones(self.G.shape[0]))
+        y = self.rows(*dual, np.empty_like(self.b))
+        r = self.rows(x, s, np.empty_like(self.b))
+        r -= self.b
+        self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, r), 0.0), r)
+        self.spread(np.add, np.maximum(-1.5 * self.reduce(np.minimum, y), 0.0), y)
+        ry = self.reduce(np.add, np.multiply(r, y, out=self.scratch))
         shift_r, shift_y = 0.5 * ry / self.reduce(np.add, y), 0.5 * ry / self.reduce(np.add, r)
         return (x, s), self.spread(np.add, shift_r, r), self.spread(np.add, shift_y, y)
 
@@ -498,12 +519,14 @@ class _EpigraphLP(_Stack):
         is never negative, and counts as zero (see _IPM_ZERO) when tiny.
         """
         # column-major loads: their row maxima are a fast reduction
-        peaks = self.sums(self.loads(self.w * x, order="F").max(axis=1))
+        loads = self.loads(self.w * x, self.scratch[: self.G.size].reshape(self.T, -1).T)
+        peaks = self.sums(loads.max(axis=1))
         epi = self.split(y)[0]
         scale = 1.0 / self.row_sums(epi)
         prices = np.sort(self.w * self.weighted_sums(scale, epi), axis=1)
         # row-wise sums, not a (k, T) product, which rounds a row by its place in the stack
-        bound = self.sums(scale * self.row_sums(epi * self.wg)) + (prices * self.fills).sum(axis=1)
+        priced = np.multiply(epi, self.wg, out=self.split(self.scratch)[0])
+        bound = self.sums(scale * self.row_sums(priced)) + (prices * self.fills).sum(axis=1)
         return _relative(peaks - bound, peaks, self.zero)
 
 
@@ -521,13 +544,14 @@ class _NormSum(_Stack):
         self.p, self.x_max = params.p, params.x_max
         self.b = _bound_row_vector(params, self.k)
         self.sizes = 2 * self.T + 1
+        self.make_buffers()
         self.known = None, None  # the last certified points and their derivatives
 
     def reduce(self, ufunc, v: np.ndarray) -> np.ndarray:
         return ufunc.reduce(v, axis=1)
 
     def spread(self, ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return ufunc(a[:, None], v)
+        return ufunc(a[:, None], v, out=v)
 
     def spread_parts(self, a: np.ndarray):
         return (a[:, None],)
@@ -543,8 +567,8 @@ class _NormSum(_Stack):
             out.known = x[keep], (value[keep], grad[keep], diagonal[keep], rows[keep[self.owner]])
         return out
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        return _bound_rows(x, np.empty((self.k, 2 * self.T + 1)))
+    def rows(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _bound_rows(x, out)
 
     def cols(self, y: np.ndarray):
         return (_bound_cols(y),)
@@ -555,7 +579,7 @@ class _NormSum(_Stack):
         diagonal and the member rows sqrt((p-1)/N_n) a_n. Here u_n = W(x + g_n) and
         N_n = ||u_n||_p; a member with N_n = 0 contributes nothing (0 lies in its
         subdifferential there)."""
-        u = self.loads(self.w * x)
+        u = self.loads(self.w * x, np.empty(self.G.shape))
         norms = self.row_sums(u**self.p) ** (1.0 / self.p)
         inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         ratio = u * inverse[:, None]
@@ -584,7 +608,8 @@ class _NormSum(_Stack):
         every slot; duals y = mu / r that answer the gradient there on average. None when
         rounding leaves x no positive slack (E is T x_max to rounding)."""
         x = np.full((self.k, self.T), 0.5 * (self.params.energy / self.T + self.x_max))
-        r = self.rows(x) - self.b
+        r = self.rows(x, np.empty_like(self.b))
+        r -= self.b
         if r.min() <= 0:
             return None
         y = (self.derivatives(x)[1].mean(axis=1) * r.mean(axis=1))[:, None] / r
@@ -603,7 +628,7 @@ class _NormSum(_Stack):
 def _step_length(problem, inverse: np.ndarray, dv: np.ndarray, fraction: float) -> np.ndarray:
     """Per cluster, min(1, fraction * alpha) for the largest alpha with v + alpha dv >= 0,
     given v > 0 as ``inverse`` = 1 / v (alpha is inf when no entry decreases)."""
-    fall = -problem.reduce(np.minimum, dv * inverse)
+    fall = -problem.reduce(np.minimum, np.multiply(dv, inverse, out=problem.scratch))
     return fraction / np.maximum(fall, fraction)
 
 
@@ -611,49 +636,60 @@ def _step(problem, z, r: np.ndarray, y: np.ndarray):
     """One predictor-corrector step (Mehrotra, SIAM J. Optim. 2(4), 1992) on every
     cluster of the stack ``min f(z)  s.t.  A z - r = b, r >= 0`` with duals y >= 0; z is
     a tuple of parts. Each cluster has its own centering target and step lengths, as if
-    it were solved alone."""
-    rp = problem.rows(*z)  # primal residual A z - r - b
+    it were solved alone. The row vectors live in the stack's buffers, and r and y are
+    updated in place."""
+    rp, inv_r, inv_y, d, d_rp, rc, dr = problem.buffers
+    scratch = problem.scratch
+    problem.rows(*z, rp)  # primal residual A z - r - b
     rp -= r
     rp -= problem.b
-    inv_r, inv_y = 1.0 / r, 1.0 / y
-    d = y * inv_r
+    np.divide(1.0, r, out=inv_r)
+    np.divide(1.0, y, out=inv_y)
+    np.multiply(y, inv_r, out=d)
     rd, factored = problem.linearize(z, y, d)
-    d_rp = d * rp
+    np.multiply(d, rp, out=d_rp)
 
-    def newton(rc):
+    def newton():
         # move the residuals to zero and the products r*y by rc:
-        # (grad^2 f + A'DA) dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr
-        rc_r = rc * inv_r
-        dz = problem.solve(factored, *(a + b for a, b in zip(rd, problem.cols(rc_r - d_rp))))
-        dr = problem.rows(*dz)
-        dr += rp
-        return dz, dr, rc_r - d * dr
+        # (grad^2 f + A'DA) dz = rd + A'(rc/r - d rp), dr = A dz + rp, dy = rc/r - d dr;
+        # dr goes to its buffer, and dy replaces rc
+        np.multiply(rc, inv_r, out=rc)
+        np.subtract(rc, d_rp, out=scratch)
+        dz = problem.solve(factored, *(a + b for a, b in zip(rd, problem.cols(scratch))))
+        np.add(problem.rows(*dz, dr), rp, out=dr)
+        np.subtract(rc, np.multiply(d, dr, out=scratch), out=rc)
+        return dz
 
-    def reach(dr, dy, fraction=_IPM_STEP):
-        return _step_length(problem, inv_r, dr, fraction), _step_length(problem, inv_y, dy, fraction)
+    def reach(fraction=_IPM_STEP):
+        return _step_length(problem, inv_r, dr, fraction), _step_length(problem, inv_y, rc, fraction)
 
-    ry = r * y
-    total = problem.reduce(np.add, ry)
-    _, dr, dy = newton(-ry)
-    ap, ad = reach(dr, dy, 1.0)
-    drdy = dr * dy
+    total = problem.reduce(np.add, np.multiply(r, y, out=rc))
+    np.negative(rc, out=rc)
+    newton()
+    ap, ad = reach(1.0)
     # the sum of the products (r + ap dr)(y + ad dy), expanded
-    moved = total + ap * problem.reduce(np.add, dr * y) + ad * problem.reduce(np.add, r * dy)
+    moved = total + ap * problem.reduce(np.add, np.multiply(dr, y, out=scratch))
+    moved += ad * problem.reduce(np.add, np.multiply(r, rc, out=scratch))
+    drdy = np.multiply(dr, rc, out=dr)
     moved += ap * ad * problem.reduce(np.add, drdy)
-    rc = problem.spread(np.subtract, total / problem.sizes * (moved / total) ** 3, ry)
+    # the corrector's target: the centering term less the products r*y (made again, in
+    # place of dy) and the predictor's dr*dy
+    problem.spread(np.subtract, total / problem.sizes * (moved / total) ** 3, np.multiply(r, y, out=rc))
     rc -= drdy
-    del ry, dr, dy, drdy  # free the predictor's arrays: a stack holds all its members' rows at once
-    dz, dr, dy = newton(rc)
-    ap, ad = reach(dr, dy)
-    primal = problem.spread_parts(ap)
-    z = tuple(a + s * b for a, s, b in zip(z, primal, dz))
-    return z, r + problem.spread(np.multiply, ap, dr), y + problem.spread(np.multiply, ad, dy)
+    dz = newton()
+    ap, ad = reach()
+    z = tuple(a + s * b for a, s, b in zip(z, problem.spread_parts(ap), dz))
+    r += problem.spread(np.multiply, ap, dr)
+    y += problem.spread(np.multiply, ad, rc)
+    return z, r, y
 
 
 def _drop(problem, state, keep: np.ndarray):
-    """The stack and its iterate restricted to the clusters marked ``keep``."""
+    """The stack and its iterate restricted to the clusters marked ``keep``. The old
+    stack's buffers go first, so that two stacks' buffers are never held at once."""
     *parts, rows = problem.select(keep)
     z, r, y = state
+    del problem.buffers, problem.scratch
     return problem.subset(keep), (tuple(a[m] for a, m in zip(z, parts)), r[rows], y[rows])
 
 
@@ -711,7 +747,9 @@ def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
     over x alone (``_NormSum``) at finite p. The members sit in one (N, T) array,
     sorted by cluster, and each iteration factors the clusters' T x T Newton matrices
     as one (k, T, T) stack, so an iteration costs a few passes over the members and a
-    few stacked operations. Each cluster keeps its own step lengths and leaves the
+    few stacked operations. Its row vectors go into buffers made once per stack (and
+    anew when certified clusters leave it), so a step allocates no member-sized array
+    at p = inf. Each cluster keeps its own step lengths and leaves the
     stack once its iterate's projection onto the feasible set is
     certified (by the LP dual at p = inf, by the Frank-Wolfe gap at finite p) within
     a relative _IPM_TOL, so each returned profile is feasible and within _IPM_TOL
@@ -770,7 +808,8 @@ def perfect_decisions_pcs(values, params: PcsParams) -> np.ndarray:
         x[:, pos] = 0.0
         return x
     vp, gp = v[pos], G[:, pos]
-    points = np.sort(np.concatenate([vp * gp, vp * (gp + params.x_max)], axis=1), axis=1)
+    points = np.concatenate([vp * gp, vp * (gp + params.x_max)], axis=1)
+    points.sort(axis=1)
     # lam / v may overflow for tiny weights; the clip to x_max absorbs it
     with np.errstate(over="ignore"):
         lam = _levels(points, vp, gp, params.x_max, need)

@@ -159,6 +159,19 @@ def grid_min_pcs(members_values, weights, p, energy, x_max, step=0.01):
     return best_obj, np.asarray(best_x)
 
 
+def table_levels(points, v, g, x_max, need):
+    """Water-fill levels by the table search: the fill sum_t clip(lam / v_t - g_nt, 0, x_max)
+    of every row n at every one of its sorted breakpoints ``points[n]`` at once, through an
+    (n, 2T, T) table, then the same interpolation in the bracketing pair as
+    ``dmoc.pcs._levels``, which it pins bit for bit."""
+    fills = np.clip(points[:, :, None] / v - g[:, None, :], 0.0, x_max).sum(axis=2)
+    i = np.clip((fills < need).sum(axis=1), 1, points.shape[1] - 1)
+    r = np.arange(points.shape[0])
+    lo, hi, flo, fhi = points[r, i - 1], points[r, i], fills[r, i - 1], fills[r, i]
+    rise = fhi > flo
+    return np.where(rise, lo + (need - flo) * (hi - lo) / np.where(rise, fhi - flo, 1.0), hi)
+
+
 def maximize_1d(fun, lo, hi, points=401, rounds=5):
     """Iterated-zoom grid maximizer; robust to kinks, accurate to ~(hi-lo)*1e-10."""
     for _ in range(rounds):

@@ -601,6 +601,18 @@ class TestRepresentativeMemo:
             out = self.solve(ops, data.values, moved, np.array([0, 1, 2]), memo)
         assert out.shape == (3, 24)
 
+    def test_keys_share_one_width(self):
+        # with 300 rows every key is uint16: the set {256} and the set {0, 1} would have the
+        # same bytes if each key took the narrowest type of its own largest index
+        data = gen_synthetic_pcs(archetypes=3, n_slots=24, n_samples=300, seed=24)
+        ops, memo = metric_ops(self.SPEC), {}
+        assignment = np.full(300, 2)
+        assignment[256], assignment[[0, 1]] = 0, 1
+        out = self.solve(ops, data.values, assignment, np.array([0, 1]), memo)
+        assert len([key for key in memo if isinstance(key, bytes)]) == 2
+        assert all(len(key) == 2 * n for key, n in zip(memo, (1, 2)))
+        np.testing.assert_array_equal(out[1], self.solve(ops, data.values, assignment, np.array([1]))[0])
+
     def test_pricing_runs_reuse_the_sweep_memo(self, caplog):
         # a pricing representative depends on its members alone: a second run through the
         # first run's memo solves nothing and returns the bits of a run without one

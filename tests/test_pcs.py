@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     pcs_cluster_objective,
     peak_descent_representative,
     subgradient_representative,
+    table_levels,
 )
 
 
@@ -750,6 +752,46 @@ class TestStackedSolve:
         assert err.value.cluster == 1
 
 
+class TestLevels:
+    """The bisected water-fill level against the table search, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_levels_equal_the_table_search(self, data):
+        t = data.draw(st.integers(2, 30), label="T")
+        n = data.draw(st.integers(1, 6), label="rows")
+        x_max = data.draw(st.sampled_from([1.0, 3.0]) | st.floats(0.1, 4.0), label="x_max")
+        # zeros and ties among the entries give coinciding breakpoints
+        entry = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0)
+        g = np.array(data.draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=n, max_size=n)))
+        kind = data.draw(st.sampled_from(["projection", "weights", "tiny"]), label="v")
+        if kind == "projection":
+            # project_feasible's unit-weight fill of g = -y, with breakpoints max(-y, 0) and max(x_max - y, 0)
+            y = g - data.draw(st.floats(0.0, 5.0), label="shift")
+            v, g = np.ones(t), -y
+            points = np.concatenate([np.maximum(-y, 0.0), np.maximum(x_max - y, 0.0)], axis=1)
+        else:
+            # perfect_decisions_pcs's v = w^(p/(p-1)) in [tiny, 1]; lam / v overflows for the tiny ones
+            small = st.sampled_from([np.finfo(float).tiny, 1e-307, 1e-300]) if kind == "tiny" else st.nothing()
+            v = np.array(data.draw(st.lists(small | st.floats(1e-3, 1.0), min_size=t, max_size=t), label="v"))
+            points = np.concatenate([v * g, v * (g + x_max)], axis=1)
+        points.sort(axis=1)
+        where = data.draw(st.sampled_from(["inside", "breakpoint", "above"]), label="need")
+        if where == "inside":
+            need = data.draw(st.floats(0.0, 1.0), label="fill") * t * x_max
+        elif where == "breakpoint":
+            # exactly the fill of row 0 at one of its breakpoints
+            j = data.draw(st.integers(0, 2 * t - 1), label="breakpoint")
+            with np.errstate(over="ignore"):
+                need = float(np.clip(points[0, j] / v - g[0], 0.0, x_max).sum())
+        else:
+            need = t * x_max * data.draw(st.sampled_from([1.0 + 2.0**-52, 1.5]), label="excess")
+        with np.errstate(over="ignore"):
+            lam = pcs._levels(points, v, g, x_max, need)
+            expected = table_levels(points, v, g, x_max, need)
+        np.testing.assert_array_equal(lam, expected)
+
+
 class TestPerfectDecision:
     def test_flat_profile_spreads_uniformly(self):
         p = params(n_slots=4, energy=4.0, x_max=2.0)
@@ -929,3 +971,34 @@ class TestWaterFill:
         x = pcs.perfect_decisions_pcs(np.array([g]), p)[0]
         assert np.all(x >= 0.0) and np.all(x <= x_max)
         assert x.sum() >= p.energy - 1e-9
+
+
+class TestMemoryBounds:
+    """Traced peaks of the large-N calls (tracemalloc sees numpy's data), in multiples of the
+    bytes of the rows they are given."""
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return gen_synthetic_pcs(n_samples=4000, seed=0).values
+
+    def test_perfect_decisions(self, values):
+        # 6.3x measured: each fill evaluation of the level search is one (n, T) pass, where a
+        # (rows, 2T, T) table per 1,024 rows reached 29.3x
+        p = params(n_slots=24, energy=30.0, x_max=3.0)
+        assert self.traced_peak(lambda: pcs.perfect_decisions_pcs(values, p)) <= 8 * values.nbytes
+
+    @pytest.mark.parametrize("clusters", [[range(4000)], [range(2667), range(2667, 4000)]], ids=["one", "two"])
+    def test_interior_point(self, values, clusters):
+        # 12.4x measured, one or two clusters: the step's buffers are made once per stack, and
+        # a stack's are let go before a smaller stack makes its own
+        p = params(n_slots=24, energy=30.0, x_max=3.0)
+        assert self.traced_peak(lambda: pcs.solve_representative(values, clusters, p)) <= 16 * values.nbytes
