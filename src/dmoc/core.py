@@ -94,6 +94,24 @@ def as_decisions(decisions, length: int | None = None, *, name: str = "decision"
     return x
 
 
+def _member_rows(members: np.ndarray, n_rows: int, cluster: int) -> np.ndarray:
+    """A nonempty 1-D array of cluster ``cluster``'s member indices as ``intp`` rows,
+    checked to be integers in [0, n_rows): negative indices would wrap around and
+    fractional ones be truncated."""
+    if members.dtype.kind in "iu":
+        if members.min() >= 0 and members.max() < n_rows:
+            return members.astype(np.intp, copy=False)
+        bad = (members < 0) | (members >= n_rows)
+    else:
+        f = members.astype(float)
+        bad = ~((f >= 0) & (f < n_rows) & (f == np.floor(f)))
+        if not bad.any():
+            return f.astype(np.intp)
+    raise DmocError(
+        f"cluster {cluster}: member index {members[bad][0]} is not an integer row index in [0, {n_rows})"
+    )
+
+
 #: Floats in one block of a row-blocked kernel (64 KB). Temporaries this small stay
 #: below glibc's default 128 KB mmap threshold, so each call reuses heap memory
 #: instead of faulting in fresh pages.

@@ -23,11 +23,9 @@ neighbours there change a rounding, and a sweep's memo of member sets returns wh
 fresh solve would. The engine, not the route, decides which clusters reach a solve
 and whether a solve replaces a representative.
 
-``epigraph_lp_representative`` solves the same p = inf LP with HiGHS. It is the
-reference solver, imported on use: no route calls it, and scipy is needed only
-by it (the test suite cross-checks it and the interior point against an
-independent projected gradient descent on a softmax-smoothed peak, in
-``tests/oracles.py``).
+The package has no other solver: the test suite checks the p = inf route against
+the same epigraph LP solved by HiGHS and against a projected gradient descent on a
+softmax-smoothed peak, both in ``tests/oracles.py``.
 
 A single sample's decision (perfect decisions, k-means centroid decisions,
 empty-cluster repair, random starts) needs no solver: for p > 1 it is the
@@ -52,6 +50,7 @@ from .core import (
     MetricOps,
     PcsParams,
     SolverError,
+    _member_rows,
     as_decisions,
     as_vector,
     row_blocks,
@@ -164,14 +163,14 @@ def project_feasible(y, params: PcsParams) -> np.ndarray:
 def _stacked_members(data, member_indices):
     """The members of each cluster of ``member_indices`` (each sorted), stacked cluster
     by cluster into one (N, T) array, and the (k,) member counts."""
-    groups = [np.asarray(members, dtype=int) for members in member_indices]
+    values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
+    groups = [np.asarray(members) for members in member_indices]
     for i, members in enumerate(groups):
         if members.ndim != 1:
             raise DimensionError(f"cluster {i}: member indices must be one sequence of rows per cluster")
         if members.size == 0:
             raise EmptyClusterError(f"cluster {i}: an empty cluster has no representative", cluster=i)
-    groups = [np.sort(members) for members in groups]
-    values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
+        groups[i] = np.sort(_member_rows(members, values.shape[0], i))
     return values[np.concatenate(groups)], np.array([members.size for members in groups])
 
 
@@ -197,52 +196,12 @@ def cheapest_slot_schedule(params: PcsParams) -> np.ndarray:
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
-    """``scipy.optimize.linprog``, imported on the first call so that importing
-    dmoc does not import scipy. A module-level name, so that tests and the
-    benchmark tracer (``perfbench/tracing.py``) can wrap it."""
+    """``scipy.optimize.linprog``, imported on the first call. No route calls it: it is
+    kept only because the benchmark tracer (``perfbench/tracing.py``) wraps it for its
+    ``pcs.lp_*`` spans, and goes when the tracer is retargeted (ROADMAP item 4)."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
-
-
-def epigraph_lp_representative(data, member_indices, params: PcsParams) -> np.ndarray:
-    """Reference solver at p = inf: minimize sum_n t_n with w_tau(x + g_n) <= t_n.
-
-    Variables are (x, t_1..t_n). Nonnegative data lets the absolute values in
-    the norm be dropped from the epigraph constraints. Solved with HiGHS, so
-    it needs scipy; no solver route calls it.
-    """
-    from scipy import sparse
-
-    if params.p != math.inf:
-        raise ValueError("the epigraph LP applies only at p = inf")
-    G = _stacked_members(data, [member_indices])[0]
-    n, T = G.shape
-    w = params.weights
-
-    # epigraph rows: w_tau * x_tau - t_n <= -w_tau * g_n,tau
-    rows = np.repeat(np.arange(n * T), 2)
-    cols = np.empty(2 * n * T, dtype=int)
-    vals = np.empty(2 * n * T)
-    tau = np.tile(np.arange(T), n)
-    cols[0::2] = tau
-    vals[0::2] = w[tau]
-    cols[1::2] = T + np.repeat(np.arange(n), T)
-    vals[1::2] = -1.0
-    # energy row: -sum_t x_t <= -E
-    rows = np.concatenate([rows, np.full(T, n * T)])
-    cols = np.concatenate([cols, np.arange(T)])
-    vals = np.concatenate([vals, -np.ones(T)])
-
-    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(n * T + 1, T + n))
-    b_ub = np.concatenate([(-w * G).ravel(), [-params.energy]])
-    c = np.concatenate([np.zeros(T), np.ones(n)])
-    bounds = [(0.0, params.x_max)] * T + [(0.0, None)] * n
-
-    res = linprog(c, A_ub=a_ub.tocsr(), b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise SolverError(f"epigraph LP failed: {res.message}")
-    return np.clip(res.x[:T], 0.0, params.x_max)
 
 
 #: The interior-point method retires a cluster once the certified relative gap of its
@@ -739,20 +698,20 @@ def _solve_stack(G: np.ndarray, counts: np.ndarray, params: PcsParams):
 def solve_representative(data, member_indices, params: PcsParams) -> np.ndarray:
     """Best representative consumption profile of each cluster, from its members alone.
 
-    ``member_indices`` is a sequence of k clusters' member index sequences; the result
-    is (k, T), one row per cluster. At p = 1 each row is the cheapest-slot fill, and
-    at E >= T x_max the full box. For p > 1 the clusters are solved as one stack by
-    Mehrotra's predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992), on
-    the epigraph LP of ``epigraph_lp_representative`` at p = inf and on the program
-    over x alone (``_NormSum``) at finite p. The members sit in one (N, T) array,
-    sorted by cluster, and each iteration factors the clusters' T x T Newton matrices
-    as one (k, T, T) stack, so an iteration costs a few passes over the members and a
-    few stacked operations. Its row vectors go into buffers made once per stack (and
-    anew when certified clusters leave it), so a step allocates no member-sized array
-    at p = inf. Each cluster keeps its own step lengths and leaves the
-    stack once its iterate's projection onto the feasible set is
-    certified (by the LP dual at p = inf, by the Frank-Wolfe gap at finite p) within
-    a relative _IPM_TOL, so each returned profile is feasible and within _IPM_TOL
+    ``member_indices`` is a sequence of k clusters' member index sequences (integer
+    rows of ``data``; any other index raises DmocError); the result is (k, T), one row
+    per cluster. At p = 1 each row is the cheapest-slot fill, and at E >= T x_max the
+    full box. For p > 1 the clusters are solved as one stack by Mehrotra's
+    predictor-corrector method (Mehrotra, SIAM J. Optim. 2(4), 1992), on the epigraph
+    LP (``_EpigraphLP``) at p = inf and on the program over x alone (``_NormSum``) at
+    finite p. The members sit in one (N, T) array, sorted by cluster, and each
+    iteration factors the clusters' T x T Newton matrices as one (k, T, T) stack, so
+    an iteration costs a few passes over the members and a few stacked operations. Its
+    row vectors go into buffers made once per stack (and anew when certified clusters
+    leave it), so a step allocates no member-sized array at p = inf. Each cluster
+    keeps its own step lengths and leaves the stack once its iterate's projection
+    onto the feasible set is certified (by the LP dual at p = inf, by the Frank-Wolfe
+    gap at finite p) within a relative _IPM_TOL, so each returned profile is feasible and within _IPM_TOL
     (at worst _IPM_FLOOR) of its cluster's optimum. A cluster for which the method
     does not get there raises SolverError; ``SolverError.cluster`` is the lowest such
     position in ``member_indices``. Whether a result replaces a cluster's

@@ -28,6 +28,7 @@ from .core import (
     FEASIBILITY_TOL,
     MetricOps,
     RtpParams,
+    _member_rows,
     as_decisions,
     cluster_means,
     logger,
@@ -210,13 +211,14 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
     """Best representative price profile for a cluster.
 
     x*(t) = (a * gbar(t) + alpha*b/(2K)) / (a + alpha/(2K)) where gbar(t) is the
-    cluster-average satisfaction parameter at slot t. Requires a > 0 or b > 0.
+    cluster-average satisfaction parameter at slot t. Requires a > 0 or b > 0, and
+    member indices that are integer rows of ``data`` (DmocError otherwise).
     """
-    members = np.asarray(list(member_indices), dtype=int)
+    members = np.asarray(list(member_indices))
     if members.size == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
     values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
-    rows = sample_rows(values[members], params)
+    rows = sample_rows(values[_member_rows(members, values.shape[0], 0)], params)
     return row_representatives(rows, [np.arange(members.size)], params)[0]
 
 

@@ -1,8 +1,9 @@
 """Independent reference computations used to pin expected values.
 
-These stay deliberately naive (grids, enumeration, finite differences,
-smoothed gradient descent, level subgradient steps, the Lloyd loop as first
-written) and never call the solver paths they are used to check.
+These stay deliberately naive (grids, enumeration, finite differences, the
+epigraph LP with HiGHS, smoothed gradient descent, level subgradient steps,
+the Lloyd loop as first written) and never call the solver paths they are
+used to check: nothing here imports ``dmoc.pcs``.
 """
 
 from __future__ import annotations
@@ -11,11 +12,75 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from dmoc import baselines
-from dmoc.core import Partition, row_blocks, sq_distances
+from dmoc.core import EmptyClusterError, Partition, row_blocks, sq_distances
 from dmoc.engine import _repair_empty
-from dmoc.pcs import project_feasible
+
+
+def project_feasible(y, params):
+    """Euclidean projection of one point y (T,) onto {0 <= x <= x_max, sum(x) >= E}.
+
+    If clip(y, 0, x_max) meets E, it is the projection. Otherwise the projection is
+    clip(y + lam, 0, x_max) at the lam >= 0 where its sum reaches E. That sum is
+    piecewise linear and nondecreasing in lam, with kinks where an entry enters the
+    box (lam = -y_t) and where it caps (lam = x_max - y_t): it is evaluated at every
+    kink at once, and lam solves the one linear segment that reaches E.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.clip(y, 0.0, params.x_max)
+    if x.sum() >= params.energy:
+        return x
+    kinks = np.concatenate([-y, params.x_max - y])
+    lams = np.concatenate([[0.0], np.sort(kinks[kinks > 0.0])])
+    sums = np.clip(y + lams[:, None], 0.0, params.x_max).sum(axis=1)
+    reach = np.nonzero(sums >= params.energy)[0]
+    if not reach.size:  # rounding leaves even the last kink a hair short: the full box
+        return np.clip(y + lams[-1], 0.0, params.x_max)
+    j = reach[0]  # sums[0] < E <= sums[j]
+    lam = lams[j - 1] + (params.energy - sums[j - 1]) * (lams[j] - lams[j - 1]) / (sums[j] - sums[j - 1])
+    return np.clip(y + lam, 0.0, params.x_max)
+
+
+def epigraph_lp_representative(values, member_indices, params):
+    """The p = inf representative of the members ``values[member_indices]`` by HiGHS:
+    minimize sum_n t_n over (x, t_1..t_n) with w_tau (x_tau + g_n,tau) <= t_n,
+    0 <= x <= x_max and sum(x) >= E. Nonnegative data lets the absolute values of the
+    norm be dropped from the epigraph constraints."""
+    if params.p != math.inf:
+        raise ValueError("the epigraph LP applies only at p = inf")
+    members = np.sort(np.asarray(list(member_indices), dtype=int))
+    if members.size == 0:
+        raise EmptyClusterError("an empty cluster has no representative", cluster=0)
+    G = np.atleast_2d(np.asarray(values, dtype=float))[members]
+    n, T = G.shape
+    w = params.weights
+
+    # epigraph rows: w_tau * x_tau - t_n <= -w_tau * g_n,tau
+    rows = np.repeat(np.arange(n * T), 2)
+    cols = np.empty(2 * n * T, dtype=int)
+    vals = np.empty(2 * n * T)
+    tau = np.tile(np.arange(T), n)
+    cols[0::2] = tau
+    vals[0::2] = w[tau]
+    cols[1::2] = T + np.repeat(np.arange(n), T)
+    vals[1::2] = -1.0
+    # energy row: -sum_t x_t <= -E
+    rows = np.concatenate([rows, np.full(T, n * T)])
+    cols = np.concatenate([cols, np.arange(T)])
+    vals = np.concatenate([vals, -np.ones(T)])
+
+    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(n * T + 1, T + n))
+    b_ub = np.concatenate([(-w * G).ravel(), [-params.energy]])
+    c = np.concatenate([np.zeros(T), np.ones(n)])
+    bounds = [(0.0, params.x_max)] * T + [(0.0, None)] * n
+
+    res = linprog(c, A_ub=a_ub.tocsr(), b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"epigraph LP failed: {res.message}")
+    return np.clip(res.x[:T], 0.0, params.x_max)
 
 
 def pcs_cluster_objective(x, members_values, weights, p) -> float:

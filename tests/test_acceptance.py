@@ -21,6 +21,7 @@ from dmoc import baselines, cli, evaluation, pcs, rtp
 from dmoc.data import gen_synthetic_pcs
 
 from oracles import (
+    epigraph_lp_representative,
     grid_min_pcs,
     pcs_cluster_objective,
     peak_descent_representative,
@@ -124,8 +125,10 @@ def test_c03_decomposition_identity():
 
 
 def test_c04_pcs_solver_agreement():
-    """LP vs the smoothed peak descent oracle within 1e-4 relative (100 clusters);
-    LP vs grid within grid resolution (T=2); LP vs valley-filling within 1e-6
+    """The p = inf route (``pcs.solve_representative``) and the LP against each other
+    and the smoothed peak descent oracle: the route feasible and no worse than the LP
+    by 1e-8 relative, the peak descent within 1e-4 relative of both (100 clusters);
+    both within grid resolution of a T=2 grid; both within 1e-6 of valley-filling
     (200 profiles)."""
     rng = np.random.default_rng(33)
     for _ in range(100):
@@ -137,32 +140,45 @@ def test_c04_pcs_solver_agreement():
             x_max=x_max, weights=rng.uniform(0.2, 2.0, size=t),
         ).pcs
         members = rng.uniform(0.0, 3.0, size=(n, t))
-        x_lp = pcs.epigraph_lp_representative(members, range(n), params)
+        x_lp = epigraph_lp_representative(members, range(n), params)
         x_sg = peak_descent_representative(members, params)
+        x_ip = pcs.solve_representative(members, [range(n)], params)[0]
         f_lp = pcs_cluster_objective(x_lp, members, params.weights, math.inf)
         f_sg = pcs_cluster_objective(x_sg, members, params.weights, math.inf)
+        f_ip = pcs_cluster_objective(x_ip, members, params.weights, math.inf)
         assert abs(f_sg - f_lp) / abs(f_lp) <= 1e-4
+        assert pcs.metric_ops(params).feasible(x_ip)
+        # a feasible x is never better than the optimum; HiGHS may miss it by its tolerance
+        assert f_ip - f_lp <= 1e-8 * abs(f_lp) + 1e-12
+        assert abs(f_sg - f_ip) / abs(f_ip) <= 1e-4
 
     for _ in range(15):
         n = int(rng.integers(1, 4))
         w = rng.uniform(0.5, 1.5, size=2)
         params = MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0, weights=w).pcs
         members = rng.uniform(0.0, 3.0, size=(n, 2))
-        x_lp = pcs.epigraph_lp_representative(members, range(n), params)
+        x_lp = epigraph_lp_representative(members, range(n), params)
+        x_ip = pcs.solve_representative(members, [range(n)], params)[0]
         f_lp = pcs_cluster_objective(x_lp, members, w, math.inf)
+        f_ip = pcs_cluster_objective(x_ip, members, w, math.inf)
         f_grid, _ = grid_min_pcs(members, w, math.inf, params.energy, params.x_max)
         assert f_lp <= f_grid + 1e-9
         assert f_grid - f_lp <= 0.01 * n * w.max() + 1e-9
+        assert f_ip <= f_grid * (1 + 1e-8)
+        assert f_grid - f_ip <= 0.01 * n * w.max() + 1e-9
 
     params = MetricSpec.for_pcs(n_slots=6, p=math.inf, energy=5.0, x_max=2.0).pcs
     for _ in range(200):
         g = rng.uniform(0.0, 3.0, size=6)
         wf = pcs.perfect_decisions_pcs(g, params)[0]
-        lp = pcs.epigraph_lp_representative(g[None, :], [0], params)
+        lp = epigraph_lp_representative(g[None, :], [0], params)
+        ip = pcs.solve_representative(g[None, :], [[0]], params)[0]
         f_wf = pcs_cluster_objective(wf, g[None, :], params.weights, math.inf)
         f_lp = pcs_cluster_objective(lp, g[None, :], params.weights, math.inf)
+        f_ip = pcs_cluster_objective(ip, g[None, :], params.weights, math.inf)
         assert abs(f_wf - f_lp) <= 1e-6
-    print("[PASS] C4 LP vs subgradient vs grid vs valley-filling")
+        assert abs(f_wf - f_ip) <= 1e-6
+    print("[PASS] C4 interior point vs LP vs peak descent vs grid vs valley-filling")
 
 
 def test_c05_dominance_and_gap(paper_scale_sweep):

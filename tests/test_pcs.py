@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import dataclasses
 import logging
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -13,6 +15,7 @@ from dmoc.core import (
     BLOCK_FLOATS,
     DataSet,
     DimensionError,
+    DmocError,
     EmptyClusterError,
     MetricSpec,
     Partition,
@@ -22,7 +25,9 @@ from dmoc.core import (
 from dmoc import EngineConfig, cli, pcs, run_dmoc, update_representatives
 from dmoc.data import gen_synthetic_pcs, save_profiles
 
+import oracles
 from oracles import (
+    epigraph_lp_representative,
     finite_difference_gradient,
     grid_min_pcs,
     pcs_cluster_objective,
@@ -148,15 +153,30 @@ class TestCheapestSlot:
         np.testing.assert_array_equal(a, b)
 
 
+class TestOracleIndependence:
+    def test_oracles_import_nothing_from_pcs(self):
+        # the oracles check the scheduling routes, so they must share no code with them
+        imported = set()
+        for node in ast.walk(ast.parse(pathlib.Path(oracles.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""  # a relative import has no module name
+                imported.add(module)
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+        assert "dmoc" in imported  # the walk sees the imports
+        assert not {name for name in imported if name == "dmoc.pcs" or name.startswith("dmoc.pcs.")}
+
+
 class TestEpigraphLP:
     def test_single_member(self):
-        x = pcs.epigraph_lp_representative(np.array([[3.0, 0.0]]), [0], params())
+        x = epigraph_lp_representative(np.array([[3.0, 0.0]]), [0], params())
         np.testing.assert_allclose(x, [0.0, 2.0], atol=1e-9)
         assert pcs_cluster_objective(x, [[3.0, 0.0]], [1.0, 1.0], math.inf) == pytest.approx(3.0)
 
     def test_two_member_objective_matches_grid(self):
         members = np.array([[3.0, 0.0], [0.0, 3.0]])
-        x = pcs.epigraph_lp_representative(members, [0, 1], params())
+        x = epigraph_lp_representative(members, [0, 1], params())
         obj = pcs_cluster_objective(x, members, [1.0, 1.0], math.inf)
         grid_obj, _ = grid_min_pcs(members, [1.0, 1.0], math.inf, 2.0, 2.0)
         assert obj == pytest.approx(8.0, abs=1e-9)
@@ -164,7 +184,7 @@ class TestEpigraphLP:
 
     def test_saturated_energy(self):
         p = params(n_slots=3, energy=6.0, x_max=2.0)
-        x = pcs.epigraph_lp_representative(np.array([[1.0, 0.5, 2.0]]), [0], p)
+        x = epigraph_lp_representative(np.array([[1.0, 0.5, 2.0]]), [0], p)
         np.testing.assert_allclose(x, np.full(3, 2.0), atol=1e-9)
 
     def test_random_t2_instances_match_grid(self):
@@ -174,7 +194,7 @@ class TestEpigraphLP:
             members = rng.uniform(0.0, 3.0, size=(n, 2))
             w = rng.uniform(0.5, 1.5, size=2)
             p = params(weights=w)
-            x = pcs.epigraph_lp_representative(members, range(n), p)
+            x = epigraph_lp_representative(members, range(n), p)
             lp_obj = pcs_cluster_objective(x, members, w, math.inf)
             grid_obj, _ = grid_min_pcs(members, w, math.inf, p.energy, p.x_max)
             assert lp_obj <= grid_obj + 1e-9
@@ -182,11 +202,11 @@ class TestEpigraphLP:
 
     def test_finite_p_rejected(self):
         with pytest.raises(ValueError):
-            pcs.epigraph_lp_representative(np.ones((1, 2)), [0], params(p=2))
+            epigraph_lp_representative(np.ones((1, 2)), [0], params(p=2))
 
     def test_empty_members(self):
         with pytest.raises(EmptyClusterError):
-            pcs.epigraph_lp_representative(np.ones((1, 2)), [], params())
+            epigraph_lp_representative(np.ones((1, 2)), [], params())
 
 
 class TestInteriorPoint:
@@ -199,7 +219,7 @@ class TestInteriorPoint:
         assert pcs.metric_ops(p).feasible(x)
         f = pcs_cluster_objective(x, members, p.weights, math.inf)
         f_lp = pcs_cluster_objective(
-            pcs.epigraph_lp_representative(members, range(n), p), members, p.weights, math.inf
+            epigraph_lp_representative(members, range(n), p), members, p.weights, math.inf
         )
         # a feasible x is never better than the optimum; HiGHS may miss it by its tolerance
         assert f - f_lp <= 1e-8 * abs(f_lp) + 1e-12
@@ -356,6 +376,10 @@ class TestProjection:
                 lo = mid
         np.testing.assert_allclose(x, np.clip(y + hi, 0.0, p.x_max), rtol=0, atol=1e-12 * p.energy)
         assert x.sum() >= p.energy * (1 - 1e-12)
+        # the oracles' own projection, written from the definition, meets the same bisection
+        np.testing.assert_allclose(
+            oracles.project_feasible(y, p), np.clip(y + hi, 0.0, p.x_max), rtol=0, atol=1e-12 * p.energy
+        )
     @given(st.lists(st.floats(-4.0, 6.0), min_size=4, max_size=4))
     @settings(max_examples=200)
     def test_projection_feasible_and_idempotent(self, y):
@@ -517,7 +541,7 @@ class TestSubgradientSolver:
                 x_max=x_max, weights=w,
             )
             members = rng.uniform(0.0, 3.0, size=(n, T))
-            x_lp = pcs.epigraph_lp_representative(members, range(n), p)
+            x_lp = epigraph_lp_representative(members, range(n), p)
             x_sg = peak_descent_representative(members, p)
             f_lp = pcs_cluster_objective(x_lp, members, w, math.inf)
             f_sg = pcs_cluster_objective(x_sg, members, w, math.inf)
@@ -578,7 +602,7 @@ class TestSolveRepresentative:
     def test_warm_start_never_hurts(self):
         p = params(n_slots=3, energy=3.0, x_max=2.0)
         members = np.random.default_rng(4).uniform(0, 3, size=(2, 3))
-        warm = pcs.epigraph_lp_representative(members, [0, 1], p)
+        warm = epigraph_lp_representative(members, [0, 1], p)
         out = update_representatives(
             MetricSpec(kind="pcs", pcs=p), DataSet(members), Partition([0, 0], 1), warm_starts=warm
         )[0]
@@ -586,6 +610,12 @@ class TestSolveRepresentative:
         f_warm = pcs_cluster_objective(warm, members, p.weights, math.inf)
         assert f_out <= f_warm
 
+    @pytest.mark.parametrize("index", [-1, 10, 1.5])
+    def test_member_index_outside_the_rows_rejected(self, index):
+        # a negative index would wrap around to the last rows and 1.5 be truncated to row 1
+        values = np.random.default_rng(5).uniform(0, 3, size=(10, 2))
+        with pytest.raises(DmocError, match=rf"cluster 1: member index {index} is not"):
+            pcs.solve_representative(values, [[0, 1], [2, index]], params())
 
 
 @contextlib.contextmanager
@@ -808,7 +838,7 @@ class TestPerfectDecision:
         for _ in range(30):
             g = rng.uniform(0.0, 3.0, size=6)
             wf = pcs.perfect_decisions_pcs(g, p)[0]
-            lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
+            lp = epigraph_lp_representative(g[None, :], [0], p)
             f_wf = pcs_cluster_objective(wf, g[None, :], p.weights, math.inf)
             f_lp = pcs_cluster_objective(lp, g[None, :], p.weights, math.inf)
             assert abs(f_wf - f_lp) <= 1e-6
@@ -834,7 +864,7 @@ class TestWaterFill:
         x = pcs.perfect_decisions_pcs(values, p)
         assert x.shape == values.shape
         for g, row in zip(values, x):
-            lp = pcs.epigraph_lp_representative(g[None, :], [0], p)
+            lp = epigraph_lp_representative(g[None, :], [0], p)
             f_wf = pcs_cluster_objective(row, g[None, :], p.weights, math.inf)
             f_lp = pcs_cluster_objective(lp, g[None, :], p.weights, math.inf)
             assert abs(f_wf - f_lp) <= 1e-9

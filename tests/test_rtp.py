@@ -363,6 +363,13 @@ class TestClosedFormRepresentative:
         with pytest.raises(ValueError):
             rtp.closed_form_representative(np.ones((1, 1)), [0], params())
 
+    @pytest.mark.parametrize("index", [-1, 10, 1.5])
+    def test_member_index_outside_the_rows_rejected(self, index):
+        # a negative index would wrap around to the last row and 1.5 be truncated to row 1
+        values = np.random.default_rng(5).uniform(2.0, 3.0, size=(10, 2))
+        with pytest.raises(DmocError, match=rf"cluster 0: member index {index} is not"):
+            rtp.closed_form_representative(values, [0, index], params(n_consumers=2, a=0.1, n_slots=1))
+
 
 class TestScenario:
     def test_degenerate_support(self):
