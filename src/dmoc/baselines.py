@@ -21,6 +21,7 @@ from .core import (
     MetricSpec,
     Partition,
     RunTrace,
+    _count,
     _nearest_centers,
     _row_sq_distances,
     as_decisions,
@@ -75,12 +76,12 @@ def kmeans(
     centroids of the clusters that a row entered or left: an untouched cluster's centroid
     is the mean of the same rows, already in the bits a recompute would give. The first
     update, and one after an empty-cluster repair, refreshes every nonempty cluster; a
-    cluster that the repair left empty keeps its re-seeded centroid.
+    cluster that the repair left empty keeps its re-seeded centroid. ``n_clusters`` is
+    an integer in 1..N, ``max_iters`` one >= 1 and ``seed`` one >= 0 (``core._count``).
     """
-    if n_clusters > data.n:
-        raise DmocError(f"n_clusters = {n_clusters} exceeds N = {data.n}")
-    if max_iters < 1:
-        raise DmocError("max_iters must be >= 1")
+    _count(n_clusters, "n_clusters", 1, data.n)
+    _count(max_iters, "max_iters", 1)
+    _count(seed, "seed", 0)
     values = data.values
     rng = np.random.default_rng(seed)
     centroids = (

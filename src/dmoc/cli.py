@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import evaluation, rtp
-from .core import DataFormatError, DataSet, DmocError, MetricSpec, PcsParams, RtpParams, SolverError
+from .core import DataFormatError, DataSet, DmocError, MetricSpec, PcsParams, RtpParams, SolverError, _count
 from .data import format_float, gen_synthetic_pcs, load_profiles, save_profiles, write_csv as _write_csv
 from .engine import EngineConfig
 
@@ -106,10 +106,11 @@ def _path(value, name: str) -> Path:
 
 
 def _integer(value, name: str, least: int) -> int:
-    """An integer setting of at least ``least``; a bool or a float such as 2.0 is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise CliUsageError(f"{name}: expected an integer >= {least}, got {value!r}")
-    return value
+    """An integer setting of at least ``least`` (``core._count``); any other value is a usage error."""
+    try:
+        return _count(value, name, least)
+    except (TypeError, DmocError) as err:
+        raise CliUsageError(str(err)) from None
 
 
 def _engine(max_iters=10, tol=1e-3, init="kmeans"):

@@ -94,22 +94,33 @@ def as_decisions(decisions, length: int | None = None, *, name: str = "decision"
     return x
 
 
-def _member_rows(members: np.ndarray, n_rows: int, cluster: int) -> np.ndarray:
-    """A nonempty 1-D array of cluster ``cluster``'s member indices as ``intp`` rows,
-    checked to be integers in [0, n_rows): negative indices would wrap around and
-    fractional ones be truncated."""
-    if members.dtype.kind in "iu":
-        if members.min() >= 0 and members.max() < n_rows:
-            return members.astype(np.intp, copy=False)
-        bad = (members < 0) | (members >= n_rows)
-    else:
-        f = members.astype(float)
-        bad = ~((f >= 0) & (f < n_rows) & (f == np.floor(f)))
-        if not bad.any():
-            return f.astype(np.intp)
-    raise DmocError(
-        f"cluster {cluster}: member index {members[bad][0]} is not an integer row index in [0, {n_rows})"
-    )
+def _count(value, name: str, least: int, most: int | None = None) -> int:
+    """``value`` as an int in [least, most], else DmocError; a non-integer (a bool, 2.0) raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name}: expected an integer >= {least}, got {value!r}")
+    if value < least:
+        raise DmocError(f"{name}: expected an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise DmocError(f"{name} = {value} exceeds N = {most}")
+    return int(value)
+
+
+def _indices(a, n: int, name: str) -> np.ndarray:
+    """The nonempty 1-D ``a`` as ``intp`` indices, else DmocError naming an entry ``name``: each
+    an integer in [0, n), since a negative one would wrap around and a fraction be truncated."""
+    a = np.asarray(a)
+    exact = a.dtype.kind in "iu"
+    f = a if exact else a.astype(float)
+    bad = (f < 0) | (f >= n) if exact else ~((f >= 0) & (f < n) & (f == np.floor(f)))
+    if not bad.any():
+        return f.astype(np.intp, copy=False)
+    raise DmocError(f"{name} {a[bad][0]} is not an integer in [0, {n})")
+
+
+def _covers(partition: Partition, data: DataSet) -> None:
+    """DimensionError unless ``partition`` assigns exactly the samples of ``data``."""
+    if partition.n != data.n:
+        raise DimensionError(f"partition covers {partition.n} samples, dataset has {data.n}")
 
 
 #: Floats in one block of a row-blocked kernel (64 KB). Temporaries this small stay
@@ -246,7 +257,7 @@ class DataSet:
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of each of N sample indices to one of ``n_clusters`` clusters."""
+    """Assignment of N samples to ``n_clusters`` clusters, integers in [0, n_clusters) (``_indices``)."""
 
     assignment: np.ndarray
     n_clusters: int
@@ -255,19 +266,8 @@ class Partition:
         a = np.asarray(self.assignment)
         if a.ndim != 1 or a.size == 0:
             raise DimensionError("assignment must be a nonempty 1-D index array")
-        if not np.issubdtype(a.dtype, np.integer):
-            ai = a.astype(int)
-            if np.any(ai != a):
-                raise DmocError("assignment entries must be integers")
-            a = ai
-        if self.n_clusters < 1:
-            raise DmocError("n_clusters must be >= 1")
-        if a.min() < 0 or a.max() >= self.n_clusters:
-            raise DmocError(
-                f"assignment entries must lie in [0, {self.n_clusters}), "
-                f"got range [{a.min()}, {a.max()}]"
-            )
-        object.__setattr__(self, "assignment", _freeze(a))
+        n_clusters = _count(self.n_clusters, "n_clusters", 1)
+        object.__setattr__(self, "assignment", _freeze(_indices(a, n_clusters, "assignment entry")))
 
     @property
     def n(self) -> int:
@@ -293,8 +293,8 @@ class RtpParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.n_consumers < 1 or self.n_slots < 1:
-            raise DmocError("n_consumers and n_slots must be >= 1")
+        _count(self.n_consumers, "n_consumers", 1)
+        _count(self.n_slots, "n_slots", 1)
         if not self.alpha > 0:
             raise DmocError("alpha must be > 0")
         if self.a < 0 or self.b < 0:
@@ -320,8 +320,7 @@ class PcsParams:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_slots < 1:
-            raise DmocError("n_slots must be >= 1")
+        _count(self.n_slots, "n_slots", 1)
         if not (self.p == math.inf or (self.p >= 1 and float(self.p).is_integer())):
             raise DmocError(f"p must be a positive integer or inf, got {self.p}")
         if not self.energy > 0:
@@ -535,10 +534,7 @@ def evaluate_utility(spec: MetricSpec, x, g) -> float:
 def total_utility(spec: MetricSpec, result: ClusteringResult, data: DataSet) -> float:
     """Correctly rounded sum (math.fsum) of per-sample utilities at each
     sample's assigned representative; every used representative must be feasible."""
-    if result.partition.n != data.n:
-        raise DimensionError(
-            f"partition covers {result.partition.n} samples, dataset has {data.n}"
-        )
+    _covers(result.partition, data)
     reps = result.representatives
     assignment = result.partition.assignment
     ops = metric_ops(spec)

@@ -25,6 +25,8 @@ from .core import (
     Partition,
     RunTrace,
     SolverError,
+    _count,
+    _covers,
     cluster_members,
     metric_ops,
     prepared_rows,
@@ -42,7 +44,8 @@ class EngineConfig:
     optimal decisions become the starting representatives), "kmeans" (start
     from the conventional-pipeline decisions; ``evaluation.run_schemes``
     resolves it, the engine itself does not run k-means), or an explicit
-    (M, T) array of feasible starting decisions.
+    (M, T) array of feasible starting decisions. ``n_clusters`` and ``max_iters``
+    are integers >= 1 and ``seed`` one >= 0 (``core._count``).
     """
 
     n_clusters: int
@@ -52,10 +55,9 @@ class EngineConfig:
     init: object = "random"
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise DmocError("n_clusters must be >= 1")
-        if self.max_iters < 1:
-            raise DmocError("max_iters must be >= 1")
+        _count(self.n_clusters, "n_clusters", 1)
+        _count(self.max_iters, "max_iters", 1)
+        _count(self.seed, "seed", 0)
         if not self.tol >= 0:
             raise DmocError("tol must be >= 0")
         if isinstance(self.init, str):
@@ -157,11 +159,12 @@ def update_representatives(
 
     ``warm_starts``, if given, holds one feasible decision per cluster; each
     cluster keeps its warm start unless the solve strictly raises the
-    cluster's utility, as in every engine iteration. Raises EmptyClusterError
-    if a cluster has no members, DimensionError or InfeasibleDecisionError for
-    a warm start of the wrong length or outside the constraint set, and
-    SolverError (carrying the cluster index) on solver failure.
+    cluster's utility, as in every engine iteration. Raises DimensionError for a
+    partition of another N (``core._covers``) or a warm start of the wrong length,
+    EmptyClusterError for a cluster with no members, InfeasibleDecisionError for a
+    warm start outside the constraint set, and SolverError (with the cluster) on failure.
     """
+    _covers(partition, data)
     ops = metric_ops(spec)
     if warm_starts is not None:
         warm_starts = require_feasible(ops, warm_starts, partition.n_clusters, name="warm_starts")
@@ -202,8 +205,7 @@ def run_dmoc_ops(
     The same ``memo`` keeps the sweep's representatives by member set
     (``_best_representatives``), so a cluster that recurs in the sweep is solved once.
     """
-    if config.n_clusters > data.n:
-        raise DmocError(f"n_clusters = {config.n_clusters} exceeds N = {data.n}")
+    _count(config.n_clusters, "n_clusters", 1, data.n)
     if isinstance(config.init, str) and config.init == "kmeans":
         raise DmocError(
             "init 'kmeans' is resolved by evaluation.run_schemes; "

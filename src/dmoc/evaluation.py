@@ -17,9 +17,10 @@ import numpy as np
 from .core import (
     ClusteringResult,
     DataSet,
-    DimensionError,
     DmocError,
     MetricSpec,
+    _count,
+    _covers,
     metric_ops,
     prepared_rows,
 )
@@ -84,8 +85,7 @@ def realized_peaks(spec: MetricSpec, result: ClusteringResult, data: DataSet) ->
     """Weighted peak of the total load per sample: max_t w_t (x_{m(n)}(t) + g_n(t))."""
     if spec.kind != "pcs":
         raise DmocError("realized peaks are defined for the scheduling metric")
-    if result.partition.n != data.n:
-        raise DimensionError("result and dataset disagree on N")
+    _covers(result.partition, data)
     x = result.representatives[result.partition.assignment]
     return (spec.pcs.weights * (x + data.values)).max(axis=1)
 
@@ -152,11 +152,11 @@ def loss_curve(
     run, and each distinct cluster is solved once per call. With
     ``jobs > 1`` the values of M execute in a thread pool; results are keyed,
     and a memo hit equals a fresh solve, so the output is identical for any
-    job count.
+    job count. Before any run, each M must be an integer in 1..N, ``seed`` one
+    >= 0 and ``jobs`` one >= 1 (``core._count``).
     """
-    m_values = [int(m) for m in m_values]
-    if max(m_values, default=0) > data.n:
-        raise DmocError(f"n_clusters = {max(m_values)} exceeds N = {data.n}")
+    m_values = [_count(m, "n_clusters", 1, data.n) for m in m_values]
+    seed, jobs = _count(seed, "seed", 0), _count(jobs, "jobs", 1)
     memo = {}
     f_perfect = perfect_objective(spec, data, memo)
 
@@ -193,10 +193,12 @@ def clusters_for_targets(
     ``seed + M``, k-means start) runs the schemes that still have an open
     target, until every target is answered; the runs share one representative
     memo, as in ``loss_curve``. With ``jobs > 1``, M runs in threaded rounds of
-    ``jobs`` values; the answers never depend on jobs.
+    ``jobs`` values; the answers never depend on jobs. ``m_max`` and ``jobs`` are
+    integers >= 1 and ``seed`` one >= 0 (``core._count``); with no target nothing runs.
     """
     if spec.kind != "pcs" or spec.pcs.p != np.inf:
         raise DmocError("the peak-target search requires a pcs spec with p = inf")
+    m_max, jobs, seed = _count(m_max, "m_max", 1), _count(jobs, "jobs", 1), _count(seed, "seed", 0)
 
     def worst_peaks(m):
         config = EngineConfig(
@@ -205,13 +207,12 @@ def clusters_for_targets(
         results = run_schemes(pending, spec, data, config, memo)
         return {s: realized_peaks(spec, r, data).max() for s, r in results.items()}
 
-    found, memo = {}, {}
-    pending = tuple(schemes)
-    step, top = max(jobs, 1), min(m_max, data.n)
-    for first in range(1, top + 1, step):
+    found, memo, top = {}, {}, min(m_max, data.n)
+    pending = tuple(schemes) if len(targets) else ()  # the schemes with an open target
+    for first in range(1, top + 1, jobs):
         if not pending:
             break
-        peaks = fan_out(worst_peaks, range(first, min(first + step, top + 1)), jobs)
+        peaks = fan_out(worst_peaks, range(first, min(first + jobs, top + 1)), jobs)
         for m, peak in peaks.items():
             for s in pending:
                 for t in targets:

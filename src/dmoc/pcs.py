@@ -50,7 +50,7 @@ from .core import (
     MetricOps,
     PcsParams,
     SolverError,
-    _member_rows,
+    _indices,
     as_decisions,
     as_vector,
     row_blocks,
@@ -170,7 +170,7 @@ def _stacked_members(data, member_indices):
             raise DimensionError(f"cluster {i}: member indices must be one sequence of rows per cluster")
         if members.size == 0:
             raise EmptyClusterError(f"cluster {i}: an empty cluster has no representative", cluster=i)
-        groups[i] = np.sort(_member_rows(members, values.shape[0], i))
+        groups[i] = np.sort(_indices(members, values.shape[0], f"cluster {i}: member index"))
     return values[np.concatenate(groups)], np.array([members.size for members in groups])
 
 

@@ -28,7 +28,7 @@ from .core import (
     FEASIBILITY_TOL,
     MetricOps,
     RtpParams,
-    _member_rows,
+    _indices,
     as_decisions,
     cluster_means,
     logger,
@@ -164,7 +164,6 @@ class RtpDerivedConstants:
     a_tilde: float
     kappa: float
     beta: float
-    n_slots: int
 
 
 def derived_constants(params: RtpParams) -> RtpDerivedConstants:
@@ -173,18 +172,18 @@ def derived_constants(params: RtpParams) -> RtpDerivedConstants:
     a_tilde = (K**2 / alpha**2) * (params.a + alpha / (2.0 * K))
     kappa = params.a * K / (alpha**2 * a_tilde)
     beta = params.b * K / (2.0 * alpha * a_tilde)
-    return RtpDerivedConstants(a_tilde=a_tilde, kappa=kappa, beta=beta, n_slots=params.n_slots)
+    return RtpDerivedConstants(a_tilde=a_tilde, kappa=kappa, beta=beta)
 
 
-def _transformed_sums(rows: np.ndarray, params: RtpParams, constants=None) -> np.ndarray:
+def _transformed_sums(rows: np.ndarray, params: RtpParams) -> np.ndarray:
     """kappa * S + beta of the ``sample_rows``, (n, T): the space of the closed-form assignment."""
-    c = derived_constants(params) if constants is None else constants
+    c = derived_constants(params)
     return c.kappa * _row_parts(rows, params)[1] + c.beta
 
 
-def transform_dataset(values, params: RtpParams, constants: RtpDerivedConstants | None = None) -> np.ndarray:
+def transform_dataset(values, params: RtpParams) -> np.ndarray:
     """Affine transform applied row-wise: (N, K*T) -> (N, T), kappa * S + beta."""
-    return _transformed_sums(sample_rows(np.atleast_2d(values), params), params, constants)
+    return _transformed_sums(sample_rows(np.atleast_2d(values), params), params)
 
 
 def row_assignment(rows: np.ndarray, reps, params: RtpParams) -> np.ndarray:
@@ -218,7 +217,7 @@ def closed_form_representative(data, member_indices, params: RtpParams) -> np.nd
     if members.size == 0:
         raise EmptyClusterError("cannot compute a representative for an empty cluster")
     values = data.values if isinstance(data, DataSet) else np.atleast_2d(np.asarray(data, dtype=float))
-    rows = sample_rows(values[_member_rows(members, values.shape[0], 0)], params)
+    rows = sample_rows(values[_indices(members, values.shape[0], "cluster 0: member index")], params)
     return row_representatives(rows, [np.arange(members.size)], params)[0]
 
 

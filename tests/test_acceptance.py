@@ -116,7 +116,7 @@ def test_c03_decomposition_identity():
     constants = rtp.derived_constants(params)
     for _ in range(1000):
         g = rng.uniform(2.0, 3.0, size=20)
-        z = rtp.transform_dataset(g, params, constants=constants)[0]
+        z = rtp.transform_dataset(g, params)[0]
         x1, x2 = rng.uniform(0.0, 1.9, size=(2, 4))
         lhs = rtp.f1_batch(x1, g, params)[0] + constants.a_tilde * ((z - x1) ** 2).sum()
         rhs = rtp.f1_batch(x2, g, params)[0] + constants.a_tilde * ((z - x2) ** 2).sum()

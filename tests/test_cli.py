@@ -516,9 +516,15 @@ class TestExperiment:
             # unquoted 3e1 as the string "3e1")
             (5, synthetic, {}, "metric", "mapping"),
             (metric, 5, {}, "data.synthetic", "mapping"),
-            ({**metric, "n_slots": "4"}, synthetic, {}, "metric (pcs)", "'str'"),
+            ({**metric, "n_slots": "4"}, synthetic, {}, "metric (pcs)", "n_slots"),
             ({**metric, "energy": "3e1", "x_max": 9.0}, synthetic, {}, "metric (pcs)", "'str'"),
             (metric, {**synthetic, "n_samples": "20"}, {}, "data.synthetic (pcs)", ""),  # numpy's message
+            # a count that is not an integer, in either metric (2.5 consumers times 4 slots match
+            # the 10 columns of the pricing data)
+            ({"kind": "rtp", "n_consumers": 2.5, "n_slots": 4, "alpha": 0.5, "a": 0.1},
+             {"kind": "rtp", "n_consumers": 5, "n_slots": 2, "n_samples": 10}, {},
+             "metric (rtp)", "n_consumers: expected an integer >= 1, got 2.5"),
+            ({**metric, "n_slots": 24.0}, synthetic, {}, "metric (pcs)", "n_slots: expected an integer >= 1, got 24.0"),
         )
         configs = [
             ({"metric": m, "engine": e, "data": {"synthetic": d}}, section, named)

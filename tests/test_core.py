@@ -8,6 +8,7 @@ from dmoc import (
     DataSet,
     DimensionError,
     DmocError,
+    EngineConfig,
     InfeasibleDecisionError,
     MetricSpec,
     Partition,
@@ -301,12 +302,28 @@ class TestTypes:
             pytest.param(lambda: core.as_vector([1.0, np.inf]), DmocError, "non-finite", id="vector-inf"),
             pytest.param(lambda: Partition([], 1), DimensionError, "nonempty 1-D", id="partition-empty"),
             pytest.param(lambda: Partition([[0, 1]], 2), DimensionError, "nonempty 1-D", id="partition-2d"),
-            pytest.param(lambda: Partition([0.0, 0.5], 2), DmocError, "must be integers", id="partition-fraction"),
-            pytest.param(lambda: Partition([0], 0), DmocError, "n_clusters must be >= 1", id="partition-no-clusters"),
+            pytest.param(lambda: Partition([0.0, 0.5], 2), DmocError, "assignment entry 0.5 is not an integer",
+                         id="partition-fraction"),
+            pytest.param(lambda: Partition([0, 2], 2), DmocError, r"assignment entry 2 is not an integer in \[0, 2\)",
+                         id="partition-entry-out-of-range"),
+            pytest.param(lambda: Partition([0], 0), DmocError, "n_clusters: expected an integer >= 1, got 0",
+                         id="partition-no-clusters"),
+            pytest.param(lambda: Partition([0, 1], 2.5), TypeError, "n_clusters: expected an integer >= 1, got 2.5",
+                         id="partition-fractional-clusters"),
+            pytest.param(lambda: EngineConfig(n_clusters=2.5), TypeError, "n_clusters: expected an integer >= 1, got 2.5",
+                         id="engine-fractional-clusters"),
+            pytest.param(lambda: EngineConfig(n_clusters=True), TypeError, "n_clusters: expected an integer >= 1, got True",
+                         id="engine-bool-clusters"),
+            pytest.param(lambda: EngineConfig(n_clusters=2, max_iters=2.5), TypeError,
+                         "max_iters: expected an integer >= 1, got 2.5", id="engine-fractional-max-iters"),
+            pytest.param(lambda: EngineConfig(n_clusters=2, seed=-1), DmocError,
+                         "seed: expected an integer >= 0, got -1", id="engine-negative-seed"),
             pytest.param(lambda: RtpParams(n_consumers=0, n_slots=2, alpha=0.5), DmocError,
-                         "n_consumers and n_slots", id="rtp-no-consumers"),
+                         "n_consumers: expected an integer >= 1, got 0", id="rtp-no-consumers"),
             pytest.param(lambda: RtpParams(n_consumers=2, n_slots=0, alpha=0.5), DmocError,
-                         "n_consumers and n_slots", id="rtp-no-slots"),
+                         "n_slots: expected an integer >= 1, got 0", id="rtp-no-slots"),
+            pytest.param(lambda: RtpParams(n_consumers=2.5, n_slots=2, alpha=0.5), TypeError,
+                         "n_consumers: expected an integer >= 1, got 2.5", id="rtp-fractional-consumers"),
             pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.0), DmocError,
                          "alpha must be > 0", id="rtp-alpha"),
             pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.5, a=-0.1), DmocError,
@@ -314,7 +331,9 @@ class TestTypes:
             pytest.param(lambda: RtpParams(n_consumers=2, n_slots=2, alpha=0.5, b=-0.1), DmocError,
                          "a and b", id="rtp-negative-b"),
             pytest.param(lambda: PcsParams(n_slots=0, p=math.inf, energy=1.0), DmocError,
-                         "n_slots must be >= 1", id="pcs-no-slots"),
+                         "n_slots: expected an integer >= 1, got 0", id="pcs-no-slots"),
+            pytest.param(lambda: PcsParams(n_slots=24.0, p=math.inf, energy=1.0), TypeError,
+                         "n_slots: expected an integer >= 1, got 24.0", id="pcs-float-slots"),
             pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=0.0), DmocError,
                          "energy must be > 0", id="pcs-energy"),
             pytest.param(lambda: PcsParams(n_slots=2, p=math.inf, energy=1.0, x_max=0.0), DmocError,
@@ -335,6 +354,13 @@ class TestTypes:
     def test_invalid_input_raises_its_structured_error(self, build, error, match):
         with pytest.raises(error, match=match):
             build()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        config = EngineConfig(n_clusters=np.int64(2), max_iters=np.int32(3), seed=np.uint8(0))
+        assert config.n_clusters == 2
+        part = Partition(np.array([0, 1, 1]), np.int64(2))
+        assert part.counts().tolist() == [1, 2]
+        assert MetricSpec.for_rtp(n_consumers=np.int64(2), n_slots=np.int16(3), alpha=0.5).data_dim == 6
 
 
 @st.composite

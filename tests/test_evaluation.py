@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from dmoc import DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc
+from dmoc import (
+    DataSet, DimensionError, DmocError, EngineConfig, MetricSpec, metric_ops, run_dmoc, update_representatives,
+)
 from dmoc import baselines, evaluation, pcs, rtp
 from dmoc.core import ClusteringResult, Partition, RunTrace
 from dmoc.data import gen_synthetic_pcs
@@ -119,7 +121,7 @@ class TestRealizedPeaks:
             objective=0.0,
             trace=RunTrace((0.0,), True),
         )
-        with pytest.raises(DimensionError, match="disagree on N"):
+        with pytest.raises(DimensionError, match="partition covers 3 samples, dataset has 1"):
             evaluation.realized_peaks(
                 MetricSpec.for_pcs(n_slots=2, p=math.inf, energy=2.0, x_max=2.0), result, DataSet([[1.0, 1.0]])
             )
@@ -269,6 +271,72 @@ class TestClustersForTargets:
         found = evaluation.clusters_for_targets(spec, data, [0.0], ("kmc",), 50, seed=0, jobs=3)
         assert found == {("kmc", 0.0): None}
         assert sorted(starts) == [(m, m) for m in range(1, 41)]
+
+
+    def test_no_target_runs_nothing(self, setup, monkeypatch):
+        spec, data = setup
+        calls = []
+        monkeypatch.setattr(evaluation, "run_schemes", lambda *args, **kwargs: calls.append(args))
+        assert evaluation.clusters_for_targets(spec, data, [], ("dmoc", "kmc"), 5, seed=0) == {}
+        assert calls == []
+
+
+# ten 24-slot profiles at p = inf, and ten pricing samples of two consumers over four slots
+PCS24 = MetricSpec.for_pcs(n_slots=24, p=math.inf, energy=30.0, x_max=3.0)
+RTP4 = MetricSpec.for_rtp(n_consumers=2, n_slots=4, alpha=0.5, a=0.1, c=1.0)
+TEN = {"pcs": (PCS24, gen_synthetic_pcs(n_samples=10, seed=0), np.full((2, 24), 1.25)),
+       "rtp": (RTP4, rtp.generate_rtp_scenario(n_consumers=2, n_slots=4, n_samples=10, seed=0), np.ones((2, 4)))}
+
+
+def _update(kind, n_rows, warm):
+    spec, data, starts = TEN[kind]
+    partition = Partition(np.arange(n_rows) % 2, 2)
+    return lambda: update_representatives(spec, data, partition, starts if warm else None)
+
+
+def _pcs(fn, *args, **kwargs):
+    return lambda: fn(PCS24, TEN["pcs"][1], *args, **kwargs)
+
+
+class TestEntryPointInputs:
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            *(
+                pytest.param(_update(kind, n_rows, warm), DimensionError,
+                             f"partition covers {n_rows} samples, dataset has 10",
+                             id=f"update-{kind}-{n_rows}-rows{'-warm' if warm else ''}")
+                for kind in ("pcs", "rtp") for n_rows in (6, 12) for warm in (False, True)
+            ),
+            pytest.param(lambda: baselines.kmeans(TEN["pcs"][1], 0, seed=0), DmocError,
+                         "n_clusters: expected an integer >= 1, got 0", id="kmeans-no-clusters"),
+            pytest.param(lambda: baselines.kmeans(TEN["pcs"][1], True, seed=0), TypeError,
+                         "n_clusters: expected an integer >= 1, got True", id="kmeans-bool-clusters"),
+            pytest.param(lambda: baselines.kmeans(TEN["pcs"][1], 2, seed=0, max_iters=2.5), TypeError,
+                         "max_iters: expected an integer >= 1, got 2.5", id="kmeans-fractional-max-iters"),
+            pytest.param(lambda: baselines.kmeans(TEN["pcs"][1], 2, seed=-1), DmocError,
+                         "seed: expected an integer >= 0, got -1", id="kmeans-negative-seed"),
+            pytest.param(_pcs(evaluation.loss_curve, [2.5]), TypeError,
+                         "n_clusters: expected an integer >= 1, got 2.5", id="loss-curve-fractional-m"),
+            pytest.param(_pcs(evaluation.loss_curve, [1], seed=-1), DmocError,
+                         "seed: expected an integer >= 0, got -1", id="loss-curve-negative-seed"),
+            pytest.param(_pcs(evaluation.loss_curve, [1], jobs=0), DmocError,
+                         "jobs: expected an integer >= 1, got 0", id="loss-curve-no-jobs"),
+            pytest.param(_pcs(evaluation.clusters_for_targets, [3.0], m_max=2.5), TypeError,
+                         "m_max: expected an integer >= 1, got 2.5", id="targets-fractional-m-max"),
+            pytest.param(_pcs(evaluation.clusters_for_targets, [3.0], seed=-1), DmocError,
+                         "seed: expected an integer >= 0, got -1", id="targets-negative-seed"),
+            pytest.param(_pcs(evaluation.clusters_for_targets, [3.0], jobs=-3), DmocError,
+                         "jobs: expected an integer >= 1, got -3", id="targets-negative-jobs"),
+        ],
+    )
+    def test_bad_input_raises_its_structured_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_numpy_integer_cluster_count_is_accepted(self):
+        curves = evaluation.loss_curve(PCS24, TEN["pcs"][1], [np.int64(2)], schemes=("kmc",), seed=np.int64(0))
+        assert curves[0].points[0][0] == 2 and type(curves[0].points[0][0]) is int
 
 
 class TestSweeps:

@@ -279,10 +279,13 @@ class TestDerivedConstants:
 
 class TestAffineTransform:
     def test_slot_sums(self):
-        p = params(n_consumers=2, n_slots=2, a=0.1)
-        constants = rtp.RtpDerivedConstants(a_tilde=1.0, kappa=0.5, beta=0.0, n_slots=2)
-        out = rtp.transform_dataset([1.0, 3.0, 2.0, 2.0], p, constants=constants)[0]
-        np.testing.assert_allclose(out, [2.0, 2.0])
+        # consumer-fastest layout: slot 1 holds (1, 3), slot 2 holds (2, 2), both summing to 4
+        p = params(n_consumers=2, n_slots=2, a=0.1, b=0.3)
+        c = rtp.derived_constants(p)
+        out = rtp.transform_dataset([1.0, 3.0, 2.0, 2.0], p)[0]
+        np.testing.assert_allclose(out, c.kappa * np.array([4.0, 4.0]) + c.beta)
+        out = rtp.transform_dataset([1.0, 2.0, 3.0, 5.0], p)[0]
+        np.testing.assert_allclose(out, c.kappa * np.array([3.0, 8.0]) + c.beta)
 
     def test_zero_kappa_gives_constant(self):
         p = params(n_consumers=3, n_slots=2, b=1.0)
@@ -291,10 +294,11 @@ class TestAffineTransform:
         np.testing.assert_allclose(out, np.full(2, c.beta))
 
     def test_identity_case(self):
-        p = params(n_consumers=1, n_slots=3, a=0.2)
-        constants = rtp.RtpDerivedConstants(a_tilde=1.0, kappa=1.0, beta=0.0, n_slots=3)
+        # one consumer: each slot's sum is the sample entry itself
+        p = params(n_consumers=1, n_slots=3, a=0.2, b=0.1)
+        c = rtp.derived_constants(p)
         g = np.array([0.7, 1.1, 2.9])
-        np.testing.assert_allclose(rtp.transform_dataset(g, p, constants=constants)[0], g)
+        np.testing.assert_allclose(rtp.transform_dataset(g, p)[0], c.kappa * g + c.beta)
 
 
 class TestAssignment:
